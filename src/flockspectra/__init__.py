@@ -26,8 +26,7 @@ from .charpoly import (BranchRoot, QuadraticRoots, SpecialEigenEstimate,
 from .spectrum import (EigenPair, RegimeLabel, SpecialRoot, Spectrum,
                        classify_regime, compute_spectrum, eigenvector_for,
                        leader_eigenvector, residual)
-from .oracle import (ValidationReport, charpoly_coeffs, cross_validate,
-                     pairing_distance, polynomial_eigenvalues,
+from .oracle import (ValidationReport, cross_validate, pairing_distance,
                      qr_eigenvalues, tridiag_polynomial_eigenvalues)
 from .stability import (SecondOrderParams, StabilityVerdict,
                         first_order_verdict, laplacian_spectrum,
@@ -57,9 +56,8 @@ __all__ = [
     "EigenPair", "RegimeLabel", "SpecialRoot", "Spectrum",
     "classify_regime", "compute_spectrum", "eigenvector_for",
     "leader_eigenvector", "residual",
-    "ValidationReport", "charpoly_coeffs", "cross_validate",
-    "pairing_distance", "polynomial_eigenvalues", "qr_eigenvalues",
-    "tridiag_polynomial_eigenvalues",
+    "ValidationReport", "cross_validate", "pairing_distance",
+    "qr_eigenvalues", "tridiag_polynomial_eigenvalues",
     "SecondOrderParams", "StabilityVerdict", "first_order_verdict",
     "laplacian_spectrum", "second_order_eigenvalues",
     "second_order_verdict",

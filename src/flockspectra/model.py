@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -56,15 +57,21 @@ def make_params(a, c, b, d, e, n):
     return SystemParams(a=a, c=c, b=b, d=d, e=e, n=n, tau=math.sqrt(a / c))
 
 
-def is_decentralized(p: SystemParams, tol: float = 0.0) -> bool:
+def is_decentralized(p: SystemParams, tol: Optional[float] = None) -> bool:
     """True iff b = a + c and c = e + d.
 
-    The definition is an algebraic identity, so the default comparison is
-    exact; pass a tolerance for parameters produced by upstream arithmetic.
+    By default each identity is compared to within a few ulps of its
+    terms, |b - (a+c)| <= 4 eps (|a| + |c| + |b|), so that parameters
+    written in decimal (0.1 + 0.2 for 0.3) still count; a tolerance
+    passed explicitly is an absolute bound on both differences.
     """
-    if tol == 0.0:
-        return p.b == p.a + p.c and p.c == p.e + p.d
-    return abs(p.b - (p.a + p.c)) <= tol and abs(p.c - (p.e + p.d)) <= tol
+    db = abs(p.b - (p.a + p.c))
+    dc = abs(p.c - (p.e + p.d))
+    if tol is None:
+        ulps = 4 * np.finfo(float).eps
+        return (db <= ulps * (abs(p.a) + abs(p.c) + abs(p.b))
+                and dc <= ulps * (abs(p.e) + abs(p.d) + abs(p.c)))
+    return db <= tol and dc <= tol
 
 
 def build_full_matrix(p: SystemParams) -> np.ndarray:

@@ -1,24 +1,30 @@
 """Independent ground-truth eigensolvers.
 
-Two unrelated methods: an implicitly double-shifted QR iteration on
-Hessenberg form, and simultaneous (Durand-Kerner) root finding on the
-characteristic polynomial obtained from the three-term determinant
-recurrence.  Neither shares any code with the transfer-matrix theory
-path, so each validates the other and both validate the theory.
+Two unrelated methods.  The first is LAPACK's Francis QR with aggressive
+early deflation (``dhseqr`` through ``scipy.linalg.eigvals``).  The second
+finds the roots of det(zI - M), evaluated by the three-term determinant
+recurrence along the tridiagonal: Sturm-sequence bisection (LAPACK
+``dstebz``) when every off-diagonal product is non-negative, and
+Aberth-Ehrlich simultaneous iteration otherwise.  Neither shares any code
+with the transfer-matrix theory path, so each validates the other and
+both validate the theory.
+
+scipy is imported inside the functions that use it, so that importing
+the package does not pay for it.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DimensionMismatch, DomainError, NoConvergence
 from .model import (SystemParams, build_full_matrix, build_laplacian,
                     build_reduced_matrix)
 
-_EPS = np.finfo(float).eps
+# Steps of the determinant recurrence between two joint rescalings of
+# (p, p'); each step grows them by at most |z - d_k| + |w_k| + 1.
+_RESCALE_EVERY = 8
 
 
 @dataclass(frozen=True)
@@ -39,131 +45,25 @@ class ValidationReport:
         }
 
 
-def _to_hessenberg(A: np.ndarray) -> np.ndarray:
-    """Householder reduction to upper Hessenberg form (similarity)."""
-    H = np.array(A, dtype=float, copy=True)
-    n = H.shape[0]
-    for k in range(n - 2):
-        x = H[k + 1:, k]
-        alpha = np.linalg.norm(x)
-        if alpha == 0:
-            continue
-        if x[0] > 0:
-            alpha = -alpha
-        v = x.copy()
-        v[0] -= alpha
-        vn = np.linalg.norm(v)
-        if vn == 0:
-            continue
-        v /= vn
-        H[k + 1:, k:] -= 2.0 * np.outer(v, v @ H[k + 1:, k:])
-        H[:, k + 1:] -= 2.0 * np.outer(H[:, k + 1:] @ v, v)
-        H[k + 2:, k] = 0.0
-    return H
+def qr_eigenvalues(M: np.ndarray):
+    """All eigenvalues of a real square matrix by LAPACK's Francis QR
+    (``dgeev``/``dhseqr``: Hessenberg reduction, then multishift QR with
+    aggressive early deflation).
 
-
-def _eig2x2(h11, h12, h21, h22):
-    tr = h11 + h22
-    det = h11 * h22 - h12 * h21
-    disc = 0.25 * tr * tr - det
-    if disc >= 0:
-        s = math.sqrt(disc)
-        return complex(0.5 * tr + s), complex(0.5 * tr - s)
-    s = math.sqrt(-disc)
-    return complex(0.5 * tr, s), complex(0.5 * tr, -s)
-
-
-def _francis_step(H, lo, hi, exceptional):
-    """One implicit double-shift bulge chase on the active block [lo..hi]."""
-    if exceptional:
-        w = abs(H[hi, hi - 1]) + abs(H[hi - 1, hi - 2])
-        s, t = 1.5 * w, w * w
-    else:
-        s = H[hi - 1, hi - 1] + H[hi, hi]
-        t = (H[hi - 1, hi - 1] * H[hi, hi]
-             - H[hi - 1, hi] * H[hi, hi - 1])
-    x = H[lo, lo] * H[lo, lo] + H[lo, lo + 1] * H[lo + 1, lo] - s * H[lo, lo] + t
-    y = H[lo + 1, lo] * (H[lo, lo] + H[lo + 1, lo + 1] - s)
-    z = H[lo + 2, lo + 1] * H[lo + 1, lo]
-    for k in range(lo, hi):
-        v = np.array([x, y, z]) if k < hi - 1 else np.array([x, y])
-        nv = np.linalg.norm(v)
-        if nv != 0.0:
-            if v[0] > 0:
-                nv = -nv
-            u = v.copy()
-            u[0] -= nv
-            un = np.linalg.norm(u)
-            if un != 0.0:
-                u /= un
-                r1 = k + len(v)
-                c0 = max(k - 1, lo)
-                H[k:r1, c0:hi + 1] -= 2.0 * np.outer(
-                    u, u @ H[k:r1, c0:hi + 1])
-                rbot = min(r1 + 1, hi + 1)
-                H[lo:rbot, k:r1] -= 2.0 * np.outer(
-                    H[lo:rbot, k:r1] @ u, u)
-                if k > lo:
-                    # these were annihilated exactly in theory; drop the
-                    # roundoff residue to keep Hessenberg structure
-                    H[k + 1:r1, k - 1] = 0.0
-        if k < hi - 1:
-            x = H[k + 1, k]
-            y = H[k + 2, k]
-            z = H[k + 3, k] if k + 3 <= hi else 0.0
-
-
-def qr_eigenvalues(M: np.ndarray, max_iter_factor: int = 100):
-    """All eigenvalues of a real square matrix by implicit double-shift QR.
-
-    The matrix is reduced to Hessenberg form first (a no-op for the
-    tridiagonal inputs of this package), then deflated eigenvalue by
-    eigenvalue with Francis bulge chases and occasional exceptional
-    shifts.  Raises NoConvergence if the iteration budget runs out.
+    Raises DimensionMismatch for a non-square input, DomainError for a
+    non-finite one, and NoConvergence if LAPACK fails to converge.
     """
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"matrix must be square, got {A.shape}")
-    n = A.shape[0]
-    if n == 1:
-        return [complex(A[0, 0])]
-    H = _to_hessenberg(A)
-    scale = np.linalg.norm(H) + _EPS
-    eigs = []
-    hi = n - 1
-    budget = max_iter_factor * n
-    since_deflation = 0
-    while hi >= 0:
-        if budget <= 0:
-            raise NoConvergence(
-                f"QR failed to deflate within {max_iter_factor * n} iterations")
-        for k in range(max(hi, 1), 0, -1):
-            if k > hi:
-                continue
-            tol = _EPS * (abs(H[k, k]) + abs(H[k - 1, k - 1]))
-            if tol == 0.0:
-                tol = _EPS * scale
-            if abs(H[k, k - 1]) <= tol:
-                H[k, k - 1] = 0.0
-        if hi == 0 or H[hi, hi - 1] == 0.0:
-            eigs.append(complex(H[hi, hi]))
-            hi -= 1
-            since_deflation = 0
-            continue
-        if hi == 1 or H[hi - 1, hi - 2] == 0.0:
-            l1, l2 = _eig2x2(H[hi - 1, hi - 1], H[hi - 1, hi],
-                             H[hi, hi - 1], H[hi, hi])
-            eigs.extend([l1, l2])
-            hi -= 2
-            since_deflation = 0
-            continue
-        lo = hi - 1
-        while lo > 0 and H[lo, lo - 1] != 0.0:
-            lo -= 1
-        since_deflation += 1
-        _francis_step(H, lo, hi, exceptional=(since_deflation % 11 == 10))
-        budget -= 1
-    return eigs
+    if not np.isfinite(A).all():
+        raise DomainError("matrix has non-finite entries")
+    from scipy.linalg import LinAlgError, eigvals
+    try:
+        eigs = eigvals(A, check_finite=False)
+    except LinAlgError as ex:
+        raise NoConvergence(f"LAPACK QR failed: {ex}") from ex
+    return eigs.astype(complex).tolist()
 
 
 def matrix_for_kind(p: SystemParams, kind: str) -> np.ndarray:
@@ -176,142 +76,141 @@ def matrix_for_kind(p: SystemParams, kind: str) -> np.ndarray:
     raise DomainError(f"unknown matrix kind {kind!r}")
 
 
-def _tridiag_charpoly(M: np.ndarray):
-    """Determinant recurrence D_k = (x - d_k) D_(k-1) - sub sup D_(k-2),
-    ascending coefficient arrays; returns descending monic coefficients."""
-    d = np.diag(M).copy()
-    sub = np.diag(M, -1)
-    sup = np.diag(M, 1)
-    if not np.array_equal(M, np.diag(d) + np.diag(sub, -1) + np.diag(sup, 1)):
-        raise DomainError("matrix is not tridiagonal")
-    prev = np.array([1.0])
-    cur = np.array([-d[0], 1.0])
+def _newton_correction(z, d, w):
+    """p(z)/p'(z) for p(z) = det(zI - M), from the recurrence
+    D_k = (z - d_k) D_(k-1) - w_(k-1) D_(k-2) and its derivative.
+
+    Row 0 of each state holds D, row 1 holds D'; both rows are divided by
+    the same factor every few steps, which keeps them representable and
+    leaves their ratio unchanged.  A z at which both vanish yields NaN.
+    """
+    prev = np.zeros((2, len(z)), dtype=complex)
+    prev[0] = 1.0
+    cur = np.empty_like(prev)
+    cur[0] = z - d[0]
+    cur[1] = 1.0
     for k in range(1, len(d)):
-        nxt = np.zeros(len(cur) + 1)
-        nxt[1:] += cur
-        nxt[:-1] -= d[k] * cur
-        nxt[:len(prev)] -= sub[k - 1] * sup[k - 1] * prev
+        nxt = (z - d[k]) * cur - w[k - 1] * prev
+        nxt[1] += cur[0]
         prev, cur = cur, nxt
-    return list(cur[::-1])
+        if k % _RESCALE_EVERY == 0:
+            s = np.abs(cur).max(axis=0)
+            prev /= s
+            cur /= s
+    return cur[0] / cur[1]
 
 
-def charpoly_coeffs(p: SystemParams, kind: str = "reduced"):
-    """Monic characteristic polynomial coefficients (descending powers),
-    from the three-term determinant recurrence along the tridiagonal."""
-    return _tridiag_charpoly(matrix_for_kind(p, kind))
+def _aberth(d, w, max_iter, tol):
+    """Aberth-Ehrlich iteration on the roots of det(zI - M).
 
-
-def _durand_kerner(eval_fn, deg, radius, max_iter, tol):
-    """Simultaneous-iteration core shared by both evaluation backends.
-
-    eval_fn(z_array) returns (mantissa, exponent2) so the backend can keep
-    astronomically scaled values representable; the correction divides by
-    the pairwise-difference product, also tracked mantissa/exponent.
+    The bulk eigenvalues of this chain fill a real interval of half-width
+    about 2 rho, rho the median coupling sqrt|w|, with spacing about
+    2 pi rho / n near its centre.  Iterates start on an ellipse around
+    that interval: centre trace/n, semi-axes 2 rho along the real axis
+    and the smaller of rho/2 and one root spacing across it, so each
+    starts near a root.  At n=480 this takes 19-27 sweeps where the
+    rho/2 ellipse takes 81-88.  The angle offset keeps every iterate off
+    the real axis.  An iterate whose correction falls below tol is
+    frozen; the others still repel from it.
     """
-    angles = 2 * np.pi * np.arange(deg) / deg + 0.4
-    z = radius * np.exp(1j * angles)
+    n = len(d)
+    coupling = np.sqrt(np.abs(w))
+    rho = float(np.median(coupling)) or float(np.max(coupling))
+    theta = 2 * np.pi * np.arange(n) / n + 0.4
+    z = (np.sum(d) / n + 2 * rho * np.cos(theta)
+         + 1j * min(0.5, 2 * np.pi / n) * rho * np.sin(theta))
+    active = np.arange(n)
     for _ in range(max_iter):
-        pz, pe = eval_fn(z)
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        mag = np.abs(diff)
-        dexp = np.sum(np.log2(mag), axis=1)
-        dmant = np.prod(diff / mag, axis=1)
-        step = (pz / dmant) * np.exp2(pe - dexp)
-        z = z - step
-        if np.max(np.abs(step)) <= tol * max(1.0, np.max(np.abs(z))):
+        za = z[active]
+        ratio = _newton_correction(za, d, w)
+        inv = za[:, None] - z[None, :]
+        own = (np.arange(len(active)), active)
+        inv[own] = 1.0
+        np.reciprocal(inv, out=inv)
+        inv[own] = 0.0
+        step = ratio / (1.0 - ratio * inv.sum(axis=1))
+        z[active] = za - step
+        if not np.isfinite(z).all():
+            raise NoConvergence("Aberth iteration left the finite range")
+        moving = np.abs(step) > tol * max(1.0, np.max(np.abs(z)))
+        active = active[moving]
+        if not len(active):
             return z
-    raise NoConvergence(f"Durand-Kerner did not settle in {max_iter} sweeps")
-
-
-def polynomial_eigenvalues(coeffs, max_iter: int = 800, tol: float = 1e-12):
-    """All roots of a monic real polynomial by Durand-Kerner iteration.
-
-    Iterates are seeded on a circle whose radius is the tighter of the
-    Cauchy bound 1 + max|c_i| and the Fujiwara bound, with an irrational
-    angle offset so no iterate starts on a symmetry axis.
-    """
-    c = np.asarray(coeffs, dtype=float)
-    if c.ndim != 1 or len(c) < 2:
-        raise DomainError("need a polynomial of degree >= 1")
-    if c[0] != 1.0:
-        raise DomainError("polynomial must be monic")
-    deg = len(c) - 1
-    cauchy = 1.0 + np.max(np.abs(c[1:]))
-    fuji = 2.0 * np.max(np.abs(c[1:]) ** (1.0 / np.arange(1, deg + 1)))
-    radius = min(cauchy, max(fuji, 1e-3))
-
-    def horner(z):
-        return np.polyval(c, z), np.zeros(len(z))
-
-    z = _durand_kerner(horner, deg, radius, max_iter, tol)
-    scale = np.max(np.abs(c))
-    resid = np.max(np.abs(np.polyval(c, z)))
-    if resid > 1e-8 * scale:
-        raise NoConvergence(
-            f"Durand-Kerner residual {resid:.2e} exceeds 1e-8 of scale")
-    return [complex(v) for v in z]
+    raise NoConvergence(f"Aberth iteration did not settle in {max_iter} "
+                        f"sweeps")
 
 
 def tridiag_polynomial_eigenvalues(M: np.ndarray, max_iter: int = 800,
                                    tol: float = 1e-12):
-    """Durand-Kerner on det(zI - M) evaluated by the determinant recurrence.
+    """Roots of det(zI - M) for a tridiagonal M, from the three-term
+    determinant recurrence.
 
-    Expanding the characteristic polynomial into monomial coefficients
-    destroys the roots in double precision once the degree passes ~50
-    (verified against LAPACK: even companion-matrix QR on the expanded
-    coefficients is off by 1e-1 at degree 100).  Evaluating the same
-    polynomial through the three-term recurrence at each iterate is
-    numerically benign; intermediate growth is absorbed into a base-2
-    exponent channel.
+    The characteristic polynomial depends only on the diagonal d and the
+    off-diagonal products w_k = sub_k * sup_k.  When every w_k >= 0 it is
+    also the characteristic polynomial of the symmetric tridiagonal with
+    off-diagonal sqrt(w), whose roots LAPACK ``dstebz`` finds by
+    Sturm-sequence bisection on the same recurrence.  Otherwise the roots
+    are complex and Aberth-Ehrlich iteration finds them, with p/p'
+    evaluated by the recurrence and its derivative.  No route expands the
+    polynomial into monomial coefficients, which destroys the roots in
+    double precision past degree ~50.  Entries off the three diagonals
+    are not read.
     """
-    d = np.diag(M).copy()
-    w = np.diag(M, -1) * np.diag(M, 1)
-    deg = len(d)
-
-    def recurrence(z):
-        Dp = np.ones(len(z), dtype=complex)
-        ep = np.zeros(len(z))
-        Dc = z - d[0]
-        ec = np.zeros(len(z))
-        for k in range(1, deg):
-            Dn = (z - d[k]) * Dc - w[k - 1] * Dp * np.exp2(ep - ec)
-            en = ec.copy()
-            mag = np.abs(Dn)
-            adj = np.where(mag > 1e120, 512.0,
-                           np.where((mag > 0) & (mag < 1e-120), -512.0, 0.0))
-            Dn = Dn * np.exp2(-adj)
-            en = en + adj
-            Dp, ep, Dc, ec = Dc, ec, Dn, en
-        return Dc, ec
-
-    radius = float(np.max(np.abs(d)) + 2.0 * np.max(np.abs(
-        np.concatenate([np.sqrt(np.abs(w)), [1.0]]))) + 1.0)
-    z = _durand_kerner(recurrence, deg, radius, max_iter, tol)
-    return [complex(v) for v in z]
+    A = np.asarray(M, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise DimensionMismatch(f"matrix must be square, got {A.shape}")
+    d = np.diag(A).copy()
+    w = np.diag(A, -1) * np.diag(A, 1)
+    if not (np.isfinite(d).all() and np.isfinite(w).all()):
+        raise DomainError("matrix has non-finite entries")
+    if (w >= 0).all():
+        from scipy.linalg import LinAlgError, eigh_tridiagonal
+        try:
+            eigs = eigh_tridiagonal(d, np.sqrt(w), eigvals_only=True,
+                                    lapack_driver="stebz", check_finite=False)
+        except LinAlgError as ex:
+            raise NoConvergence(f"LAPACK bisection failed: {ex}") from ex
+        return eigs.astype(complex).tolist()
+    return _aberth(d, w, max_iter, tol).tolist()
 
 
 def _tau_balance(p: SystemParams, M: np.ndarray) -> np.ndarray:
-    """Similarity with diag(tau^k): symmetrizes the interior couplings to
-    sqrt(ac), which conditions QR when tau is far from 1."""
+    """Similarity with diag(tau^k) of the tridiagonal M: the sub-diagonal
+    is divided by tau and the super-diagonal multiplied by it, which
+    symmetrizes the interior couplings to sqrt(ac) and conditions QR when
+    tau is far from 1.  No power of tau is formed, so nothing overflows
+    at large n.  Entries off the three diagonals are not read.
+    """
     n = M.shape[0]
-    dpow = p.tau ** np.arange(n)
-    return (M / dpow[:, None]) * dpow[None, :]
+    k = np.arange(n)
+    B = np.zeros((n, n))
+    B[k, k] = M[k, k]
+    B[k[1:], k[:-1]] = M[k[1:], k[:-1]] / p.tau
+    B[k[:-1], k[1:]] = M[k[:-1], k[1:]] * p.tau
+    return B
 
 
 def pairing_distance(u, v) -> float:
     """Max matched distance between two equal-size eigenvalue multisets.
 
     Sorted-by-(re, im) pairing first; if that looks ambiguous the exact
-    optimal assignment is used instead.
+    optimal assignment is used instead.  Off the real axis the real part
+    is rounded to 1e-9 for the sort, so that the two members of a
+    conjugate pair whose real parts differ in the last bits sort the same
+    way in both multisets; real eigenvalues closer than that keep their
+    order.
     """
     if len(u) != len(v):
         raise DimensionMismatch(f"multisets have sizes {len(u)} and {len(v)}")
-    u = sorted((complex(z) for z in u), key=lambda z: (z.real, z.imag))
-    v = sorted((complex(z) for z in v), key=lambda z: (z.real, z.imag))
+
+    def key(z):
+        return (round(z.real, 9) if abs(z.imag) > 1e-9 else z.real), z.imag
+    u = sorted((complex(z) for z in u), key=key)
+    v = sorted((complex(z) for z in v), key=key)
     d_sorted = max(abs(a - b) for a, b in zip(u, v))
     if d_sorted < 1e-9 or len(u) > 600:
         return d_sorted
+    from scipy.optimize import linear_sum_assignment
     ua = np.array(u)
     va = np.array(v)
     cost = np.abs(ua[:, None] - va[None, :])
@@ -319,29 +218,20 @@ def pairing_distance(u, v) -> float:
     return float(np.max(cost[rows, cols]))
 
 
-def cross_validate(p: SystemParams, kind: str = "reduced",
-                   polynomial_limit: int = 400) -> ValidationReport:
-    """Theory path vs QR, and QR vs polynomial roots, on one matrix.
-
-    The polynomial route is skipped above polynomial_limit (coefficient
-    conditioning); QR runs on the tau-balanced similarity.
-    """
+def cross_validate(p: SystemParams, kind: str = "reduced") -> ValidationReport:
+    """Theory path vs QR, and QR vs the determinant-recurrence roots, on
+    one matrix.  Both oracles run on the tau-balanced similarity."""
     from .spectrum import compute_spectrum
 
     spec = compute_spectrum(p, kind)
     theory = spec.eigenvalues()
-    M = matrix_for_kind(p, kind)
-    qr = qr_eigenvalues(_tau_balance(p, M))
+    B = _tau_balance(p, matrix_for_kind(p, kind))
+    qr = qr_eigenvalues(B)
+    roots = tridiag_polynomial_eigenvalues(B)
     if kind == "laplacian":
         # the theory path reports the spectrum of -L
         qr = [-z for z in qr]
-    max_pairing_error = pairing_distance(theory, qr)
-    method_agreement = float("nan")
-    if p.n <= polynomial_limit:
-        dk = tridiag_polynomial_eigenvalues(_tau_balance(p, M))
-        if kind == "laplacian":
-            dk = [-z for z in dk]
-        method_agreement = pairing_distance(qr, dk)
-    return ValidationReport(max_pairing_error=max_pairing_error,
-                            method_agreement=method_agreement,
+        roots = [-z for z in roots]
+    return ValidationReport(max_pairing_error=pairing_distance(theory, qr),
+                            method_agreement=pairing_distance(qr, roots),
                             n=p.n, regime=spec.regime)

@@ -157,7 +157,7 @@ def simulate_first_order(cfg: SimConfig) -> Trajectory:
     x0 = _check_vec("x0", cfg.x0, m)
     L = build_laplacian(cfg.params)
     dt, steps = _resolve_steps(cfg, spectral_radius_estimate(L))
-    times, states = _rk4(lambda x: -L @ (x - h), x0, dt, steps,
+    times, states = _rk4(lambda x: -(L @ (x - h)), x0, dt, steps,
                          cfg.save_stride)
     traj = Trajectory(times, states, None, np.zeros(len(times)))
     return Trajectory(times, states, None, coherence_error(traj, h))

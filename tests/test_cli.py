@@ -94,8 +94,21 @@ class TestClassify:
                        "--d", "3", "--e", "-1", "--n", "20")
         assert doc["result"]["decentralized_cell"] is not None
 
+    def test_decentralized_json_matches_schema(self, capsys, schema):
+        doc = run_json(capsys, "classify", "--a", "1", "--c", "2",
+                       "--d", "1.5", "--e", "0.5", "--n", "100")
+        validate(doc, schema)
+        assert doc["result"]["decentralized_cell"] == ["|e|<=a", "c>a"]
+
 
 class TestStability:
+    def test_decimal_decentralized_parameters(self, capsys, schema):
+        # e + d = 0.30000000000000004 != 0.3 = c in binary
+        doc = run_json(capsys, "stability", "--a", "1", "--c", "0.3",
+                       "--d", "0.1", "--e", "0.2")
+        validate(doc, schema)
+        assert doc["result"]["stable"] == "stable"
+
     def test_first_order_stable(self, capsys, schema):
         doc = run_json(capsys, "stability", "--a", "1", "--c", "1",
                        "--d", "0.5", "--e", "0.5", "--n", "20")

@@ -40,6 +40,11 @@ class TestIsDecentralized:
     def test_true_asymmetric(self):
         assert is_decentralized(make_params(1, 2, 3, 1, 1, 5))
 
+    def test_decimal_round_off_accepted(self):
+        # -0.3 + 2.3 = 1.9999999999999998 in binary
+        assert is_decentralized(make_params(1, 2, 3, 2.3, -0.3, 5))
+        assert is_decentralized(make_params(1, 0.3, 1.3, 0.1, 0.2, 5))
+
     def test_tolerance_overload(self):
         p = make_params(1, 1, 2 + 1e-12, 0.5, 0.5, 5)
         assert not is_decentralized(p)

@@ -1,15 +1,20 @@
 import math
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flockspectra import (build_full_matrix, build_reduced_matrix,
-                          charpoly_coeffs, cross_validate, make_params,
-                          pairing_distance, polynomial_eigenvalues,
+from flockspectra import (DimensionMismatch, DomainError, NoConvergence,
+                          build_full_matrix, build_reduced_matrix,
+                          cross_validate, make_params, pairing_distance,
                           qr_eigenvalues, tridiag_polynomial_eigenvalues)
-from flockspectra.oracle import _tridiag_charpoly
+from flockspectra.oracle import _tau_balance
 
 
 def _sorted_real(vals):
@@ -35,39 +40,39 @@ class TestQrEigenvalues:
         eigs = qr_eigenvalues(np.array([[0., -1], [1, 0]]))
         assert sorted(z.imag for z in eigs) == pytest.approx([-1, 1])
 
+    def test_non_square_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            qr_eigenvalues(np.zeros((2, 3)))
 
-class TestCharpolyCoeffs:
-    def test_two_by_two(self):
-        coeffs = charpoly_coeffs(make_params(1, 1, 9, 3, 4, 2), "reduced")
-        assert coeffs == pytest.approx([1, -3, -5])
+    def test_non_finite_rejected(self):
+        with pytest.raises(DomainError):
+            qr_eigenvalues(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
-    def test_zero_last_row_factors(self):
-        coeffs = charpoly_coeffs(make_params(1, 1, 9, 0, -1, 3), "reduced")
-        assert coeffs == pytest.approx([1, 0, -1, 0])   # lambda^3 - lambda
-
-    def test_one_by_one_recurrence(self):
-        assert _tridiag_charpoly(np.array([[5.0]])) == pytest.approx([1, -5])
-
-    def test_matches_numpy_poly(self):
-        p = make_params(1.3, 0.8, 2.1, -0.9, 1.7, 8)
-        got = charpoly_coeffs(p, "full")
-        want = np.poly(build_full_matrix(p))
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+    def test_lapack_failure_is_no_convergence(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("eigenvalue iteration failed")
+        monkeypatch.setattr(scipy.linalg, "eigvals", fail)
+        with pytest.raises(NoConvergence):
+            qr_eigenvalues(np.eye(3))
 
 
 class TestPolynomialEigenvalues:
     def test_quadratic(self):
-        roots = _sorted_real(polynomial_eigenvalues([1, -3, -5]))
+        # det(zI - M) = z^2 - 3z - 5
+        M = build_reduced_matrix(make_params(1, 1, 9, 3, 4, 2))
+        roots = _sorted_real(tridiag_polynomial_eigenvalues(M))
         s = math.sqrt(29)
         assert roots == pytest.approx([(3 - s) / 2, (3 + s) / 2])
 
     def test_cubic_with_zero(self):
-        roots = _sorted_real(polynomial_eigenvalues([1, 0, -1, 0]))
+        # det(zI - M) = z^3 - z
+        M = build_reduced_matrix(make_params(1, 1, 9, 0, -1, 3))
+        roots = _sorted_real(tridiag_polynomial_eigenvalues(M))
         assert roots == pytest.approx([-1, 0, 1], abs=1e-10)
 
     def test_chain_closed_form(self):
-        coeffs = charpoly_coeffs(make_params(1, 1, 2, 0, 0, 4), "reduced")
-        roots = _sorted_real(polynomial_eigenvalues(coeffs))
+        M = build_reduced_matrix(make_params(1, 1, 2, 0, 0, 4))
+        roots = _sorted_real(tridiag_polynomial_eigenvalues(M))
         want = sorted(2 * math.cos(k * math.pi / 5) for k in range(1, 5))
         assert roots == pytest.approx(want, abs=1e-10)
 
@@ -77,6 +82,56 @@ class TestPolynomialEigenvalues:
         roots = _sorted_real(tridiag_polynomial_eigenvalues(Q))
         want = sorted(2 * math.cos(k * math.pi / 121) for k in range(1, 121))
         assert np.allclose(roots, want, atol=1e-9)
+
+    def test_complex_roots_match_lapack(self):
+        # (a+e)c < 0: one negative off-diagonal product, complex roots
+        p = make_params(1, 1, 2, 2.95, -2.25, 60)
+        B = _tau_balance(p, build_reduced_matrix(p))
+        roots = tridiag_polynomial_eigenvalues(B)
+        assert any(abs(z.imag) > 0.1 for z in roots)
+        assert pairing_distance(roots, scipy.linalg.eigvals(B)) < 1e-12
+
+    def test_complex_case_converges_at_n_480(self):
+        p = make_params(1.3, 0.7, 2.0, 0.9, -2.4, 480)
+        B = _tau_balance(p, build_reduced_matrix(p))
+        roots = tridiag_polynomial_eigenvalues(B)
+        assert pairing_distance(roots, scipy.linalg.eigvals(B)) < 1e-10
+
+    def test_recurrence_rescaling_avoids_overflow(self):
+        # |det(zI - M)| reaches ~1e360 here without the joint rescaling
+        p = make_params(1, 1, 2, 2.95, -2.25, 120)
+        B = 1e3 * build_reduced_matrix(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            roots = tridiag_polynomial_eigenvalues(B)
+        assert pairing_distance(roots, scipy.linalg.eigvals(B)) < 1e-9 * 1e3
+
+    def test_non_square_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            tridiag_polynomial_eigenvalues(np.zeros((3, 2)))
+
+
+class TestTauBalance:
+    def test_matches_power_formula(self):
+        p = make_params(1.3, 0.7, 2.0, 0.9, 0.4, 120)
+        M = build_full_matrix(p)
+        dpow = p.tau ** np.arange(M.shape[0])
+        old = (M / dpow[:, None]) * dpow[None, :]
+        np.testing.assert_allclose(_tau_balance(p, M), old, rtol=1e-15,
+                                   atol=0)
+
+    def test_no_overflow_at_large_n(self):
+        # tau^k passes the float range at k ~ 2290 for this tau
+        p = make_params(1.3, 0.7, 2.0, 0.9, 0.4, 7680)
+        M = build_reduced_matrix(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            B = _tau_balance(p, M)
+        del M
+        sac = math.sqrt(1.3 * 0.7)
+        np.testing.assert_allclose(np.diag(B, -1)[:-1], sac, rtol=1e-15)
+        np.testing.assert_allclose(np.diag(B, 1), sac, rtol=1e-15)
+        assert np.diag(B)[-1] == 0.9
 
 
 class TestCrossValidate:
@@ -115,6 +170,16 @@ class TestMultisetInvariants:
         vals = [1 + 1j, 1 - 1j, -2.0, 0.5]
         assert pairing_distance(vals, list(reversed(vals))) < 1e-15
 
+    def test_conjugate_pair_sorts_without_assignment(self, monkeypatch):
+        # the real parts differ in the last bit, which flips a plain
+        # (re, im) sort of the pair in one multiset
+        def fail(cost):
+            raise AssertionError("pairing was ambiguous")
+        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", fail)
+        u = [1 + 1j, 1 - 1j, -2.0]
+        v = [-2.0, 1 + 1j, complex(1 + 2.0 ** -52, -1)]
+        assert pairing_distance(u, v) < 1e-15
+
 
 @settings(max_examples=15, deadline=None)
 @given(a=st.floats(0.2, 5), c=st.floats(0.2, 5),
@@ -127,3 +192,11 @@ def test_methods_agree_randomized(a, c, d, e):
     qr = qr_eigenvalues(B)
     dk = tridiag_polynomial_eigenvalues(B)
     assert pairing_distance(qr, dk) < 1e-6
+
+
+def test_import_does_not_load_scipy():
+    code = ("import sys, flockspectra, flockspectra.cli; "
+            "sys.exit('scipy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr or "scipy was imported"

@@ -6,6 +6,7 @@ from flockspectra import (SimConfig, StepSizeTooLarge, Trajectory,
                           laplacian_spectrum, make_params,
                           simulate_first_order, simulate_second_order,
                           spectral_radius_estimate)
+from flockspectra.simulate import _rk4
 
 
 def _stable_params(n=20):
@@ -68,6 +69,17 @@ class TestSimulateFirstOrder:
         e1 = np.linalg.norm(final_state(0.1) - ref)
         e2 = np.linalg.norm(final_state(0.05) - ref)
         assert 8 <= e1 / e2 <= 32
+
+    def test_matches_negated_laplacian_reference(self):
+        # -(L @ v) and (-L) @ v round identically: negation is exact
+        p = make_params(1.3, 0.7, 2.0, 0.9, 1.1, 30)
+        h = -np.arange(31.0)
+        x0 = h + np.random.default_rng(5).normal(size=31)
+        traj = simulate_first_order(SimConfig(p, h, x0, t_end=3.0, dt=0.01))
+        minus_L = -build_laplacian(p)
+        times, states = _rk4(lambda x: minus_L @ (x - h), x0, 0.01, 300, 1)
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.positions, states)
 
 
 class TestSimulateSecondOrder:
