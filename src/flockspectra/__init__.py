@@ -18,11 +18,10 @@ from .errors import (BranchPole, DegenerateCoupling, DegenerateRoot,
 from .model import (SystemParams, build_full_matrix, build_laplacian,
                     build_reduced_matrix, is_decentralized, make_params)
 from .charpoly import (BranchRoot, QuadraticRoots, SpecialEigenEstimate,
-                       TransferRoots, closed_form_branch_roots,
-                       eigenvalue_from_root, eval_cotangent_residual,
-                       eval_polynomial, find_branch_roots, quadratic_roots,
-                       refine_special_root, special_eigen_estimates,
-                       transfer_roots)
+                       closed_form_branch_roots, eigenvalue_from_root,
+                       eval_cotangent_residual, eval_polynomial,
+                       find_branch_roots, quadratic_roots,
+                       refine_special_root, special_eigen_estimates)
 from .spectrum import (EigenPair, RegimeLabel, SpecialRoot, Spectrum,
                        classify_regime, compute_spectrum, eigenvector_for,
                        leader_eigenvector, residual)
@@ -48,11 +47,10 @@ __all__ = [
     "UnitCircleCollapse", "ZeroDenominator",
     "SystemParams", "build_full_matrix", "build_laplacian",
     "build_reduced_matrix", "is_decentralized", "make_params",
-    "BranchRoot", "QuadraticRoots", "SpecialEigenEstimate", "TransferRoots",
+    "BranchRoot", "QuadraticRoots", "SpecialEigenEstimate",
     "closed_form_branch_roots", "eigenvalue_from_root",
     "eval_cotangent_residual", "eval_polynomial", "find_branch_roots",
     "quadratic_roots", "refine_special_root", "special_eigen_estimates",
-    "transfer_roots",
     "EigenPair", "RegimeLabel", "SpecialRoot", "Spectrum",
     "classify_regime", "compute_spectrum", "eigenvector_for",
     "leader_eigenvector", "residual",

@@ -34,6 +34,7 @@ TOL_PHI = 1e-13
 TOL_ROOT = 1e-12
 CIRCLE_EPS = 1e-9
 NEWTON_MAX_ITER = 100
+POLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -69,15 +70,6 @@ class SpecialEigenEstimate:
     r_minus: Optional[complex]
 
 
-@dataclass(frozen=True)
-class TransferRoots:
-    """Eigenvalues x+- of the 2x2 transfer matrix, with y = x_plus / tau."""
-
-    x_plus: complex
-    x_minus: complex
-    y: complex
-
-
 def eval_polynomial(p: SystemParams, y: complex) -> complex:
     """Evaluate f(y) = (a y^2 - d tau y - e) y^(2n) + (e y^2 + d tau y - a).
 
@@ -104,8 +96,7 @@ def _scaled_poly_and_deriv(p: SystemParams, y: complex):
     return f, df
 
 
-def eval_cotangent_residual(p: SystemParams, phi: float,
-                            pole_tol: float = 1e-12) -> float:
+def eval_cotangent_residual(p: SystemParams, phi: float) -> float:
     """LHS - RHS of the cotangent equation at the angle phi.
 
     A zero in branch ell certifies a BranchRoot.  Near phi = 0 or pi the
@@ -116,10 +107,10 @@ def eval_cotangent_residual(p: SystemParams, phi: float,
         raise ZeroDenominator("e + a = 0: use the closed-form branch layout")
     s = math.sin(n * phi)
     sphi = math.sin(phi)
-    if abs(s) < pole_tol:
+    if abs(s) < POLE_TOL:
         # sin(n phi) and sin(phi) vanish together only at phi = 0, pi where
         # the product has a finite limit; elsewhere it is a genuine pole.
-        if abs(sphi) < n * pole_tol:
+        if abs(sphi) < n * POLE_TOL:
             lhs = math.cos(n * phi) * math.cos(phi) / n
         else:
             raise BranchPole(f"phi={phi} is at a pole of cot(n phi)")
@@ -165,17 +156,6 @@ def special_eigen_estimates(p: SystemParams) -> SpecialEigenEstimate:
         if r_plus.real < r_minus.real:
             r_plus, r_minus = r_minus, r_plus
     return SpecialEigenEstimate(r_plus=r_plus, r_minus=r_minus)
-
-
-def transfer_roots(p: SystemParams, r: complex) -> TransferRoots:
-    """Eigenvalues of the 2x2 transfer matrix of the three-term recursion
-    at eigenvalue candidate r; x_plus x_minus = tau^2 so y_minus = 1/y."""
-    tau, a = p.tau, p.a
-    tr = r * tau * tau / a
-    disc = cmath.sqrt(tr * tr - 4 * tau * tau)
-    x_plus = (tr + disc) / 2
-    x_minus = (tr - disc) / 2
-    return TransferRoots(x_plus=x_plus, x_minus=x_minus, y=x_plus / tau)
 
 
 def closed_form_branch_roots(p: SystemParams) -> List[BranchRoot]:
@@ -262,8 +242,7 @@ def find_branch_roots(p: SystemParams) -> List[BranchRoot]:
     return out
 
 
-def refine_special_root(p: SystemParams, seed: complex,
-                        max_iter: int = NEWTON_MAX_ITER) -> complex:
+def refine_special_root(p: SystemParams, seed: complex) -> complex:
     """Newton iteration on f(y)/y^(2n) from an off-circle seed.
 
     The division by y^(2n) keeps the evaluation finite for |y| > 1 at
@@ -274,7 +253,7 @@ def refine_special_root(p: SystemParams, seed: complex,
     y = complex(seed)
     if abs(y) <= 1.0:
         raise DomainError(f"seed must lie outside the unit circle, got {seed}")
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         f, df = _scaled_poly_and_deriv(p, y)
         if df == 0:
             raise NoConvergence("Newton derivative vanished")
@@ -286,7 +265,8 @@ def refine_special_root(p: SystemParams, seed: complex,
         if abs(step) <= TOL_ROOT * max(1.0, abs(y_new)):
             return y_new
         y = y_new
-    raise NoConvergence(f"no root near seed {seed} after {max_iter} iterations")
+    raise NoConvergence(f"no root near seed {seed} after {NEWTON_MAX_ITER} "
+                        f"iterations")
 
 
 def eigenvalue_from_root(p: SystemParams, y: complex) -> complex:

@@ -151,10 +151,8 @@ def _params_from(merged: dict):
     missing = [k for k in ("a", "c", "d", "e") if k not in merged]
     if missing:
         raise FlockSpectraError(f"missing parameters: {missing}")
-    a, c = merged["a"], merged["c"]
-    b = merged.get("b", a + c)
-    n = int(merged.get("n", DEFAULT_N))
-    return make_params(a, c, b, merged["d"], merged["e"], n)
+    return make_params(merged["a"], merged["c"], merged.get("b"),
+                       merged["d"], merged["e"], merged.get("n", DEFAULT_N))
 
 
 def _write(text: str, merged: dict):

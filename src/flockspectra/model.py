@@ -1,20 +1,23 @@
-"""Parameter validation and dense matrix construction.
+"""Parameter validation and the chain's three diagonals.
 
 The objects here are the single source of truth for the five boundary
 parameters (a, c, b, d, e), the dimension n, and the derived ratio
-tau = sqrt(a/c).  Matrices are materialized densely as numpy arrays:
-the sizes of interest are at most a few thousand and the eigensolver
-oracle wants dense storage anyway.
+tau = sqrt(a/c).  ``tridiagonal`` is the only code that knows the
+entries of the full, reduced and Laplacian matrices; it returns them as
+three diagonals, which is all the simulator needs and costs O(n).  The
+dense builders assemble those diagonals into an array for the callers
+that need one, such as the LAPACK QR oracle.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateCoupling, DimensionTooSmall
+from .errors import DegenerateCoupling, DimensionTooSmall, DomainError
 
 
 @dataclass(frozen=True)
@@ -35,26 +38,33 @@ class SystemParams:
     tau: float
 
     def __post_init__(self):
+        if not (all(isinstance(v, numbers.Real) and math.isfinite(v)
+                    for v in (self.a, self.c, self.b, self.d, self.e))
+                and isinstance(self.n, numbers.Integral)):
+            raise DomainError("parameters must be finite real numbers and "
+                              f"n an integer, got {self}")
         if not (self.a > 0 and self.c > 0):
             raise DegenerateCoupling(
                 f"need a > 0 and c > 0, got a={self.a}, c={self.c}")
         if self.n < 2:
             raise DimensionTooSmall(f"need n >= 2, got n={self.n}")
-        if abs(self.tau ** 2 * self.c - self.a) > 8 * np.finfo(float).eps * self.a:
-            raise ValueError("tau inconsistent with a, c")
+        # a NaN or infinite tau fails this test too
+        if not abs(self.tau ** 2 * self.c - self.a) <= 8 * np.finfo(float).eps * self.a:
+            raise DomainError("tau inconsistent with a, c")
 
 
 def make_params(a, c, b, d, e, n):
-    """Validate the raw scalars and return a SystemParams with tau filled in."""
-    a, c, b, d, e = float(a), float(c), float(b), float(d), float(e)
-    if not all(math.isfinite(v) for v in (a, c, b, d, e)):
-        raise ValueError("parameters must be finite")
-    if a <= 0 or c <= 0:
-        raise DegenerateCoupling(f"need a > 0 and c > 0, got a={a}, c={c}")
-    n = int(n)
-    if n < 2:
-        raise DimensionTooSmall(f"need n >= 2, got n={n}")
-    return SystemParams(a=a, c=c, b=b, d=d, e=e, n=n, tau=math.sqrt(a / c))
+    """Convert the raw scalars and return a validated SystemParams with
+    tau filled in.  b=None stands for a + c, the decentralized leader
+    term; a value that is not a finite number raises DomainError."""
+    try:
+        a, c, d, e = float(a), float(c), float(d), float(e)
+        b = a + c if b is None else float(b)
+        n = int(n)
+    except (TypeError, ValueError, OverflowError) as ex:
+        raise DomainError(f"parameters must be finite numbers: {ex}") from None
+    tau = math.sqrt(a / c) if a > 0 and c > 0 else math.nan
+    return SystemParams(a=a, c=c, b=b, d=d, e=e, n=n, tau=tau)
 
 
 def is_decentralized(p: SystemParams, tol: Optional[float] = None) -> bool:
@@ -74,31 +84,47 @@ def is_decentralized(p: SystemParams, tol: Optional[float] = None) -> bool:
     return db <= tol and dc <= tol
 
 
+def tridiagonal(p: SystemParams, kind: str = "full"):
+    """(sub, diag, sup) of the "full", "reduced" or "laplacian" matrix.
+
+    full, (n+1) x (n+1): leader row (b, 0, ...), interior rows (a, 0, c),
+    last row (..., a+e, d).  reduced, n x n: its trailing block.
+    laplacian: L = D - A with D the row sums of the full A; in the
+    decentralized case (a+c) I - A, which annihilates the constant vector.
+    The Laplacian's entries are rounded exactly as np.diag(A.sum(1)) - A
+    rounds them.
+    """
+    sub = np.r_[np.full(p.n - 1, p.a), p.a + p.e]
+    diag = np.r_[p.b, np.zeros(p.n - 1), p.d]
+    sup = np.r_[0.0, np.full(p.n - 1, p.c)]
+    if kind == "full":
+        return sub, diag, sup
+    if kind == "reduced":
+        return sub[1:], diag[1:], sup[1:]
+    if kind == "laplacian":
+        rows = diag + np.r_[0.0, sub] + np.r_[sup, 0.0]
+        return 0.0 - sub, rows - diag, 0.0 - sup
+    raise DomainError(f"unknown matrix kind {kind!r}")
+
+
+def _dense(sub, diag, sup) -> np.ndarray:
+    """The square array with these three diagonals and zeros elsewhere."""
+    M = np.diag(diag)
+    np.fill_diagonal(M[1:], sub)
+    np.fill_diagonal(M[:, 1:], sup)
+    return M
+
+
 def build_full_matrix(p: SystemParams) -> np.ndarray:
-    """The (n+1) x (n+1) matrix: leader row (b, 0, ...), interior rows
-    (a, 0, c), last row (..., a+e, d)."""
-    m = p.n + 1
-    A = np.zeros((m, m))
-    A[0, 0] = p.b
-    for k in range(1, m - 1):
-        A[k, k - 1] = p.a
-        A[k, k + 1] = p.c
-    A[m - 1, m - 2] = p.a + p.e
-    A[m - 1, m - 1] = p.d
-    return A
+    """The dense (n+1) x (n+1) matrix of ``tridiagonal(p, "full")``."""
+    return _dense(*tridiagonal(p, "full"))
 
 
 def build_reduced_matrix(p: SystemParams) -> np.ndarray:
-    """The n x n trailing block: sub-diagonal a, super-diagonal a/tau^2 (= c),
-    zero diagonal except the bottom-right d, last-row sub-diagonal a+e."""
-    return build_full_matrix(p)[1:, 1:].copy()
+    """The dense n x n matrix of ``tridiagonal(p, "reduced")``."""
+    return _dense(*tridiagonal(p, "reduced"))
 
 
 def build_laplacian(p: SystemParams) -> np.ndarray:
-    """L = D - A with D the diagonal of row sums of A.
-
-    In the decentralized case this reduces to (a+c) I - A and annihilates
-    the constant vector.
-    """
-    A = build_full_matrix(p)
-    return np.diag(A.sum(axis=1)) - A
+    """The dense L = D - A of ``tridiagonal(p, "laplacian")``."""
+    return _dense(*tridiagonal(p, "laplacian"))

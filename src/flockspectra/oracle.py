@@ -19,12 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NoConvergence
-from .model import (SystemParams, build_full_matrix, build_laplacian,
-                    build_reduced_matrix)
+from .model import SystemParams, _dense, tridiagonal
 
 # Steps of the determinant recurrence between two joint rescalings of
 # (p, p'); each step grows them by at most |z - d_k| + |w_k| + 1.
 _RESCALE_EVERY = 8
+_ABERTH_MAX_ITER = 800
+_ABERTH_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -67,13 +68,8 @@ def qr_eigenvalues(M: np.ndarray):
 
 
 def matrix_for_kind(p: SystemParams, kind: str) -> np.ndarray:
-    if kind == "full":
-        return build_full_matrix(p)
-    if kind == "reduced":
-        return build_reduced_matrix(p)
-    if kind == "laplacian":
-        return build_laplacian(p)
-    raise DomainError(f"unknown matrix kind {kind!r}")
+    """The dense "full", "reduced" or "laplacian" matrix of p."""
+    return _dense(*tridiagonal(p, kind))
 
 
 def _newton_correction(z, d, w):
@@ -100,7 +96,7 @@ def _newton_correction(z, d, w):
     return cur[0] / cur[1]
 
 
-def _aberth(d, w, max_iter, tol):
+def _aberth(d, w):
     """Aberth-Ehrlich iteration on the roots of det(zI - M).
 
     The bulk eigenvalues of this chain fill a real interval of half-width
@@ -110,8 +106,8 @@ def _aberth(d, w, max_iter, tol):
     and the smaller of rho/2 and one root spacing across it, so each
     starts near a root.  At n=480 this takes 19-27 sweeps where the
     rho/2 ellipse takes 81-88.  The angle offset keeps every iterate off
-    the real axis.  An iterate whose correction falls below tol is
-    frozen; the others still repel from it.
+    the real axis.  An iterate whose correction falls below
+    _ABERTH_TOL is frozen; the others still repel from it.
     """
     n = len(d)
     coupling = np.sqrt(np.abs(w))
@@ -120,7 +116,7 @@ def _aberth(d, w, max_iter, tol):
     z = (np.sum(d) / n + 2 * rho * np.cos(theta)
          + 1j * min(0.5, 2 * np.pi / n) * rho * np.sin(theta))
     active = np.arange(n)
-    for _ in range(max_iter):
+    for _ in range(_ABERTH_MAX_ITER):
         za = z[active]
         ratio = _newton_correction(za, d, w)
         inv = za[:, None] - z[None, :]
@@ -132,16 +128,15 @@ def _aberth(d, w, max_iter, tol):
         z[active] = za - step
         if not np.isfinite(z).all():
             raise NoConvergence("Aberth iteration left the finite range")
-        moving = np.abs(step) > tol * max(1.0, np.max(np.abs(z)))
+        moving = np.abs(step) > _ABERTH_TOL * max(1.0, np.max(np.abs(z)))
         active = active[moving]
         if not len(active):
             return z
-    raise NoConvergence(f"Aberth iteration did not settle in {max_iter} "
-                        f"sweeps")
+    raise NoConvergence(f"Aberth iteration did not settle in "
+                        f"{_ABERTH_MAX_ITER} sweeps")
 
 
-def tridiag_polynomial_eigenvalues(M: np.ndarray, max_iter: int = 800,
-                                   tol: float = 1e-12):
+def tridiag_polynomial_eigenvalues(M: np.ndarray):
     """Roots of det(zI - M) for a tridiagonal M, from the three-term
     determinant recurrence.
 
@@ -171,7 +166,7 @@ def tridiag_polynomial_eigenvalues(M: np.ndarray, max_iter: int = 800,
         except LinAlgError as ex:
             raise NoConvergence(f"LAPACK bisection failed: {ex}") from ex
         return eigs.astype(complex).tolist()
-    return _aberth(d, w, max_iter, tol).tolist()
+    return _aberth(d, w).tolist()
 
 
 def _tau_balance(p: SystemParams, M: np.ndarray) -> np.ndarray:
@@ -181,13 +176,7 @@ def _tau_balance(p: SystemParams, M: np.ndarray) -> np.ndarray:
     tau is far from 1.  No power of tau is formed, so nothing overflows
     at large n.  Entries off the three diagonals are not read.
     """
-    n = M.shape[0]
-    k = np.arange(n)
-    B = np.zeros((n, n))
-    B[k, k] = M[k, k]
-    B[k[1:], k[:-1]] = M[k[1:], k[:-1]] / p.tau
-    B[k[:-1], k[1:]] = M[k[:-1], k[1:]] * p.tau
-    return B
+    return _dense(np.diag(M, -1) / p.tau, np.diag(M), np.diag(M, 1) * p.tau)
 
 
 def pairing_distance(u, v) -> float:

@@ -3,17 +3,17 @@
 First order: x' = -L (x - h).  Second order: x'' = -alpha L (x - h)
 - beta L x'.  The full (n+1)-dimensional Laplacian includes the
 leader's zero row, so the leader coordinate is constant automatically.
+L is applied from its three diagonals, so a step costs O(n).
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, StepSizeTooLarge
-from .model import SystemParams, build_laplacian
+from .model import SystemParams, tridiagonal
 
 DT_MAX_FACTOR = 1.8      # explicit RK4 stability-region heuristic
 DT_DEFAULT_FACTOR = 0.5
@@ -54,26 +54,29 @@ class Trajectory:
             row.append(self.coherence_errors[i])
             yield row
 
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in self.csv_rows():
-                writer.writerow([x if isinstance(x, str)
-                                 else format(float(x), ".17g") for x in row])
+
+def _matvec(L, x: np.ndarray) -> np.ndarray:
+    """L @ x for L given as its three diagonals (sub, diag, sup)."""
+    sub, diag, sup = L
+    y = diag * x
+    y[1:] += sub * x[:-1]
+    y[:-1] += sup * x[1:]
+    return y
 
 
-def spectral_radius_estimate(L: np.ndarray) -> float:
-    """Power iteration on L (fixed start, a few dozen sweeps is plenty
-    for a step-size bound)."""
-    m = L.shape[0]
-    v = np.cos(np.arange(m) + 0.5)
+def spectral_radius_estimate(p: SystemParams) -> float:
+    """Power iteration on the Laplacian L of p (fixed start, a few dozen
+    sweeps is plenty for a step-size bound)."""
+    L = tridiagonal(p, "laplacian")
+    v = np.cos(np.arange(p.n + 1) + 0.5)
     v /= np.linalg.norm(v)
     rho = 0.0
     for _ in range(60):
-        w = L @ v
+        w = _matvec(L, v)
         norm = np.linalg.norm(w)
         if norm == 0.0:
-            return float(np.linalg.norm(L, ord=np.inf))
+            # the infinity norm: the largest absolute row sum
+            return float(_matvec([np.abs(t) for t in L], np.ones_like(v)).max())
         rho = norm
         v = w / norm
     # Inflate slightly: power iteration underestimates for non-normal L.
@@ -155,9 +158,9 @@ def simulate_first_order(cfg: SimConfig) -> Trajectory:
     m = cfg.params.n + 1
     h = _check_vec("h", cfg.h, m)
     x0 = _check_vec("x0", cfg.x0, m)
-    L = build_laplacian(cfg.params)
-    dt, steps = _resolve_steps(cfg, spectral_radius_estimate(L))
-    times, states = _rk4(lambda x: -(L @ (x - h)), x0, dt, steps,
+    L = tridiagonal(cfg.params, "laplacian")
+    dt, steps = _resolve_steps(cfg, spectral_radius_estimate(cfg.params))
+    times, states = _rk4(lambda x: -_matvec(L, x - h), x0, dt, steps,
                          cfg.save_stride)
     traj = Trajectory(times, states, None, np.zeros(len(times)))
     return Trajectory(times, states, None, coherence_error(traj, h))
@@ -171,19 +174,20 @@ def simulate_second_order(cfg: SimConfig) -> Trajectory:
     h = _check_vec("h", cfg.h, m)
     x0 = _check_vec("x0", cfg.x0, m)
     v0 = _check_vec("v0", cfg.v0, m)
-    L = build_laplacian(cfg.params)
+    L = tridiagonal(cfg.params, "laplacian")
     alpha, beta = float(cfg.alpha), float(cfg.beta)
 
     # Each Laplacian eigenvalue lambda maps to nu solving
     # nu^2 + beta*lambda*nu + alpha*lambda = 0, so the augmented
     # spectral radius is at most the larger-root bound below.
-    rho_L = spectral_radius_estimate(L)
+    rho_L = spectral_radius_estimate(cfg.params)
     rho = 0.5 * (abs(beta) * rho_L
                  + np.sqrt((beta * rho_L) ** 2 + 4 * abs(alpha) * rho_L))
 
     def rhs(y):
         x, v = y[:m], y[m:]
-        return np.concatenate([v, -alpha * (L @ (x - h)) - beta * (L @ v)])
+        return np.concatenate([v, -alpha * _matvec(L, x - h)
+                               - beta * _matvec(L, v)])
 
     dt, steps = _resolve_steps(
         SimConfig(cfg.params, h, x0, cfg.t_end, cfg.dt), rho)

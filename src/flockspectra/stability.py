@@ -12,8 +12,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import NoConvergence, NotDecentralized, RootCountAnomaly
-from .model import SystemParams, build_laplacian, is_decentralized
+from .errors import NotDecentralized
+from .model import SystemParams, is_decentralized
 from .spectrum import compute_spectrum
 
 ZERO_MODE_REL_TOL = 1e-8
@@ -53,20 +53,11 @@ def laplacian_spectrum(p: SystemParams) -> List[complex]:
     Decentralized parameters shift the full spectrum by -(a+c); otherwise
     the row sums are not constant and the oracle diagonalizes -L itself.
     """
-    if is_decentralized(p):
-        try:
-            return compute_spectrum(p, "laplacian").eigenvalues()
-        except (RootCountAnomaly, NoConvergence):
-            # Boundary parameters (e.g. c+e=0, where the quadratic for the
-            # off-circle roots degenerates to a double root) can defeat the
-            # closed-form assembly; the oracle still applies.
-            pass
-    from .oracle import qr_eigenvalues
-    return qr_eigenvalues(-build_laplacian(p))
+    return compute_spectrum(p, "laplacian").eigenvalues()
 
 
-def _split_zero_modes(lambdas, scale, tol_factor=ZERO_MODE_REL_TOL):
-    tol = tol_factor * scale
+def _split_zero_modes(lambdas, scale):
+    tol = ZERO_MODE_REL_TOL * scale
     zero = [z for z in lambdas if abs(z) <= tol]
     rest = [z for z in lambdas if abs(z) > tol]
     return zero, rest

@@ -245,6 +245,26 @@ class TestConfigAndErrors:
                                "--d", "1", "--e", "1")
         assert code == 1
 
+    @pytest.mark.parametrize("flags", [
+        ("--a", "nan", "--c", "1", "--d", "1", "--e", "1"),
+        ("--a", "1", "--c", "1", "--d", "inf", "--e", "1")],
+        ids=["nan-a", "inf-d"])
+    def test_non_finite_flag_exit_one(self, capsys, flags):
+        code, _, err = run_cli(capsys, "classify", *flags)
+        assert code == 1
+        assert json.loads(err)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("text", [
+        '{"a": "abc", "c": 1, "d": 1, "e": 1}',
+        '{"a": 1, "c": 1, "d": 1, "e": 1, "n": 1e400}'],
+        ids=["non-numeric-a", "overflowing-n"])
+    def test_bad_config_value_exit_one(self, capsys, tmp_path, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code, _, err = run_cli(capsys, "classify", "--config", str(cfg))
+        assert code == 1
+        assert json.loads(err)["error"] == "DomainError"
+
     def test_bad_subcommand_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["nonsense"])

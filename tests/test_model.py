@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flockspectra import (DegenerateCoupling, DimensionTooSmall,
-                          build_full_matrix, build_laplacian,
+from flockspectra import (DegenerateCoupling, DimensionTooSmall, DomainError,
+                          SystemParams, build_full_matrix, build_laplacian,
                           build_reduced_matrix, is_decentralized, make_params)
+from flockspectra.model import tridiagonal
 
 
 class TestMakeParams:
@@ -28,6 +31,29 @@ class TestMakeParams:
     def test_small_dimension_rejected(self):
         with pytest.raises(DimensionTooSmall):
             make_params(1, 1, 2, 0, 0, 1)
+
+    @pytest.mark.parametrize("args", [
+        (math.nan, 1, 2, 1, 1, 10), (1, 1, 2, math.inf, 1, 10),
+        (1, 1, -math.inf, 1, 1, 10), (1, 1, 2, 1, math.nan, 10),
+        (-math.inf, 1, 2, 1, 1, 10), (1e308, 1e308, None, 1, 1, 10),
+        ("abc", 1, None, 1, 1, 10), (1, 1, 2, None, 1, 10),
+        (1, 1, 2, 1, 1, math.inf), (1, 1, 2, 1, 1, math.nan),
+        (1, 1, 2, 1, 1, "ten")])
+    def test_non_finite_or_non_numeric_rejected(self, args):
+        with pytest.raises(DomainError):
+            make_params(*args)
+
+    def test_b_defaults_to_a_plus_c(self):
+        assert make_params(1, 2, None, 0.5, 1.5, 5).b == 3.0
+
+    @pytest.mark.parametrize("field, value", [
+        ("d", math.inf), ("a", math.nan), ("b", "abc"), ("n", 2.5),
+        ("tau", 2.0)])
+    def test_post_init_rejects_bad_values(self, field, value):
+        fields = dict(a=1.0, c=1.0, b=2.0, d=0.5, e=0.5, n=5, tau=1.0)
+        fields[field] = value
+        with pytest.raises(DomainError):
+            SystemParams(**fields)
 
 
 class TestIsDecentralized:
@@ -116,3 +142,38 @@ def test_structural_zeros(a, c, b, d, e, n):
         mask[k, k - 1] = mask[k, k + 1] = True
     mask[n, n - 1] = mask[n, n] = True
     assert np.all(A[~mask] == 0.0)
+
+
+def _loop_full_matrix(p):
+    """The full matrix transcribed entry by entry."""
+    m = p.n + 1
+    A = np.zeros((m, m))
+    A[0, 0] = p.b
+    for k in range(1, m - 1):
+        A[k, k - 1] = p.a
+        A[k, k + 1] = p.c
+    A[m - 1, m - 2] = p.a + p.e
+    A[m - 1, m - 1] = p.d
+    return A
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.floats(0.01, 100), c=st.floats(0.01, 100), b=st.floats(-50, 50),
+       d=st.floats(-50, 50), e=st.floats(-50, 50), n=st.integers(2, 12))
+def test_dense_builders_match_entrywise_reference(a, c, b, d, e, n):
+    p = make_params(a, c, b, d, e, n)
+    A = _loop_full_matrix(p)
+    L = np.diag(A.sum(axis=1)) - A
+    assert np.array_equal(build_full_matrix(p), A)
+    assert np.array_equal(build_reduced_matrix(p), A[1:, 1:])
+    assert np.array_equal(build_laplacian(p), L)
+    for kind, M in (("full", A), ("reduced", A[1:, 1:]), ("laplacian", L)):
+        sub, diag, sup = tridiagonal(p, kind)
+        assert np.array_equal(sub, np.diag(M, -1))
+        assert np.array_equal(diag, np.diag(M))
+        assert np.array_equal(sup, np.diag(M, 1))
+
+
+def test_tridiagonal_unknown_kind():
+    with pytest.raises(DomainError):
+        tridiagonal(make_params(1, 1, 2, 0, 0, 3), "dense")

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from flockspectra import (DegenerateRoot, DiscriminantCollapse,
-                          DimensionMismatch, build_full_matrix,
+                          DimensionMismatch, RootCountAnomaly,
+                          build_full_matrix, build_laplacian,
                           build_reduced_matrix, classify_regime,
                           compute_spectrum, eigenvector_for,
-                          leader_eigenvector, make_params, residual)
+                          leader_eigenvector, make_params, pairing_distance,
+                          residual)
 
 
 class TestClassifyRegime:
@@ -98,6 +100,17 @@ class TestComputeSpectrum:
         s = compute_spectrum(p, "laplacian")
         assert s.unlabeled is not None
         assert len(s.eigenvalues()) == 11
+
+    def test_laplacian_falls_back_to_oracle_when_assembly_fails(self):
+        # decentralized with c+e=0: the off-circle quadratic has a double
+        # root and the closed-form assembly miscounts
+        p = make_params(1, 3, 4, 6, -3, 30)
+        with pytest.raises(RootCountAnomaly):
+            compute_spectrum(p, "full")
+        s = compute_spectrum(p, "laplacian")
+        assert s.unlabeled is not None
+        assert pairing_distance(s.eigenvalues(),
+                                np.linalg.eigvals(-build_laplacian(p))) < 1e-9
 
     def test_t2_special_bounds(self):
         p = make_params(1, 1, 2, 0, 3, 80)   # e > a, t = -2 < d=0 < 2
