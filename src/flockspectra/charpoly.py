@@ -30,11 +30,12 @@ from .model import SystemParams
 EPLUSA_THRESHOLD = 1e-12
 # Pole guard at branch endpoints; divided by n when used.
 ENDPOINT_DELTA = 1e-9
-TOL_PHI = 1e-13
 TOL_ROOT = 1e-12
 CIRCLE_EPS = 1e-9
 NEWTON_MAX_ITER = 100
 POLE_TOL = 1e-12
+# Branches per scan block; every temporary of the scan is O(_BLOCK).
+_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -96,28 +97,31 @@ def _scaled_poly_and_deriv(p: SystemParams, y: complex):
     return f, df
 
 
-def eval_cotangent_residual(p: SystemParams, phi: float) -> float:
+def eval_cotangent_residual(p: SystemParams, phi):
     """LHS - RHS of the cotangent equation at the angle phi.
 
-    A zero in branch ell certifies a BranchRoot.  Near phi = 0 or pi the
-    product cot(n phi) sin(phi) is continued by its finite limit +-1/n.
+    phi is a float or an array of angles; a float gives a float and an
+    array an array of the same shape.  A zero in branch ell certifies a
+    BranchRoot.  Near phi = 0 or pi the product cot(n phi) sin(phi) is
+    continued by its finite limit +-1/n.
     """
     a, d, e, tau, n = p.a, p.d, p.e, p.tau, p.n
     if abs(e + a) < EPLUSA_THRESHOLD * a:
         raise ZeroDenominator("e + a = 0: use the closed-form branch layout")
-    s = math.sin(n * phi)
-    sphi = math.sin(phi)
-    if abs(s) < POLE_TOL:
-        # sin(n phi) and sin(phi) vanish together only at phi = 0, pi where
-        # the product has a finite limit; elsewhere it is a genuine pole.
-        if abs(sphi) < n * POLE_TOL:
-            lhs = math.cos(n * phi) * math.cos(phi) / n
-        else:
-            raise BranchPole(f"phi={phi} is at a pole of cot(n phi)")
-    else:
-        lhs = math.cos(n * phi) / s * sphi
-    rhs = d * tau / (e + a) + (e - a) / (e + a) * math.cos(phi)
-    return lhs - rhs
+    x = np.asarray(phi, dtype=float)
+    s = np.sin(n * x)
+    sphi = np.sin(x)
+    cphi = np.cos(x)
+    # sin(n phi) and sin(phi) vanish together only at phi = 0, pi, where the
+    # product tends to cos(phi)/n; elsewhere it is a genuine pole.
+    at_zero = np.abs(s) < POLE_TOL
+    pole = at_zero & (np.abs(sphi) >= n * POLE_TOL)
+    if pole.any():
+        raise BranchPole(f"phi={x[pole].flat[0]} is at a pole of cot(n phi)")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lhs = np.where(at_zero, cphi / n, np.cos(n * x) / s * sphi)
+    res = lhs - (d * tau / (e + a) + (e - a) / (e + a) * cphi)
+    return float(res) if res.ndim == 0 else res
 
 
 def quadratic_roots(p: SystemParams) -> QuadraticRoots:
@@ -168,42 +172,14 @@ def closed_form_branch_roots(p: SystemParams) -> List[BranchRoot]:
     return out
 
 
-def _bisect_then_secant(g, lo, hi, glo, ghi):
-    """Bracket-preserving bisection, then a short secant polish.
-
-    Bisection is pole-safe (the residual blows up at branch endpoints and
-    secant alone can stall against that wall); the terminal secant steps
-    recover the last digits once the bracket is tight.
-    """
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if gm == 0.0:
-            return mid
-        if (glo < 0) != (gm < 0):
-            hi, ghi = mid, gm
-        else:
-            lo, glo = mid, gm
-    x0, x1, f0, f1 = lo, hi, glo, ghi
-    for _ in range(8):
-        if f1 == f0:
-            break
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        if not (lo <= x2 <= hi):
-            x2 = 0.5 * (lo + hi)
-        if abs(x2 - x1) < TOL_PHI:
-            return x2
-        x0, f0, x1, f1 = x1, f1, x2, g(x2)
-    return x1
-
-
 def find_branch_roots(p: SystemParams) -> List[BranchRoot]:
     """All unit-circle roots, by sign-change scanning on each branch.
 
     Each branch I_ell = ((ell-1) pi/n, ell pi/n) is sampled uniformly (the
     residual can cross zero up to three times per branch when e < -a at
-    small n), sign changes are bracketed and polished, and roots pinned at
-    phi = 0 or pi (y = +-1) are never emitted.
+    small n), and the sign changes of each block of _BLOCK branches are
+    bisected together to adjacent doubles.  Roots pinned at phi = 0 or pi
+    (y = +-1) are never emitted.
     """
     a, e, n = p.a, p.e, p.n
     if abs(e + a) < EPLUSA_THRESHOLD * a:
@@ -212,33 +188,42 @@ def find_branch_roots(p: SystemParams) -> List[BranchRoot]:
     samples = max(32, 8 * math.ceil(abs(B)))
     delta = ENDPOINT_DELTA / n
     two_sqrt_ac = 2 * math.sqrt(p.a * p.c)
-
-    def g(phi):
-        return eval_cotangent_residual(p, phi)
+    scale = max(abs(p.a), abs(p.d * p.tau), abs(p.e), 1.0)
 
     out = []
-    for ell in range(1, n + 1):
+    for first in range(1, n + 1, _BLOCK):
+        ell = np.arange(first, min(first + _BLOCK, n + 1))
         lo = (ell - 1) * math.pi / n + delta
         hi = ell * math.pi / n - delta
-        grid = np.linspace(lo, hi, samples + 1)
-        vals = [g(x) for x in grid]
-        for i in range(samples):
-            if vals[i] == 0.0:
-                phi = grid[i]
-            elif (vals[i] < 0) != (vals[i + 1] < 0):
-                phi = _bisect_then_secant(g, grid[i], grid[i + 1],
-                                          vals[i], vals[i + 1])
-            else:
-                continue
-            # Roots hugging a branch endpoint sit next to a pole of cot;
-            # re-verify against the polynomial itself before keeping them.
-            if min(phi - (lo - delta), (hi + delta) - phi) < 10 * delta:
-                y = cmath.exp(1j * phi)
-                scale = max(abs(p.a), abs(p.d * p.tau), abs(p.e), 1.0)
-                if abs(eval_polynomial(p, y)) > 1e-6 * scale:
-                    continue
-            out.append(BranchRoot(ell=ell, phi=phi,
-                                  eigenvalue=two_sqrt_ac * math.cos(phi)))
+        step = (hi - lo) / samples
+        # A root is where the residual changes sign (zero counts as
+        # positive); the one between samples k and k+1 of branch i gets the
+        # bracket number i * samples + k.
+        hits = []
+        neg0 = eval_cotangent_residual(p, lo) < 0
+        for k in range(samples):
+            neg1 = eval_cotangent_residual(p, lo + (k + 1) * step) < 0
+            hits.append(np.flatnonzero(neg0 != neg1) * samples + k)
+            neg0 = neg1
+        # sorted: ell ascending, phi ascending within a branch
+        which, k = np.divmod(np.sort(np.concatenate(hits)), samples)
+        blo = lo[which] + k * step[which]
+        bhi = lo[which] + (k + 1) * step[which]
+        neg = eval_cotangent_residual(p, blo) < 0
+        while True:
+            mid = 0.5 * (blo + bhi)
+            if not np.any((mid != blo) & (mid != bhi)):
+                break
+            left = (eval_cotangent_residual(p, mid) < 0) != neg
+            blo, bhi = np.where(left, blo, mid), np.where(left, mid, bhi)
+        # Roots hugging a branch endpoint sit next to a pole of cot;
+        # re-verify them against the polynomial itself.
+        keep = np.minimum(mid - (lo[which] - delta),
+                          (hi[which] + delta) - mid) >= 10 * delta
+        keep[~keep] = [abs(eval_polynomial(p, cmath.exp(1j * phi)))
+                       <= 1e-6 * scale for phi in mid[~keep].tolist()]
+        out += map(BranchRoot, ell[which][keep].tolist(), mid[keep].tolist(),
+                   (two_sqrt_ac * np.cos(mid[keep])).tolist())
     return out
 
 

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import oracle, perturb, simulate as sim, spectrum as spec_mod
-from .errors import FlockSpectraError
+from .errors import DomainError, FlockSpectraError
 from .model import make_params
 from .stability import (SecondOrderParams, first_order_verdict,
                         second_order_verdict)
@@ -155,6 +155,22 @@ def _params_from(merged: dict):
                        merged["d"], merged["e"], merged.get("n", DEFAULT_N))
 
 
+def _value(merged: dict, key: str, default=None, kind=float):
+    """merged[key], or default when absent, converted by kind (None stays
+    None); a value that kind cannot convert raises DomainError."""
+    val = merged.get(key, default)
+    try:
+        return None if val is None else kind(val)
+    except (TypeError, ValueError, OverflowError) as ex:
+        raise DomainError(f"invalid {key} {val!r}: {ex}") from None
+
+
+def _int_list(raw) -> list:
+    """A comma-separated string or a list, as a list of ints."""
+    return [int(v) for v in
+            (raw.replace(",", " ").split() if isinstance(raw, str) else raw)]
+
+
 def _write(text: str, merged: dict):
     path = merged.get("output")
     if path:
@@ -204,21 +220,22 @@ def _cmd_classify(merged: dict):
     return spec_mod.classify_regime(p).as_dict(), None
 
 
+def _gains(merged: dict) -> Optional[SecondOrderParams]:
+    """The second-order gains, or None when neither is given."""
+    alpha, beta = _value(merged, "alpha"), _value(merged, "beta")
+    if alpha is None and beta is None:
+        return None
+    if alpha is None or beta is None:
+        raise FlockSpectraError("second order needs both --alpha and --beta")
+    return SecondOrderParams(alpha, beta)
+
+
 def _cmd_stability(merged: dict):
     p = _params_from(merged)
-    if merged.get("alpha") is not None or merged.get("beta") is not None:
-        if merged.get("alpha") is None or merged.get("beta") is None:
-            raise FlockSpectraError(
-                "second order needs both --alpha and --beta")
-        so = SecondOrderParams(float(merged["alpha"]), float(merged["beta"]))
-        verdict = second_order_verdict(p, so)
-        order = 2
-    else:
-        verdict = first_order_verdict(p)
-        order = 1
-    out = verdict.as_dict()
-    out["order"] = order
-    return out, None
+    so = _gains(merged)
+    if so is None:
+        return {**first_order_verdict(p).as_dict(), "order": 1}, None
+    return {**second_order_verdict(p, so).as_dict(), "order": 2}, None
 
 
 def _load_state_csv(path: str, m: int):
@@ -233,23 +250,20 @@ def _load_state_csv(path: str, m: int):
 def _cmd_simulate(merged: dict):
     p = _params_from(merged)
     m = p.n + 1
-    second = merged.get("alpha") is not None or merged.get("beta") is not None
+    so = _gains(merged)
     if merged.get("state_csv"):
         h, x0, v0 = _load_state_csv(merged["state_csv"], m)
     else:
-        spacing = float(merged.get("spacing", 1.0))
+        spacing = _value(merged, "spacing", 1.0)
         h = -spacing * np.arange(m, dtype=float)
         rng = np.random.default_rng(NOISE_SEED)
         x0 = h + rng.normal(size=m)
-        v0 = rng.normal(size=m) * 0.1 if second else None
+        v0 = rng.normal(size=m) * 0.1 if so is not None else None
     cfg = sim.SimConfig(
-        params=p, h=h, x0=x0, t_end=float(merged.get("t_end", 50.0)),
-        dt=merged.get("dt"), v0=v0,
-        alpha=merged.get("alpha"), beta=merged.get("beta"))
-    if second:
-        if cfg.alpha is None or cfg.beta is None:
-            raise FlockSpectraError(
-                "second order needs both --alpha and --beta")
+        params=p, h=h, x0=x0, t_end=_value(merged, "t_end", 50.0),
+        dt=_value(merged, "dt"), v0=v0,
+        alpha=_value(merged, "alpha"), beta=_value(merged, "beta"))
+    if so is not None:
         if v0 is None:
             raise FlockSpectraError("state CSV lacks a v0 column")
         traj = sim.simulate_second_order(cfg)
@@ -267,11 +281,7 @@ def _cmd_simulate(merged: dict):
 
 def _cmd_convergence(merged: dict):
     p = _params_from({**merged, "n": merged.get("n", DEFAULT_N)})
-    raw = merged.get("n_values", "20,40,80,160")
-    if isinstance(raw, str):
-        n_values = [int(s) for s in raw.split(",") if s.strip()]
-    else:
-        n_values = [int(v) for v in raw]
+    n_values = _value(merged, "n_values", "20,40,80,160", _int_list)
     rep = perturb.track_root_convergence(p, n_values)
     rows = [("n", "deviation")]
     rows += [(n, d) for n, d in zip(rep.n_values, rep.deviations)]
@@ -287,7 +297,7 @@ def _cmd_verify(merged: dict):
 
 def _cmd_monotonicity(merged: dict):
     p = _params_from(merged)
-    samples = int(merged.get("samples", 200))
+    samples = _value(merged, "samples", 200, int)
     reports = perturb.verify_branch_monotonicity(p, p.n, samples)
     rows = [("branch", "phi", "slope")]
     for rep in reports:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -35,36 +35,34 @@ class SystemParams:
     d: float
     e: float
     n: int
-    tau: float
+    tau: float = field(init=False)
 
     def __post_init__(self):
         if not (all(isinstance(v, numbers.Real) and math.isfinite(v)
                     for v in (self.a, self.c, self.b, self.d, self.e))
                 and isinstance(self.n, numbers.Integral)):
             raise DomainError("parameters must be finite real numbers and "
-                              f"n an integer, got {self}")
+                              f"n an integer, got {vars(self)}")
         if not (self.a > 0 and self.c > 0):
             raise DegenerateCoupling(
                 f"need a > 0 and c > 0, got a={self.a}, c={self.c}")
         if self.n < 2:
             raise DimensionTooSmall(f"need n >= 2, got n={self.n}")
-        # a NaN or infinite tau fails this test too
-        if not abs(self.tau ** 2 * self.c - self.a) <= 8 * np.finfo(float).eps * self.a:
-            raise DomainError("tau inconsistent with a, c")
+        # two roots, not sqrt(a/c): the ratio a/c can leave the float range
+        object.__setattr__(self, "tau", math.sqrt(self.a) / math.sqrt(self.c))
 
 
 def make_params(a, c, b, d, e, n):
-    """Convert the raw scalars and return a validated SystemParams with
-    tau filled in.  b=None stands for a + c, the decentralized leader
-    term; a value that is not a finite number raises DomainError."""
+    """Convert the raw scalars and return a validated SystemParams.
+    b=None stands for a + c, the decentralized leader term; a value that
+    is not a finite number raises DomainError."""
     try:
         a, c, d, e = float(a), float(c), float(d), float(e)
         b = a + c if b is None else float(b)
         n = int(n)
     except (TypeError, ValueError, OverflowError) as ex:
         raise DomainError(f"parameters must be finite numbers: {ex}") from None
-    tau = math.sqrt(a / c) if a > 0 and c > 0 else math.nan
-    return SystemParams(a=a, c=c, b=b, d=d, e=e, n=n, tau=tau)
+    return SystemParams(a=a, c=c, b=b, d=d, e=e, n=n)
 
 
 def is_decentralized(p: SystemParams, tol: Optional[float] = None) -> bool:

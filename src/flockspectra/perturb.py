@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 import mpmath as mp
 import numpy as np
 
-from .errors import NoConvergence, NotApplicable
+from .errors import DomainError, NoConvergence, NotApplicable
 from .model import SystemParams
 
 DEVIATION_FLOOR = 1e-14        # double-precision fit floor
@@ -115,7 +115,7 @@ def _regime_seed(p: SystemParams):
     if regime.theorem == "P31":
         return None
     # table order lists y_plus first where both occur
-    seeds = [s for s, _ in _special_seeds(p, regime) if abs(s) > 1 + 1e-9]
+    seeds = [s for s in _special_seeds(p, regime) if abs(s) > 1 + 1e-9]
     return seeds[0] if seeds else None
 
 
@@ -130,6 +130,8 @@ def track_root_convergence(p: SystemParams, n_values: Sequence[int],
     the extended-precision regime can lower it.
     """
     n_values = sorted(int(n) for n in n_values)
+    if not n_values:
+        raise DomainError("n_values must not be empty")
     seed = _regime_seed(p)
     if seed is None:
         return ConvergenceReport(n_values, [math.nan] * len(n_values),
@@ -206,6 +208,8 @@ def verify_branch_monotonicity(p: SystemParams, n: int,
     decreasing claim (expected whenever B <= 1)."""
     if p.e + p.a == 0:
         raise NotApplicable("B is undefined at e+a=0")
+    if samples_per_branch < 2:
+        raise DomainError(f"samples_per_branch={samples_per_branch} < 2")
     B = (p.e - p.a) / (p.e + p.a)
     reports = []
     width = math.pi / n

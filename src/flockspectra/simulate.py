@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, StepSizeTooLarge
+from .errors import DimensionMismatch, DomainError, StepSizeTooLarge
 from .model import SystemParams, tridiagonal
 
 DT_MAX_FACTOR = 1.8      # explicit RK4 stability-region heuristic
@@ -86,6 +86,9 @@ def spectral_radius_estimate(p: SystemParams) -> float:
 def _resolve_steps(cfg: SimConfig, rho: float):
     dt_max = DT_MAX_FACTOR / rho if rho > 0 else np.inf
     dt = cfg.dt if cfg.dt is not None else DT_DEFAULT_FACTOR / max(rho, 1e-30)
+    if not (0 < cfg.t_end < np.inf and 0 < dt < np.inf):
+        raise DomainError(f"t_end and dt must be finite and positive, got "
+                          f"t_end={cfg.t_end}, dt={cfg.dt}")
     if dt > dt_max:
         raise StepSizeTooLarge(
             f"dt={dt:g} exceeds the RK4 stability bound {dt_max:g}")

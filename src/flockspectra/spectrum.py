@@ -16,11 +16,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from . import charpoly
-from .charpoly import (BranchRoot, SpecialEigenEstimate,
-                       closed_form_branch_roots, eigenvalue_from_root,
-                       find_branch_roots, quadratic_roots,
-                       refine_special_root, special_eigen_estimates,
+from .charpoly import (BranchRoot, closed_form_branch_roots,
+                       eigenvalue_from_root, find_branch_roots,
+                       quadratic_roots, refine_special_root,
                        EPLUSA_THRESHOLD)
 from .errors import (DegenerateRoot, DimensionMismatch, DiscriminantCollapse,
                      DomainError, NoConvergence, RootCountAnomaly,
@@ -221,12 +219,9 @@ def classify_regime(p: SystemParams) -> RegimeLabel:
 
 
 def _special_seeds(p: SystemParams, regime: RegimeLabel):
-    """The quadratic roots the regime predicts as off-circle seeds,
-    paired with the matching asymptotic eigenvalue estimate."""
+    """The quadratic roots the regime predicts as off-circle seeds."""
     q = quadratic_roots(p)
-    est = special_eigen_estimates(p)
-    plus = (q.y_plus, est.r_plus)
-    minus = (q.y_minus, est.r_minus)
+    plus, minus = q.y_plus, q.y_minus
     table = {
         ("T1", "1"): [plus], ("T1", "2"): [], ("T1", "3"): [minus],
         ("T2", "1"): [plus], ("T2", "2"): [plus, minus], ("T2", "3"): [minus],
@@ -255,7 +250,7 @@ def _assemble_reduced(p: SystemParams, regime: RegimeLabel):
         return closed_form_branch_roots(p), [_p31_special(p)]
     bulk = find_branch_roots(p)
     special = []
-    for seed, _rest in _special_seeds(p, regime):
+    for seed in _special_seeds(p, regime):
         if abs(seed) <= 1.0 + CIRCLE_SEED_MARGIN:
             continue
         try:

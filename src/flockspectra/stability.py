@@ -73,8 +73,12 @@ def first_order_verdict(p: SystemParams) -> StabilityVerdict:
     """
     if not is_decentralized(p):
         raise NotDecentralized("the stability sign rule assumes b=a+c and c=e+d")
+    return _first_order_rule(p, laplacian_spectrum(p))
+
+
+def _first_order_rule(p: SystemParams, lambdas) -> StabilityVerdict:
+    """The first-order verdict from the eigenvalues lambdas of -L."""
     a, c, e = p.a, p.c, p.e
-    lambdas = laplacian_spectrum(p)
     zero, rest = _split_zero_modes(lambdas, a + c)
     abscissa = max(z.real for z in rest)
     witness_pos = max(rest, key=lambda z: z.real)
@@ -141,7 +145,7 @@ def second_order_verdict(p: SystemParams,
         return StabilityVerdict("unstable", witness, len(zero),
                                 "second-order: alpha or beta not positive",
                                 abscissa)
-    first = first_order_verdict(p)
+    first = _first_order_rule(p, lambdas)
     rule = "second-order (alpha,beta>0): " + first.rule
     if first.stable == "stable":
         if len(zero) == 2 and abscissa < 0:

@@ -265,6 +265,36 @@ class TestConfigAndErrors:
         assert code == 1
         assert json.loads(err)["error"] == "DomainError"
 
+    @pytest.mark.parametrize("cfg", [{"t_end": "abc"}, {"spacing": "x"}],
+                             ids=["t_end-abc", "spacing-x"])
+    def test_bad_simulate_config_value_exit_one(self, capsys, tmp_path, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {"a": 1, "c": 1, "d": 0.5, "e": 0.5, "n": 5, **cfg}))
+        code, _, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == 1
+        assert json.loads(err)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--t-end", "nan"), ("simulate", "--t-end", "inf"),
+        ("simulate", "--dt", "-1"), ("monotonicity", "--samples", "-3"),
+        ("convergence", "--n-values", "5,x"),
+        ("convergence", "--n-values", ",")],
+        ids=["t-end-nan", "t-end-inf", "dt-negative", "samples-negative",
+             "n-values-non-integer", "n-values-empty"])
+    def test_bad_value_exit_one(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv, "--a", "1", "--c", "1",
+                               "--d", "0.5", "--e", "0.5")
+        assert code == 1
+        assert json.loads(err)["error"] == "DomainError"
+
+    def test_extreme_coupling_ratio_classifies(self, capsys):
+        # a/c underflows; tau = sqrt(a)/sqrt(c) does not
+        doc = run_json(capsys, "classify", "--a", "1e-300", "--c", "1e300",
+                       "--d", "1", "--e", "1")
+        assert (doc["result"]["theorem"], doc["result"]["case"]) == \
+            ("T2", "2")
+
     def test_bad_subcommand_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["nonsense"])

@@ -47,10 +47,9 @@ class TestMakeParams:
         assert make_params(1, 2, None, 0.5, 1.5, 5).b == 3.0
 
     @pytest.mark.parametrize("field, value", [
-        ("d", math.inf), ("a", math.nan), ("b", "abc"), ("n", 2.5),
-        ("tau", 2.0)])
+        ("d", math.inf), ("a", math.nan), ("b", "abc"), ("n", 2.5)])
     def test_post_init_rejects_bad_values(self, field, value):
-        fields = dict(a=1.0, c=1.0, b=2.0, d=0.5, e=0.5, n=5, tau=1.0)
+        fields = dict(a=1.0, c=1.0, b=2.0, d=0.5, e=0.5, n=5)
         fields[field] = value
         with pytest.raises(DomainError):
             SystemParams(**fields)

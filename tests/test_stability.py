@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from flockspectra import (NotDecentralized, SecondOrderParams,
-                          build_laplacian, first_order_verdict,
+                          build_laplacian, compute_spectrum,
+                          first_order_verdict,
                           laplacian_spectrum, make_params,
                           second_order_eigenvalues, second_order_verdict)
 
@@ -116,6 +117,25 @@ class TestSecondOrderVerdict:
         with pytest.raises(NotDecentralized):
             second_order_verdict(make_params(1, 1, 2, 0, 0, 20),
                                  SecondOrderParams(1, 1))
+
+    @pytest.mark.parametrize("args", [(1, 3, 4, 5, -2, 40),
+                                      (1, 1, 2, 0.5, 0.5, 40)])
+    def test_computes_the_spectrum_once(self, monkeypatch, args):
+        import flockspectra.stability as stability
+        calls = []
+
+        def counted(*a):
+            calls.append(a)
+            return compute_spectrum(*a)
+
+        p = make_params(*args)
+        first = first_order_verdict(p)
+        monkeypatch.setattr(stability, "compute_spectrum", counted)
+        v = second_order_verdict(p, SecondOrderParams(1, 1))
+        assert len(calls) == 1
+        assert v.rule == "second-order (alpha,beta>0): " + first.rule
+        assert v.stable == first.stable
+        assert v.predicted_marginal == first.predicted_marginal
 
 
 def test_perturbed_zero_mode_sign_at_large_n():
