@@ -86,9 +86,9 @@ def eval_polynomial(p: SystemParams, y: complex) -> complex:
     return head * y ** (2 * n) + tail
 
 
-def _scaled_poly_and_deriv(p: SystemParams, y: complex):
-    """f(y)/y^(2n) and its derivative; safe for |y| > 1 at large n."""
-    a, d, e, tau, n = p.a, p.d, p.e, p.tau, p.n
+def _scaled_poly_and_deriv(a, d, e, tau, n: int, y):
+    """f(y)/y^(2n) and its derivative; safe for |y| > 1 at large n.
+    Plain arithmetic, so mpmath numbers pass through unchanged."""
     head = a * y * y - d * tau * y - e
     tail = e * y * y + d * tau * y - a
     w = y ** (-2 * n)
@@ -239,7 +239,7 @@ def refine_special_root(p: SystemParams, seed: complex) -> complex:
     if abs(y) <= 1.0:
         raise DomainError(f"seed must lie outside the unit circle, got {seed}")
     for _ in range(NEWTON_MAX_ITER):
-        f, df = _scaled_poly_and_deriv(p, y)
+        f, df = _scaled_poly_and_deriv(p.a, p.d, p.e, p.tau, p.n, y)
         if df == 0:
             raise NoConvergence("Newton derivative vanished")
         step = f / df

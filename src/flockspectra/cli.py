@@ -240,7 +240,10 @@ def _cmd_stability(merged: dict):
 
 def _load_state_csv(path: str, m: int):
     data = np.genfromtxt(path, delimiter=",", names=True)
-    names = data.dtype.names
+    names = data.dtype.names or ()
+    missing = [k for k in ("h", "x0") if k not in names]
+    if missing:
+        raise DomainError(f"state CSV lacks the columns {missing}")
     h = np.asarray(data["h"], dtype=float)
     x0 = np.asarray(data["x0"], dtype=float)
     v0 = np.asarray(data["v0"], dtype=float) if "v0" in names else None

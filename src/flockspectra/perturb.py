@@ -13,14 +13,17 @@ working precision scaled to n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import mpmath as mp
 import numpy as np
 
+from .charpoly import (_BLOCK, EPLUSA_THRESHOLD, _scaled_poly_and_deriv,
+                       eval_cotangent_residual)
 from .errors import DomainError, NoConvergence, NotApplicable
 from .model import SystemParams
+from .spectrum import _special_seeds, classify_regime
 
 DEVIATION_FLOOR = 1e-14        # double-precision fit floor
 REAL_SEED_TOL = 1e-12
@@ -85,12 +88,7 @@ def _mp_refine(p: SystemParams, n: int, seed, max_iter: int = 200):
     y = mp.mpc(seed)
     tol = mp.mpf(10) ** (8 - mp.mp.dps)
     for _ in range(max_iter):
-        inv = y ** (-2 * n)
-        head = a * y * y - d * tau * y - e
-        tail = e * y * y + d * tau * y - a
-        g = head + tail * inv
-        dg = (2 * a * y - d * tau + (2 * e * y + d * tau) * inv
-              - 2 * n * tail * inv / y)
+        g, dg = _scaled_poly_and_deriv(a, d, e, tau, n, y)
         if dg == 0:
             raise NoConvergence("Newton derivative vanished")
         step = g / dg
@@ -103,6 +101,17 @@ def _mp_refine(p: SystemParams, n: int, seed, max_iter: int = 200):
     raise NoConvergence(f"no off-circle root found at n={n}")
 
 
+def _mp_deviation(p: SystemParams, n: int, y0):
+    """|y(n) - y0| and sgn(r(n) - r0) (0 for a complex pair), refining
+    from y0 in the current mpmath precision.  r = sqrt(ac) (y + 1/y); the
+    positive factor sqrt(ac) cannot change the sign and is left out."""
+    y1 = _mp_refine(p, n, y0)
+    diff = (y1 + 1 / y1) - (y0 + 1 / y0)
+    sign = (0 if abs(mp.im(diff)) > abs(mp.re(diff))
+            else int(mp.sign(mp.re(diff))))
+    return float(abs(y1 - y0)), sign
+
+
 def _working_dps(p: SystemParams, n_max: int, seed_modulus: float) -> int:
     growth = 2 * n_max * math.log10(max(seed_modulus, 1.0 + 1e-9))
     return max(50, int(growth) + 40)
@@ -110,12 +119,11 @@ def _working_dps(p: SystemParams, n_max: int, seed_modulus: float) -> int:
 
 def _regime_seed(p: SystemParams):
     """The regime's preferred off-circle quadratic seed, or None."""
-    from .spectrum import classify_regime, _special_seeds
     regime = classify_regime(p)
     if regime.theorem == "P31":
         return None
     # table order lists y_plus first where both occur
-    seeds = [s for s in _special_seeds(p, regime) if abs(s) > 1 + 1e-9]
+    seeds = _special_seeds(p, regime)
     return seeds[0] if seeds else None
 
 
@@ -137,25 +145,17 @@ def track_root_convergence(p: SystemParams, n_values: Sequence[int],
         return ConvergenceReport(n_values, [math.nan] * len(n_values),
                                  math.nan, math.nan, math.nan,
                                  [0] * len(n_values))
-    sqrt_ac = mp.sqrt(mp.mpf(p.a) * mp.mpf(p.c))
     deviations: List[float] = []
     signs: List[int] = []
     with mp.workdps(_working_dps(p, n_values[-1], abs(seed))):
         y0 = _mp_seed(p, seed)
-        r0 = sqrt_ac * (y0 + 1 / y0)
         for n in n_values:
             try:
-                y1 = _mp_refine(p, n, y0)
+                deviation, sign = _mp_deviation(p, n, y0)
             except NoConvergence:
-                deviations.append(math.nan)
-                signs.append(0)
-                continue
-            deviations.append(float(abs(y1 - y0)))
-            diff = sqrt_ac * (y1 + 1 / y1) - r0
-            if abs(mp.im(diff)) > abs(mp.re(diff)):
-                signs.append(0)      # complex pair: sign undefined
-            else:
-                signs.append(int(mp.sign(mp.re(diff))))
+                deviation, sign = math.nan, 0
+            deviations.append(deviation)
+            signs.append(sign)
         r_expected = float(abs(y0))
     usable = [(n, dev) for n, dev in zip(n_values, deviations)
               if math.isfinite(dev) and dev > deviation_floor]
@@ -186,18 +186,14 @@ def perturbation_sign(p: SystemParams, n: int) -> int:
     if abs(seed.imag) > REAL_SEED_TOL * abs(seed):
         raise NotApplicable("off-circle pair is complex; no real ordering")
     with mp.workdps(_working_dps(p, n, abs(seed))):
-        y0 = _mp_seed(p, seed)
-        y1 = _mp_refine(p, n, y0)
-        sqrt_ac = mp.sqrt(mp.mpf(p.a) * mp.mpf(p.c))
-        diff = mp.re(sqrt_ac * ((y1 + 1 / y1) - (y0 + 1 / y0)))
-    return int(mp.sign(diff))
+        return _mp_deviation(p, n, _mp_seed(p, seed))[1]
 
 
 def branch_function(p: SystemParams, n: int, phi: float) -> float:
-    """g(phi) = cot(n phi) sin(phi) - B cos(phi), B=(e-a)/(e+a)."""
-    B = (p.e - p.a) / (p.e + p.a)
-    return (math.cos(n * phi) / math.sin(n * phi)) * math.sin(phi) \
-        - B * math.cos(phi)
+    """g(phi) = cot(n phi) sin(phi) - B cos(phi), B=(e-a)/(e+a): the
+    cotangent residual at dimension n plus its constant d tau/(e+a)."""
+    return (eval_cotangent_residual(replace(p, n=n), phi)
+            + p.d * p.tau / (p.e + p.a))
 
 
 def verify_branch_monotonicity(p: SystemParams, n: int,
@@ -205,25 +201,27 @@ def verify_branch_monotonicity(p: SystemParams, n: int,
                                ) -> List[MonotonicityReport]:
     """Sample g on the interior of every branch ((l-1)pi/n, l pi/n) and
     record adjacent increases; no violations certifies the sampled
-    decreasing claim (expected whenever B <= 1)."""
-    if p.e + p.a == 0:
+    decreasing claim (expected whenever B <= 1).  g is sampled through
+    the cotangent residual, which differs from it by a constant, one
+    array per block of branches."""
+    if abs(p.e + p.a) < EPLUSA_THRESHOLD * p.a:
         raise NotApplicable("B is undefined at e+a=0")
     if samples_per_branch < 2:
         raise DomainError(f"samples_per_branch={samples_per_branch} < 2")
+    q = p if n == p.n else replace(p, n=n)
     B = (p.e - p.a) / (p.e + p.a)
-    reports = []
     width = math.pi / n
-    for ell in range(1, n + 1):
-        lo = (ell - 1) * width + SAMPLE_MARGIN * width
-        hi = ell * width - SAMPLE_MARGIN * width
-        phis = np.linspace(lo, hi, samples_per_branch)
-        vals = [branch_function(p, n, phi) for phi in phis]
-        violations = []
-        for i in range(len(phis) - 1):
-            if vals[i + 1] > vals[i]:
-                dphi = phis[i + 1] - phis[i]
-                violations.append((float(phis[i]),
-                                   (vals[i + 1] - vals[i]) / dphi))
-        reports.append(MonotonicityReport(ell, samples_per_branch,
-                                          violations, B))
+    reports = []
+    for first in range(1, n + 1, _BLOCK):
+        ell = np.arange(first, min(first + _BLOCK, n + 1))
+        phis = np.linspace((ell - 1) * width + SAMPLE_MARGIN * width,
+                           ell * width - SAMPLE_MARGIN * width,
+                           samples_per_branch, axis=1)
+        rise = np.diff(eval_cotangent_residual(q, phis), axis=1)
+        slope = rise / np.diff(phis, axis=1)
+        for row, branch in enumerate(ell.tolist()):
+            k = np.flatnonzero(rise[row] > 0)
+            reports.append(MonotonicityReport(
+                branch, samples_per_branch,
+                list(zip(phis[row, k].tolist(), slope[row, k].tolist())), B))
     return reports

@@ -65,22 +65,10 @@ def _matvec(L, x: np.ndarray) -> np.ndarray:
 
 
 def spectral_radius_estimate(p: SystemParams) -> float:
-    """Power iteration on the Laplacian L of p (fixed start, a few dozen
-    sweeps is plenty for a step-size bound)."""
-    L = tridiagonal(p, "laplacian")
-    v = np.cos(np.arange(p.n + 1) + 0.5)
-    v /= np.linalg.norm(v)
-    rho = 0.0
-    for _ in range(60):
-        w = _matvec(L, v)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            # the infinity norm: the largest absolute row sum
-            return float(_matvec([np.abs(t) for t in L], np.ones_like(v)).max())
-        rho = norm
-        v = w / norm
-    # Inflate slightly: power iteration underestimates for non-normal L.
-    return 1.25 * rho
+    """Gershgorin bound on the spectral radius of the Laplacian L of p:
+    its largest absolute row sum, max(2(a+c), 2|a+e|) up to rounding."""
+    L = [np.abs(t) for t in tridiagonal(p, "laplacian")]
+    return float(_matvec(L, np.ones(p.n + 1)).max())
 
 
 def _resolve_steps(cfg: SimConfig, rho: float):
@@ -101,6 +89,8 @@ def _check_vec(name: str, v, m: int) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.shape != (m,):
         raise DimensionMismatch(f"{name} must have length {m}")
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{name} must hold finite numbers")
     return arr
 
 
@@ -122,39 +112,41 @@ def _rk4(f, y0: np.ndarray, dt: float, steps: int, stride: int):
     return np.array(times), np.array(states)
 
 
-def _coherence_first(offsets: np.ndarray) -> np.ndarray:
-    """Distance of each row to the span of the constant vector."""
+def _coherence_first(positions: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Distance of each row of positions - h to the span of the constant
+    vector."""
+    offsets = positions - h
     mean = offsets.mean(axis=1, keepdims=True)
     return np.linalg.norm(offsets - mean, axis=1)
 
 
-def _coherence_second(offsets: np.ndarray, vels: np.ndarray,
-                      times: np.ndarray) -> np.ndarray:
+def _coherence_second(positions: np.ndarray, h: np.ndarray,
+                      vels: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Distance of (x - h, v) to the family (vbar*t + xbar, vbar) at each
-    snapshot: least squares over (xbar, vbar) per row."""
-    m = offsets.shape[1]
-    out = np.empty(len(times))
-    for i, t in enumerate(times):
-        # minimize |off - xbar - vbar*t|^2 + |vel - vbar|^2
-        mo, mv = offsets[i].mean(), vels[i].mean()
-        # normal equations in (xbar, vbar)
-        a11, a12, a22 = 1.0, t, t * t + 1.0
-        b1, b2 = mo, t * mo + mv
-        det = a11 * a22 - a12 * a12
-        xbar = (b1 * a22 - b2 * a12) / det
-        vbar = (b2 * a11 - b1 * a12) / det
-        res = (np.linalg.norm(offsets[i] - xbar - vbar * t) ** 2
-               + np.linalg.norm(vels[i] - vbar) ** 2)
-        out[i] = np.sqrt(max(res, 0.0))
-    return out
+    snapshot: least squares over (xbar, vbar), all rows at once, with one
+    scratch array the size of positions."""
+    # minimize |off - xbar - vbar*t|^2 + |vel - vbar|^2; the normal
+    # equations in (xbar, vbar) have matrix [[1, t], [t, t^2 + 1]]
+    t = times
+    off = positions - h
+    mo, mv = off.mean(axis=1), vels.mean(axis=1)
+    a22 = t * t + 1.0
+    b2 = t * mo + mv
+    det = a22 - t * t
+    xbar = (mo * a22 - b2 * t) / det
+    vbar = (b2 - mo * t) / det
+    off -= xbar[:, None]
+    off -= (vbar * t)[:, None]
+    res = np.einsum("ij,ij->i", off, off)
+    np.subtract(vels, vbar[:, None], out=off)
+    return np.sqrt(res + np.einsum("ij,ij->i", off, off))
 
 
 def coherence_error(traj: Trajectory, h: Sequence[float]) -> np.ndarray:
     h = _check_vec("h", h, traj.positions.shape[1])
-    offsets = traj.positions - h
     if traj.velocities is None:
-        return _coherence_first(offsets)
-    return _coherence_second(offsets, traj.velocities, traj.times)
+        return _coherence_first(traj.positions, h)
+    return _coherence_second(traj.positions, h, traj.velocities, traj.times)
 
 
 def simulate_first_order(cfg: SimConfig) -> Trajectory:
@@ -165,8 +157,7 @@ def simulate_first_order(cfg: SimConfig) -> Trajectory:
     dt, steps = _resolve_steps(cfg, spectral_radius_estimate(cfg.params))
     times, states = _rk4(lambda x: -_matvec(L, x - h), x0, dt, steps,
                          cfg.save_stride)
-    traj = Trajectory(times, states, None, np.zeros(len(times)))
-    return Trajectory(times, states, None, coherence_error(traj, h))
+    return Trajectory(times, states, None, _coherence_first(states, h))
 
 
 def simulate_second_order(cfg: SimConfig) -> Trajectory:
@@ -197,5 +188,5 @@ def simulate_second_order(cfg: SimConfig) -> Trajectory:
     y0 = np.concatenate([x0, v0])
     times, states = _rk4(rhs, y0, dt, steps, cfg.save_stride)
     pos, vel = states[:, :m], states[:, m:]
-    traj = Trajectory(times, pos, vel, np.zeros(len(times)))
-    return Trajectory(times, pos, vel, coherence_error(traj, h))
+    return Trajectory(times, pos, vel,
+                      _coherence_second(pos, h, vel, times))

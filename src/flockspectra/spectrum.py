@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -75,8 +75,9 @@ class Spectrum:
 
     For matrix_kind="laplacian" the reported values are the eigenvalues
     of -L (the system matrix of the consensus ODE): shift = -(a+c) is
-    added to every labeled value.  For non-decentralized Laplacians the
-    values come from the oracle and are stored unlabeled.
+    added to every labeled value, params and regime describe the
+    decentralized twin, and only a failed assembly leaves the oracle's
+    values, stored unlabeled.
     """
 
     leader: Optional[float]
@@ -219,7 +220,8 @@ def classify_regime(p: SystemParams) -> RegimeLabel:
 
 
 def _special_seeds(p: SystemParams, regime: RegimeLabel):
-    """The quadratic roots the regime predicts as off-circle seeds."""
+    """The quadratic roots the regime predicts as off-circle seeds, in
+    table order (y_plus first), without those on or inside the circle."""
     q = quadratic_roots(p)
     plus, minus = q.y_plus, q.y_minus
     table = {
@@ -229,7 +231,8 @@ def _special_seeds(p: SystemParams, regime: RegimeLabel):
         ("T3", "2b"): [plus, minus], ("T3", "2c"): [plus, minus],
         ("T3", "3"): [plus],
     }
-    return table[(regime.theorem, regime.case)]
+    return [y for y in table[(regime.theorem, regime.case)]
+            if abs(y) > 1.0 + CIRCLE_SEED_MARGIN]
 
 
 def _p31_special(p: SystemParams) -> SpecialRoot:
@@ -251,14 +254,14 @@ def _assemble_reduced(p: SystemParams, regime: RegimeLabel):
     bulk = find_branch_roots(p)
     special = []
     for seed in _special_seeds(p, regime):
-        if abs(seed) <= 1.0 + CIRCLE_SEED_MARGIN:
-            continue
         try:
             y = refine_special_root(p, seed)
         except (NoConvergence, UnitCircleCollapse):
             # legal below the regime's n threshold: the root is still on
             # the circle and was picked up by the branch scan
             continue
+        if any(abs(y - s.y) <= DEDUPE_TOL * abs(y) for s in special):
+            continue  # both seeds found one root (small n); counted below
         special.append(SpecialRoot(seed=seed, y=y,
                                    eigenvalue=eigenvalue_from_root(p, y)))
     total = len(bulk) + len(special)
@@ -286,33 +289,30 @@ def compute_spectrum(p: SystemParams, kind: str = "full") -> Spectrum:
     """Assemble the labeled spectrum of A (kind="full"), Q ("reduced"),
     or the negated Laplacian -L ("laplacian").
 
-    The decentralized Laplacian spectrum is the full spectrum shifted by
-    -(a+c).  Non-decentralized Laplacians have non-constant row sums, so
-    the shift identity fails and the oracle is used directly, as it is
-    when the closed-form assembly of a decentralized Laplacian fails.
+    -L depends on a, c, e alone (b and d cancel on the diagonal of
+    L = D - A): it is the full matrix of the decentralized twin (b, d) =
+    (a+c, c-e) minus (a+c) I.  When the closed-form assembly fails (e.g.
+    c+e=0) the Laplacian falls back to the QR oracle.
     """
     if kind not in ("full", "reduced", "laplacian"):
         raise DomainError(f"unknown matrix kind {kind!r}")
-    regime = classify_regime(p)
+    q = replace(p, b=p.a + p.c, d=p.c - p.e) if kind == "laplacian" else p
+    regime = classify_regime(q)
     try:
-        if kind != "laplacian" or is_decentralized(p):
-            bulk, special = _assemble_reduced(p, regime)
-            if kind == "reduced":
-                return Spectrum(leader=None, bulk=bulk, special=special,
-                                regime=regime, matrix_kind=kind, params=p)
-            shift = -(p.a + p.c) if kind == "laplacian" else 0.0
-            return Spectrum(leader=p.b, bulk=bulk, special=special,
-                            regime=regime, matrix_kind=kind, params=p,
-                            shift=shift)
+        bulk, special = _assemble_reduced(q, regime)
     except (RootCountAnomaly, NoConvergence):
-        # Boundary parameters (e.g. c+e=0, where the off-circle quadratic
-        # has a double root) can defeat the assembly; the oracle applies.
         if kind != "laplacian":
             raise
-    from .oracle import qr_eigenvalues
-    eigs = qr_eigenvalues(-build_laplacian(p))
-    return Spectrum(leader=None, bulk=[], special=[], regime=regime,
-                    matrix_kind=kind, params=p, unlabeled=list(eigs))
+        from .oracle import qr_eigenvalues
+        eigs = qr_eigenvalues(-build_laplacian(p))
+        return Spectrum(leader=None, bulk=[], special=[], regime=regime,
+                        matrix_kind=kind, params=q, unlabeled=list(eigs))
+    if kind == "reduced":
+        return Spectrum(leader=None, bulk=bulk, special=special,
+                        regime=regime, matrix_kind=kind, params=q)
+    shift = -(q.a + q.c) if kind == "laplacian" else 0.0
+    return Spectrum(leader=q.b, bulk=bulk, special=special, regime=regime,
+                    matrix_kind=kind, params=q, shift=shift)
 
 
 def eigenvector_for(p: SystemParams, y: complex) -> EigenPair:

@@ -7,12 +7,13 @@ inconclusive rather than overclaimed.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
-from .errors import NotDecentralized
+from .errors import DomainError, NotDecentralized
 from .model import SystemParams, is_decentralized
 from .spectrum import compute_spectrum
 
@@ -46,13 +47,15 @@ class SecondOrderParams:
     alpha: float
     beta: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise DomainError(f"alpha and beta must be finite, got "
+                              f"alpha={self.alpha}, beta={self.beta}")
+
 
 def laplacian_spectrum(p: SystemParams) -> List[complex]:
-    """Eigenvalues of -L, the system matrix of the consensus ODE.
-
-    Decentralized parameters shift the full spectrum by -(a+c); otherwise
-    the row sums are not constant and the oracle diagonalizes -L itself.
-    """
+    """Eigenvalues of -L, the system matrix of the consensus ODE: the
+    full spectrum of the decentralized twin shifted by -(a+c)."""
     return compute_spectrum(p, "laplacian").eigenvalues()
 
 

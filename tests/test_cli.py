@@ -130,6 +130,16 @@ class TestStability:
         assert code == 1
         assert "alpha" in json.loads(err)["message"]
 
+    @pytest.mark.parametrize("gains", [("nan", "1"), ("1", "inf")],
+                             ids=["alpha-nan", "beta-inf"])
+    @pytest.mark.parametrize("subcommand", ["stability", "simulate"])
+    def test_non_finite_gain_exit_one(self, capsys, subcommand, gains):
+        code, _, err = run_cli(capsys, subcommand, "--a", "1", "--c", "1",
+                               "--d", "0.5", "--e", "0.5",
+                               "--alpha", gains[0], "--beta", gains[1])
+        assert code == 1
+        assert json.loads(err)["error"] == "DomainError"
+
 
 class TestSimulate:
     def test_csv_header_and_determinism(self, capsys):
@@ -168,6 +178,19 @@ class TestSimulate:
                        "--d", "0.5", "--e", "0.5", "--n", "6",
                        "--t-end", "1", "--state-csv", str(path))
         assert abs(doc["result"]["positions"][0][3] + 2.99) < 1e-12
+
+    @pytest.mark.parametrize("lines", [
+        ["x,y"] + [f"{-k},{-k}" for k in range(7)],
+        ["h,x0"] + [f"{-k},{'abc' if k == 3 else -k}" for k in range(7)]],
+        ids=["missing-columns", "non-numeric-cell"])
+    def test_bad_state_csv_exit_one(self, capsys, tmp_path, lines):
+        path = tmp_path / "state.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, "simulate", "--a", "1", "--c", "1",
+                               "--d", "0.5", "--e", "0.5", "--n", "6",
+                               "--t-end", "1", "--state-csv", str(path))
+        assert code == 1
+        assert json.loads(err)["error"] == "DomainError"
 
 
 class TestConvergence:

@@ -152,6 +152,12 @@ class TestCrossValidate:
         rep = cross_validate(make_params(1, 2, 3, 1, 1, 40), "laplacian")
         assert rep.max_pairing_error < 1e-8
 
+    def test_laplacian_kind_non_decentralized(self):
+        rep = cross_validate(make_params(1, 1.5, 0.3, 0.7, -0.3, 60),
+                             "laplacian")
+        assert rep.max_pairing_error < 1e-8
+        assert rep.method_agreement < 1e-8
+
 
 class TestMultisetInvariants:
     def test_full_is_leader_plus_reduced(self):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from flockspectra import (NotApplicable, make_params, perturbation_sign,
@@ -96,3 +97,51 @@ class TestBranchMonotonicity:
     def test_e_plus_a_zero_rejected(self):
         with pytest.raises(NotApplicable):
             verify_branch_monotonicity(make_params(1, 1, 2, 1, -1, 10), 10)
+
+
+def _old_monotonicity(p, n, samples):
+    """The per-point loop the array version replaced: (phi, slope, bound)
+    for every increase, where bound is the rounding a slope can carry:
+    a few ulps of the terms of its two sampled values, and of the
+    constant by which the cotangent residual differs from g."""
+    B = (p.e - p.a) / (p.e + p.a)
+    k = abs(p.d * p.tau / (p.e + p.a))
+    width = math.pi / n
+    out = []
+    for ell in range(1, n + 1):
+        phis = np.linspace((ell - 1) * width + 1e-6 * width,
+                           ell * width - 1e-6 * width, samples)
+        terms = [((math.cos(n * x) / math.sin(n * x)) * math.sin(x),
+                  B * math.cos(x)) for x in phis]
+        g = [t - u for t, u in terms]
+        size = [abs(t) + abs(u) + k for t, u in terms]
+        rows = []
+        for i in range(samples - 1):
+            if g[i + 1] > g[i]:
+                dphi = phis[i + 1] - phis[i]
+                rows.append((float(phis[i]), (g[i + 1] - g[i]) / dphi,
+                             4 * np.finfo(float).eps
+                             * (size[i] + size[i + 1]) / dphi))
+        out.append(rows)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(51))
+def test_monotonicity_matches_per_point_loop(seed):
+    rng = np.random.default_rng(seed)
+    a, c = rng.uniform(0.5, 2, 2)
+    e = -a * rng.uniform(1.02, 3) if seed % 3 else a * rng.uniform(-0.9, 3)
+    p = make_params(a, c, None, rng.uniform(-3, 3), e, 10)
+    n, samples = int(rng.integers(2, 40)), int(rng.integers(2, 400))
+    reports = verify_branch_monotonicity(p, n, samples)
+    assert [r.branch for r in reports] == list(range(1, n + 1))
+    for rep, want in zip(reports, _old_monotonicity(p, n, samples)):
+        assert [phi for phi, _ in rep.violations] == [w[0] for w in want]
+        for (_, slope), (_, old, bound) in zip(rep.violations, want):
+            assert abs(slope - old) <= 1e-8 * abs(old) + bound
+
+
+def test_monotonicity_near_zero_e_plus_a_not_applicable():
+    with pytest.raises(NotApplicable):
+        verify_branch_monotonicity(make_params(1, 1, 2, 1, -1 + 1e-14, 10),
+                                   10)

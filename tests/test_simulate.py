@@ -3,12 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from flockspectra import (SimConfig, StepSizeTooLarge, Trajectory,
+from flockspectra import (DomainError, SimConfig, StepSizeTooLarge,
+                          Trajectory,
                           build_laplacian, coherence_error,
                           laplacian_spectrum, make_params,
                           simulate_first_order, simulate_second_order,
                           spectral_radius_estimate)
-from flockspectra.simulate import _rk4
+from flockspectra.simulate import _coherence_second, _rk4
 
 
 def _stable_params(n=20):
@@ -153,6 +154,41 @@ class TestCoherenceError:
         x = h + np.array([1.0, 0.0, 0.0])
         assert coherence_error(self._traj(x), h)[0] > 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_offsets_rejected(self, bad):
+        with pytest.raises(DomainError):
+            coherence_error(self._traj(np.zeros(3)), [0.0, bad, 0.0])
+
+
+def _coherence_second_loop(offsets, vels, times):
+    """The per-snapshot loop the array version replaced."""
+    out = np.empty(len(times))
+    for i, t in enumerate(times):
+        mo, mv = offsets[i].mean(), vels[i].mean()
+        a11, a12, a22 = 1.0, t, t * t + 1.0
+        b1, b2 = mo, t * mo + mv
+        det = a11 * a22 - a12 * a12
+        xbar = (b1 * a22 - b2 * a12) / det
+        vbar = (b2 * a11 - b1 * a12) / det
+        res = (np.linalg.norm(offsets[i] - xbar - vbar * t) ** 2
+               + np.linalg.norm(vels[i] - vbar) ** 2)
+        out[i] = np.sqrt(max(res, 0.0))
+    return out
+
+
+@pytest.mark.parametrize("m", [2, 21, 1601])
+def test_coherence_second_matches_per_snapshot_loop(m):
+    rng = np.random.default_rng(m)
+    times = np.r_[0.0, np.sort(rng.uniform(0, 50, 40))]
+    offsets = rng.normal(size=(41, m)) + 3.0 + 0.7 * times[:, None]
+    vels = rng.normal(size=(41, m)) * 0.1 + 0.7
+    h = -np.arange(m, dtype=float)
+    positions = offsets + h
+    np.testing.assert_allclose(
+        _coherence_second(positions, h, vels, times),
+        _coherence_second_loop(positions - h, vels, times),
+        rtol=1e-13, atol=0)
+
 
 def test_decay_rate_matches_spectral_prediction():
     p = _stable_params()
@@ -174,4 +210,12 @@ def test_spectral_radius_estimate_dominates():
     L = build_laplacian(p)
     rho_hat = spectral_radius_estimate(p)
     rho_true = max(abs(z) for z in np.linalg.eigvals(L))
-    assert rho_hat >= 0.95 * rho_true
+    assert rho_hat >= rho_true
+
+
+@pytest.mark.parametrize("a,c,e", [(1, 1.5, 0.5), (1, 2.5, -3.0),
+                                   (2, 0.5, 0.1)])
+def test_spectral_radius_estimate_is_gershgorin_bound(a, c, e):
+    p = make_params(a, c, 0.3, 0.7, e, 12)
+    assert spectral_radius_estimate(p) == pytest.approx(
+        max(2 * (a + c), 2 * abs(a + e)), rel=1e-15)

@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigvals
 
 from flockspectra import (DegenerateRoot, DiscriminantCollapse,
                           DimensionMismatch, RootCountAnomaly,
                           build_full_matrix, build_laplacian,
                           build_reduced_matrix, classify_regime,
                           compute_spectrum, eigenvector_for,
-                          leader_eigenvector, make_params, pairing_distance,
-                          residual)
+                          is_decentralized, leader_eigenvector, make_params,
+                          pairing_distance, residual)
+from flockspectra.oracle import _tau_balance
 
 
 class TestClassifyRegime:
@@ -95,11 +99,17 @@ class TestComputeSpectrum:
         assert np.allclose(sorted(z.real for z in lam),
                            sorted(z.real - 2 for z in r))
 
-    def test_laplacian_non_decentralized_unlabeled(self):
+    def test_laplacian_non_decentralized_labeled(self):
+        # -L ignores b and d: it is the decentralized twin (b, d) =
+        # (a+c, c-e) shifted by -(a+c), so the closed form applies
         p = make_params(1, 1, 2, 0, 0, 10)
         s = compute_spectrum(p, "laplacian")
-        assert s.unlabeled is not None
+        assert s.unlabeled is None
+        assert (s.params.b, s.params.d) == (2, 1)
+        assert s.regime.decentralized_cell is not None
         assert len(s.eigenvalues()) == 11
+        want = np.linalg.eigvals(-build_laplacian(p))
+        assert pairing_distance(s.eigenvalues(), want) < 1e-9 * 2
 
     def test_laplacian_falls_back_to_oracle_when_assembly_fails(self):
         # decentralized with c+e=0: the off-circle quadratic has a double
@@ -111,6 +121,26 @@ class TestComputeSpectrum:
         assert s.unlabeled is not None
         assert pairing_distance(s.eigenvalues(),
                                 np.linalg.eigvals(-build_laplacian(p))) < 1e-9
+
+    def test_seeds_converging_to_one_root_counted_once(self):
+        # n=2, T3 case 2c: both seeds converge to the same off-circle root;
+        # kept twice it hid the missing root, now the count check fires
+        p = make_params(0.29, 2.75, None, 2.75 + 4.07, -4.07, 2)
+        with pytest.raises(RootCountAnomaly):
+            compute_spectrum(p, "full")
+        s = compute_spectrum(p, "laplacian")
+        assert s.unlabeled is not None
+        assert pairing_distance(s.eigenvalues(),
+                                np.linalg.eigvals(-build_laplacian(p))) < 1e-9
+
+    def test_duplicate_seed_root_dropped(self):
+        # the same collapse with a bulk root present: dropping the copy
+        # leaves exactly n roots, which used to be one too many
+        p = make_params(1.2, 3.3, None, 3.3 + 3.5, -3.5, 2)
+        s = compute_spectrum(p, "full")
+        assert len(s.special) == 1
+        assert pairing_distance(s.eigenvalues(),
+                                np.linalg.eigvals(build_full_matrix(p))) < 1e-9
 
     def test_t2_special_bounds(self):
         p = make_params(1, 1, 2, 0, 3, 80)   # e > a, t = -2 < d=0 < 2
@@ -191,3 +221,16 @@ class TestResidual:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             residual(np.eye(3), 1.0, np.ones(4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(0.2, 5), c=st.floats(0.2, 5), b=st.floats(-5, 5),
+       d=st.floats(-5, 5), e=st.floats(-5, 5), n=st.integers(2, 300))
+@example(a=0.2858832926857671, c=2.7511380816242483, b=-2.3353740956122038,
+         d=-4.526070497573619, e=-4.06527463184767, n=2)
+def test_laplacian_matches_lapack_for_any_boundary(a, c, b, d, e, n):
+    p = make_params(a, c, b, d, e, n)
+    assume(not is_decentralized(p))
+    want = [-z for z in eigvals(_tau_balance(p, build_laplacian(p)))]
+    got = compute_spectrum(p, "laplacian").eigenvalues()
+    assert pairing_distance(got, want) <= 1e-9 * (a + c)

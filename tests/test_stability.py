@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from flockspectra import (NotDecentralized, SecondOrderParams,
+from flockspectra import (DomainError, NotDecentralized, SecondOrderParams,
                           build_laplacian, compute_spectrum,
                           first_order_verdict,
                           laplacian_spectrum, make_params,
@@ -146,3 +146,10 @@ def test_perturbed_zero_mode_sign_at_large_n():
     p = make_params(1, 2, 3, 1, 1, 50)
     for n in (50, 100, 200):
         assert perturbation_sign(p, n) == -1
+
+
+@pytest.mark.parametrize("alpha,beta", [(math.nan, 1), (1, math.nan),
+                                        (math.inf, 1), (1, -math.inf)])
+def test_non_finite_gains_rejected(alpha, beta):
+    with pytest.raises(DomainError):
+        SecondOrderParams(alpha, beta)
