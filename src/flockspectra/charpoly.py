@@ -36,6 +36,14 @@ NEWTON_MAX_ITER = 100
 POLE_TOL = 1e-12
 # Branches per scan block; every temporary of the scan is O(_BLOCK).
 _BLOCK = 2048
+# Sign-change samples per branch, whatever the parameters.
+SCAN_SAMPLES = 32
+
+
+def _on_a_plus_e_line(p: SystemParams) -> bool:
+    """Whether e + a = 0 to within EPLUSA_THRESHOLD * a, where the
+    cotangent equation degenerates and the closed-form layout applies."""
+    return abs(p.e + p.a) < EPLUSA_THRESHOLD * p.a
 
 
 @dataclass(frozen=True)
@@ -106,7 +114,7 @@ def eval_cotangent_residual(p: SystemParams, phi):
     continued by its finite limit +-1/n.
     """
     a, d, e, tau, n = p.a, p.d, p.e, p.tau, p.n
-    if abs(e + a) < EPLUSA_THRESHOLD * a:
+    if _on_a_plus_e_line(p):
         raise ZeroDenominator("e + a = 0: use the closed-form branch layout")
     x = np.asarray(phi, dtype=float)
     s = np.sin(n * x)
@@ -172,43 +180,86 @@ def closed_form_branch_roots(p: SystemParams) -> List[BranchRoot]:
     return out
 
 
+def _stationary_angles(p: SystemParams) -> List[float]:
+    """The at most two angles in (0, pi) where F = n phi - arccot(R) is
+    stationary, R = (C + B cos phi) / sin phi with C = d tau/(e+a) and
+    B = (e-a)/(e+a).  A root on branch ell solves F = (ell-1) pi, so two
+    roots on one branch enclose one of them.  F' = n - (B + C u) /
+    (1 - u^2 + (C + B u)^2) with u = cos phi vanishes on a quadratic."""
+    n = p.n
+    B = (p.e - p.a) / (p.e + p.a)
+    C = p.d * p.tau / (p.e + p.a)
+    qa, qb, qc = n * (B * B - 1), (2 * n * B - 1) * C, n * (1 + C * C) - B
+    disc = qb * qb - 4 * qa * qc
+    if not (math.isfinite(qc) and disc >= 0):
+        return []  # no real root, or |C| > 1e154 where F' = n - O(1/C)
+    q = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))
+    u = [q / qa] if qa else []
+    u += [qc / q] if q else []
+    return sorted(math.acos(x) for x in u if -1 < x < 1)
+
+
 def find_branch_roots(p: SystemParams) -> List[BranchRoot]:
     """All unit-circle roots, by sign-change scanning on each branch.
 
-    Each branch I_ell = ((ell-1) pi/n, ell pi/n) is sampled uniformly (the
-    residual can cross zero up to three times per branch when e < -a at
-    small n), and the sign changes of each block of _BLOCK branches are
-    bisected together to adjacent doubles.  Roots pinned at phi = 0 or pi
-    (y = +-1) are never emitted.
+    Each branch I_ell = ((ell-1) pi/n, ell pi/n) is sampled at
+    SCAN_SAMPLES + 1 evenly spaced points, and the sign changes of each
+    block of _BLOCK branches are bisected together to adjacent doubles.
+    A branch holds up to three roots when e < -a, and two of them can
+    share a sample interval; they then straddle one of the at most two
+    stationary angles of _stationary_angles, which splits that interval.
+    The work is O(n) whatever the parameters: close to the line a + e = 0
+    the roots crowd against the branch ends, where the scan can miss
+    them, and the caller's root count then falls short.  Roots pinned at
+    phi = 0 or pi (y = +-1) are never emitted.
     """
-    a, e, n = p.a, p.e, p.n
-    if abs(e + a) < EPLUSA_THRESHOLD * a:
+    n = p.n
+    if _on_a_plus_e_line(p):
         return closed_form_branch_roots(p)
-    B = (e - a) / (e + a)
-    samples = max(32, 8 * math.ceil(abs(B)))
     delta = ENDPOINT_DELTA / n
     two_sqrt_ac = 2 * math.sqrt(p.a * p.c)
     scale = max(abs(p.a), abs(p.d * p.tau), abs(p.e), 1.0)
+    stationary = _stationary_angles(p)
 
     out = []
     for first in range(1, n + 1, _BLOCK):
         ell = np.arange(first, min(first + _BLOCK, n + 1))
         lo = (ell - 1) * math.pi / n + delta
         hi = ell * math.pi / n - delta
-        step = (hi - lo) / samples
+        step = (hi - lo) / SCAN_SAMPLES
         # A root is where the residual changes sign (zero counts as
         # positive); the one between samples k and k+1 of branch i gets the
-        # bracket number i * samples + k.
+        # bracket number i * SCAN_SAMPLES + k.
         hits = []
         neg0 = eval_cotangent_residual(p, lo) < 0
-        for k in range(samples):
+        for k in range(SCAN_SAMPLES):
             neg1 = eval_cotangent_residual(p, lo + (k + 1) * step) < 0
-            hits.append(np.flatnonzero(neg0 != neg1) * samples + k)
+            hits.append(np.flatnonzero(neg0 != neg1) * SCAN_SAMPLES + k)
             neg0 = neg1
-        # sorted: ell ascending, phi ascending within a branch
-        which, k = np.divmod(np.sort(np.concatenate(hits)), samples)
+        which, k = np.divmod(np.sort(np.concatenate(hits)), SCAN_SAMPLES)
         blo = lo[which] + k * step[which]
         bhi = lo[which] + (k + 1) * step[which]
+        # An interval holding stationary angles is cut there; if the
+        # pieces show more than one sign change, they replace its bracket.
+        cuts = {}
+        for phi in stationary:
+            i = int(phi * n / math.pi) + 1 - first
+            if 0 <= i < len(ell) and lo[i] < phi < hi[i]:
+                j = min(int((phi - lo[i]) / step[i]), SCAN_SAMPLES - 1)
+                cuts.setdefault((i, j), []).append(phi)
+        for (i, j), cut in cuts.items():
+            pts = np.r_[lo[i] + j * step[i], cut, lo[i] + (j + 1) * step[i]]
+            neg = eval_cotangent_residual(p, pts) < 0
+            change = np.flatnonzero(neg[1:] != neg[:-1])
+            if len(change) > 1:
+                rest = (which != i) | (k != j)
+                which = np.r_[which[rest], [i] * len(change)]
+                k = np.r_[k[rest], [j] * len(change)]
+                blo = np.r_[blo[rest], pts[change]]
+                bhi = np.r_[bhi[rest], pts[change + 1]]
+        # sorted: ell ascending, phi ascending within a branch
+        order = np.argsort(blo)
+        which, blo, bhi = which[order], blo[order], bhi[order]
         neg = eval_cotangent_residual(p, blo) < 0
         while True:
             mid = 0.5 * (blo + bhi)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -65,21 +64,18 @@ def make_params(a, c, b, d, e, n):
     return SystemParams(a=a, c=c, b=b, d=d, e=e, n=n)
 
 
-def is_decentralized(p: SystemParams, tol: Optional[float] = None) -> bool:
+def is_decentralized(p: SystemParams) -> bool:
     """True iff b = a + c and c = e + d.
 
-    By default each identity is compared to within a few ulps of its
-    terms, |b - (a+c)| <= 4 eps (|a| + |c| + |b|), so that parameters
-    written in decimal (0.1 + 0.2 for 0.3) still count; a tolerance
-    passed explicitly is an absolute bound on both differences.
+    Each identity is compared to within a few ulps of its terms,
+    |b - (a+c)| <= 4 eps (|a| + |c| + |b|), so that parameters written in
+    decimal (0.1 + 0.2 for 0.3) still count.
     """
+    ulps = 4 * np.finfo(float).eps
     db = abs(p.b - (p.a + p.c))
     dc = abs(p.c - (p.e + p.d))
-    if tol is None:
-        ulps = 4 * np.finfo(float).eps
-        return (db <= ulps * (abs(p.a) + abs(p.c) + abs(p.b))
-                and dc <= ulps * (abs(p.e) + abs(p.d) + abs(p.c)))
-    return db <= tol and dc <= tol
+    return (db <= ulps * (abs(p.a) + abs(p.c) + abs(p.b))
+            and dc <= ulps * (abs(p.e) + abs(p.d) + abs(p.c)))
 
 
 def tridiagonal(p: SystemParams, kind: str = "full"):

@@ -3,11 +3,12 @@
 Two unrelated methods.  The first is LAPACK's Francis QR with aggressive
 early deflation (``dhseqr`` through ``scipy.linalg.eigvals``).  The second
 finds the roots of det(zI - M), evaluated by the three-term determinant
-recurrence along the tridiagonal: Sturm-sequence bisection (LAPACK
-``dstebz``) when every off-diagonal product is non-negative, and
-Aberth-Ehrlich simultaneous iteration otherwise.  Neither shares any code
-with the transfer-matrix theory path, so each validates the other and
-both validate the theory.
+recurrence along the tridiagonal: multiple relatively robust
+representations (MRRR, LAPACK ``dstemr``) on the symmetrized tridiagonal
+when every off-diagonal product is non-negative, and Aberth-Ehrlich
+simultaneous iteration otherwise.  Neither shares any code with the
+transfer-matrix theory path, so each validates the other and both
+validate the theory.
 
 scipy is imported inside the functions that use it, so that importing
 the package does not pay for it.
@@ -143,8 +144,8 @@ def tridiag_polynomial_eigenvalues(M: np.ndarray):
     The characteristic polynomial depends only on the diagonal d and the
     off-diagonal products w_k = sub_k * sup_k.  When every w_k >= 0 it is
     also the characteristic polynomial of the symmetric tridiagonal with
-    off-diagonal sqrt(w), whose roots LAPACK ``dstebz`` finds by
-    Sturm-sequence bisection on the same recurrence.  Otherwise the roots
+    off-diagonal sqrt(w), whose roots LAPACK ``dstemr`` finds by MRRR
+    (dqds on a shifted LDL^T factorization, not QR).  Otherwise the roots
     are complex and Aberth-Ehrlich iteration finds them, with p/p'
     evaluated by the recurrence and its derivative.  No route expands the
     polynomial into monomial coefficients, which destroys the roots in
@@ -162,9 +163,9 @@ def tridiag_polynomial_eigenvalues(M: np.ndarray):
         from scipy.linalg import LinAlgError, eigh_tridiagonal
         try:
             eigs = eigh_tridiagonal(d, np.sqrt(w), eigvals_only=True,
-                                    lapack_driver="stebz", check_finite=False)
+                                    lapack_driver="stemr", check_finite=False)
         except LinAlgError as ex:
-            raise NoConvergence(f"LAPACK bisection failed: {ex}") from ex
+            raise NoConvergence(f"LAPACK MRRR failed: {ex}") from ex
         return eigs.astype(complex).tolist()
     return _aberth(d, w).tolist()
 

@@ -19,11 +19,11 @@ from typing import List, Optional, Sequence, Tuple
 import mpmath as mp
 import numpy as np
 
-from .charpoly import (_BLOCK, EPLUSA_THRESHOLD, _scaled_poly_and_deriv,
+from .charpoly import (_BLOCK, _on_a_plus_e_line, _scaled_poly_and_deriv,
                        eval_cotangent_residual)
 from .errors import DomainError, NoConvergence, NotApplicable
 from .model import SystemParams
-from .spectrum import _special_seeds, classify_regime
+from .spectrum import _special_seeds
 
 DEVIATION_FLOOR = 1e-14        # double-precision fit floor
 REAL_SEED_TOL = 1e-12
@@ -68,7 +68,7 @@ class MonotonicityReport:
 
 def _mp_seed(p: SystemParams, target: complex):
     """The quadratic root y_pm, in working precision, nearest `target`
-    (the regime's chosen double-precision seed)."""
+    (the chosen double-precision seed)."""
     a, d, e = mp.mpf(p.a), mp.mpf(p.d), mp.mpf(p.e)
     tau = mp.sqrt(mp.mpf(p.a) / mp.mpf(p.c))
     disc = d * d * tau * tau + 4 * a * e
@@ -117,13 +117,12 @@ def _working_dps(p: SystemParams, n_max: int, seed_modulus: float) -> int:
     return max(50, int(growth) + 40)
 
 
-def _regime_seed(p: SystemParams):
-    """The regime's preferred off-circle quadratic seed, or None."""
-    regime = classify_regime(p)
-    if regime.theorem == "P31":
+def _off_circle_seed(p: SystemParams):
+    """The first off-circle quadratic seed (y_plus where both are); None
+    if there is none or a + e = 0."""
+    if _on_a_plus_e_line(p):
         return None
-    # table order lists y_plus first where both occur
-    seeds = _special_seeds(p, regime)
+    seeds = _special_seeds(p)
     return seeds[0] if seeds else None
 
 
@@ -140,7 +139,7 @@ def track_root_convergence(p: SystemParams, n_values: Sequence[int],
     n_values = sorted(int(n) for n in n_values)
     if not n_values:
         raise DomainError("n_values must not be empty")
-    seed = _regime_seed(p)
+    seed = _off_circle_seed(p)
     if seed is None:
         return ConvergenceReport(n_values, [math.nan] * len(n_values),
                                  math.nan, math.nan, math.nan,
@@ -180,7 +179,7 @@ def perturbation_sign(p: SystemParams, n: int) -> int:
     predicts -sgn(a+e) for n above the regime threshold."""
     if p.a + p.e == 0:
         raise NotApplicable("a+e=0: the deviation sign is undefined")
-    seed = _regime_seed(p)
+    seed = _off_circle_seed(p)
     if seed is None:
         raise NotApplicable("regime has no off-circle root")
     if abs(seed.imag) > REAL_SEED_TOL * abs(seed):
@@ -204,7 +203,7 @@ def verify_branch_monotonicity(p: SystemParams, n: int,
     decreasing claim (expected whenever B <= 1).  g is sampled through
     the cotangent residual, which differs from it by a constant, one
     array per block of branches."""
-    if abs(p.e + p.a) < EPLUSA_THRESHOLD * p.a:
+    if _on_a_plus_e_line(p):
         raise NotApplicable("B is undefined at e+a=0")
     if samples_per_branch < 2:
         raise DomainError(f"samples_per_branch={samples_per_branch} < 2")

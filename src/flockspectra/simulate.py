@@ -71,18 +71,17 @@ def spectral_radius_estimate(p: SystemParams) -> float:
     return float(_matvec(L, np.ones(p.n + 1)).max())
 
 
-def _resolve_steps(cfg: SimConfig, rho: float):
+def _resolve_steps(t_end: float, dt: Optional[float], rho: float):
     dt_max = DT_MAX_FACTOR / rho if rho > 0 else np.inf
-    dt = cfg.dt if cfg.dt is not None else DT_DEFAULT_FACTOR / max(rho, 1e-30)
-    if not (0 < cfg.t_end < np.inf and 0 < dt < np.inf):
+    step = dt if dt is not None else DT_DEFAULT_FACTOR / max(rho, 1e-30)
+    if not (0 < t_end < np.inf and 0 < step < np.inf):
         raise DomainError(f"t_end and dt must be finite and positive, got "
-                          f"t_end={cfg.t_end}, dt={cfg.dt}")
-    if dt > dt_max:
+                          f"t_end={t_end}, dt={dt}")
+    if step > dt_max:
         raise StepSizeTooLarge(
-            f"dt={dt:g} exceeds the RK4 stability bound {dt_max:g}")
-    steps = max(1, int(np.ceil(cfg.t_end / dt)))
-    dt = cfg.t_end / steps
-    return dt, steps
+            f"dt={step:g} exceeds the RK4 stability bound {dt_max:g}")
+    steps = max(1, int(np.ceil(t_end / step)))
+    return t_end / steps, steps
 
 
 def _check_vec(name: str, v, m: int) -> np.ndarray:
@@ -95,29 +94,33 @@ def _check_vec(name: str, v, m: int) -> np.ndarray:
 
 
 def _rk4(f, y0: np.ndarray, dt: float, steps: int, stride: int):
-    times = [0.0]
-    states = [y0.copy()]
-    y = y0.copy()
-    t = 0.0
+    """Times and states at step 0, every stride-th step and the last one;
+    the states fill one array allocated up front."""
+    if stride < 1:
+        raise DomainError(f"save_stride must be at least 1, got {stride}")
+    saved = np.r_[0:steps:stride, steps]
+    states = np.empty((len(saved), len(y0)))
+    states[0] = y = y0
+    row = 0
     for i in range(1, steps + 1):
         k1 = f(y)
         k2 = f(y + 0.5 * dt * k1)
         k3 = f(y + 0.5 * dt * k2)
         k4 = f(y + dt * k3)
         y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = i * dt
         if i % stride == 0 or i == steps:
-            times.append(t)
-            states.append(y.copy())
-    return np.array(times), np.array(states)
+            row += 1
+            states[row] = y
+    return saved * dt, states
 
 
 def _coherence_first(positions: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Distance of each row of positions - h to the span of the constant
-    vector."""
-    offsets = positions - h
-    mean = offsets.mean(axis=1, keepdims=True)
-    return np.linalg.norm(offsets - mean, axis=1)
+    vector, with one scratch array the size of positions."""
+    off = positions - h
+    off -= off.mean(axis=1, keepdims=True)
+    np.multiply(off, off, out=off)
+    return np.sqrt(off.sum(axis=1))
 
 
 def _coherence_second(positions: np.ndarray, h: np.ndarray,
@@ -154,7 +157,8 @@ def simulate_first_order(cfg: SimConfig) -> Trajectory:
     h = _check_vec("h", cfg.h, m)
     x0 = _check_vec("x0", cfg.x0, m)
     L = tridiagonal(cfg.params, "laplacian")
-    dt, steps = _resolve_steps(cfg, spectral_radius_estimate(cfg.params))
+    dt, steps = _resolve_steps(cfg.t_end, cfg.dt,
+                               spectral_radius_estimate(cfg.params))
     times, states = _rk4(lambda x: -_matvec(L, x - h), x0, dt, steps,
                          cfg.save_stride)
     return Trajectory(times, states, None, _coherence_first(states, h))
@@ -183,8 +187,7 @@ def simulate_second_order(cfg: SimConfig) -> Trajectory:
         return np.concatenate([v, -alpha * _matvec(L, x - h)
                                - beta * _matvec(L, v)])
 
-    dt, steps = _resolve_steps(
-        SimConfig(cfg.params, h, x0, cfg.t_end, cfg.dt), rho)
+    dt, steps = _resolve_steps(cfg.t_end, cfg.dt, rho)
     y0 = np.concatenate([x0, v0])
     times, states = _rk4(rhs, y0, dt, steps, cfg.save_stride)
     pos, vel = states[:, :m], states[:, m:]

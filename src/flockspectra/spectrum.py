@@ -3,9 +3,12 @@
 The parameter plane splits into three theorem regimes by the size of e
 relative to a (plus the exactly-solvable line a + e = 0), and each regime
 into cases by d against the thresholds +-(a - e) sqrt(c/a) (and
-+-2 sqrt(c|e|) inside the e < -a regime).  The case determines which of
-the asymptotic special eigenvalues r+- materialize; the remaining
-eigenvalues are bulk values 2 sqrt(ac) cos(psi_ell).
++-2 sqrt(c|e|) inside the e < -a regime).  The case describes which of
+the asymptotic special eigenvalues r+- materialize, and is reported with
+the spectrum; the assembly itself reads only the parameters.  Each root
+y of a y^2 - d tau y - e off the unit circle seeds one special
+eigenvalue, and the remaining eigenvalues are bulk values
+2 sqrt(ac) cos(psi_ell) from the branch scan.
 """
 from __future__ import annotations
 
@@ -16,10 +19,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .charpoly import (BranchRoot, closed_form_branch_roots,
-                       eigenvalue_from_root, find_branch_roots,
-                       quadratic_roots, refine_special_root,
-                       EPLUSA_THRESHOLD)
+from .charpoly import (BranchRoot, _on_a_plus_e_line,
+                       closed_form_branch_roots, eigenvalue_from_root,
+                       find_branch_roots, quadratic_roots,
+                       refine_special_root)
 from .errors import (DegenerateRoot, DimensionMismatch, DiscriminantCollapse,
                      DomainError, NoConvergence, RootCountAnomaly,
                      UnitCircleCollapse)
@@ -184,7 +187,7 @@ def classify_regime(p: SystemParams) -> RegimeLabel:
                            decentralized_cell=cell,
                            predicted_specials=tuple(pred))
 
-    if abs(e + a) < EPLUSA_THRESHOLD * a:
+    if _on_a_plus_e_line(p):
         dt = d * tau
         if dt > 2 * a:
             return label("P31", "1")
@@ -219,19 +222,12 @@ def classify_regime(p: SystemParams) -> RegimeLabel:
     return label("T3", "3")
 
 
-def _special_seeds(p: SystemParams, regime: RegimeLabel):
-    """The quadratic roots the regime predicts as off-circle seeds, in
-    table order (y_plus first), without those on or inside the circle."""
+def _special_seeds(p: SystemParams):
+    """The roots of a y^2 - d tau y - e outside the unit circle, y_plus
+    first: the Newton seeds of the special roots.  These are the roots
+    the theorem cases list."""
     q = quadratic_roots(p)
-    plus, minus = q.y_plus, q.y_minus
-    table = {
-        ("T1", "1"): [plus], ("T1", "2"): [], ("T1", "3"): [minus],
-        ("T2", "1"): [plus], ("T2", "2"): [plus, minus], ("T2", "3"): [minus],
-        ("T3", "1"): [minus], ("T3", "2a"): [plus, minus],
-        ("T3", "2b"): [plus, minus], ("T3", "2c"): [plus, minus],
-        ("T3", "3"): [plus],
-    }
-    return [y for y in table[(regime.theorem, regime.case)]
+    return [y for y in (q.y_plus, q.y_minus)
             if abs(y) > 1.0 + CIRCLE_SEED_MARGIN]
 
 
@@ -247,13 +243,13 @@ def _p31_special(p: SystemParams) -> SpecialRoot:
     return SpecialRoot(seed=y, y=y, eigenvalue=eigenvalue_from_root(p, y))
 
 
-def _assemble_reduced(p: SystemParams, regime: RegimeLabel):
+def _assemble_reduced(p: SystemParams):
     """Bulk and special roots of the n x n reduced matrix."""
-    if regime.theorem == "P31":
+    if _on_a_plus_e_line(p):
         return closed_form_branch_roots(p), [_p31_special(p)]
     bulk = find_branch_roots(p)
     special = []
-    for seed in _special_seeds(p, regime):
+    for seed in _special_seeds(p):
         try:
             y = refine_special_root(p, seed)
         except (NoConvergence, UnitCircleCollapse):
@@ -299,7 +295,7 @@ def compute_spectrum(p: SystemParams, kind: str = "full") -> Spectrum:
     q = replace(p, b=p.a + p.c, d=p.c - p.e) if kind == "laplacian" else p
     regime = classify_regime(q)
     try:
-        bulk, special = _assemble_reduced(q, regime)
+        bulk, special = _assemble_reduced(q)
     except (RootCountAnomaly, NoConvergence):
         if kind != "laplacian":
             raise

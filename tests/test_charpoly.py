@@ -1,4 +1,5 @@
 import cmath
+import collections
 import math
 import tracemalloc
 
@@ -13,7 +14,8 @@ from flockspectra import (BranchPole, BranchRoot, DomainError,
                           eval_cotangent_residual, eval_polynomial,
                           find_branch_roots, make_params, quadratic_roots,
                           refine_special_root, special_eigen_estimates)
-from flockspectra.charpoly import ENDPOINT_DELTA, POLE_TOL
+from flockspectra.charpoly import (ENDPOINT_DELTA, POLE_TOL, SCAN_SAMPLES,
+                                   _stationary_angles)
 from flockspectra.model import tridiagonal
 
 
@@ -187,6 +189,43 @@ class TestFindBranchRoots:
         assert len(roots) == p.n - 1
         assert peak - base <= 1.25 * (kept - base)
 
+    @pytest.mark.parametrize("side", [1, -1], ids=["e>-a", "e<-a"])
+    def test_residual_calls_do_not_grow_near_a_plus_e_zero(self, monkeypatch,
+                                                            side):
+        # |a+e| = 1e-3 a, so |B| ~ 2000; the scan's work must not grow
+        # with |B|: SCAN_SAMPLES + 1 sample columns, one evaluation at the
+        # stationary angles, the sign at the bracket ends, and one array
+        # bisection down to adjacent doubles (~47 halvings here).  No
+        # root is off the circle for e > -a; y+- both are for e < -a.
+        import flockspectra.charpoly as charpoly
+        calls = []
+
+        def counted(p, phi):
+            calls.append(phi)
+            return eval_cotangent_residual(p, phi)
+
+        monkeypatch.setattr(charpoly, "eval_cotangent_residual", counted)
+        p = make_params(1, 1, 2, 0.5, -1 + side * 1e-3, 50)
+        assert len(find_branch_roots(p)) == (p.n if side == 1 else p.n - 2)
+        assert len(calls) <= SCAN_SAMPLES + 3 + 64
+
+    def test_close_pair_on_one_branch(self):
+        # T3 case 2b, |B| = 234 at n = 26: branch 6 holds three roots,
+        # two of them 0.0031 apart inside one 0.0038-wide sample interval.
+        # The stationary angles of n phi - arccot(R(phi)) separate them.
+        p = make_params(1.9622768212420452, 4.179999553518589, None,
+                        4.650296370269988, -1.9791010244640208, 26)
+        stationary = _stationary_angles(p)
+        roots = [r.phi for r in find_branch_roots(p) if r.ell == 6]
+        assert len(roots) == 3
+        assert roots[0] < stationary[0] < roots[1] < stationary[1] < roots[2]
+        assert roots[1] - roots[0] < (math.pi / p.n) / SCAN_SAMPLES
+
+    @pytest.mark.parametrize("e", [0.4, -1.3])
+    def test_no_stationary_angles_when_c_overflows(self, e):
+        # C = d tau/(e+a) squared overflows: the quadratic is not formed
+        assert _stationary_angles(make_params(1, 1, 2, 1e200, e, 20)) == []
+
 
 def _scalar_residual(p, phi):
     """The per-point residual the branch scan used to call (reference)."""
@@ -275,6 +314,44 @@ def test_branch_scan_matches_scalar_reference(a, c, d, e, n):
     tol = 1e-14 * 2 * math.sqrt(a * c)
     for r, w in zip(got, want):
         assert abs(r.eigenvalue - w.eigenvalue) <= tol
+
+
+@st.composite
+def large_b_params(draw):
+    """(a, c, d, e, n) with 1e-3 a <= |a+e| <= 0.6 a, so |B| >= 4, and d
+    often within a relative 1e-6..1e-1 of a case threshold."""
+    a, c = draw(st.floats(0.2, 5)), draw(st.floats(0.2, 5))
+    gap = 10 ** draw(st.floats(-3, math.log10(0.6)))
+    e = -a * (1 + draw(st.sampled_from([1, -1])) * gap)
+    t = (a - e) * math.sqrt(c / a)
+    s = 2 * math.sqrt(c * abs(e))
+    d = draw(st.one_of(
+        st.floats(-5, 5),
+        st.builds(lambda x, r: x * (1 + r), st.sampled_from([t, -t, s, -s]),
+                  st.floats(1e-6, 1e-1) | st.floats(-1e-1, -1e-6))))
+    return a, c, d, e, draw(st.integers(2, 40))
+
+
+@settings(max_examples=40, deadline=None)
+@given(large_b_params())
+@example((1.9622768212420452, 4.179999553518589, 4.650296370269988,
+          -1.9791010244640208, 26))
+def test_fixed_scan_finds_what_a_dense_scan_finds(params):
+    """The SCAN_SAMPLES scan with its stationary-angle splits finds every
+    root that a 32 times denser plain scan finds, and an odd number on
+    each interior branch, where the residual runs from +inf to -inf."""
+    import flockspectra.charpoly as charpoly
+    a, c, d, e, n = params
+    p = make_params(a, c, a + c, d, e, n)
+    got = collections.Counter(r.ell for r in find_branch_roots(p))
+    saved = charpoly.SCAN_SAMPLES, charpoly._stationary_angles
+    charpoly.SCAN_SAMPLES, charpoly._stationary_angles = 1024, lambda p: []
+    try:
+        dense = collections.Counter(r.ell for r in find_branch_roots(p))
+    finally:
+        charpoly.SCAN_SAMPLES, charpoly._stationary_angles = saved
+    assert not dense - got
+    assert all(got[ell] % 2 == 1 for ell in range(2, n))
 
 
 @pytest.mark.parametrize("args", [

@@ -73,7 +73,6 @@ class TestIsDecentralized:
     def test_tolerance_overload(self):
         p = make_params(1, 1, 2 + 1e-12, 0.5, 0.5, 5)
         assert not is_decentralized(p)
-        assert is_decentralized(p, tol=1e-9)
 
 
 class TestBuildFullMatrix:

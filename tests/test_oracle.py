@@ -83,6 +83,23 @@ class TestPolynomialEigenvalues:
         want = sorted(2 * math.cos(k * math.pi / 121) for k in range(1, 121))
         assert np.allclose(roots, want, atol=1e-9)
 
+    def test_real_roots_by_mrrr(self, monkeypatch):
+        # every off-diagonal product positive: the symmetric twin goes to
+        # LAPACK dstemr (MRRR), another algorithm than the QR oracle's
+        drivers = []
+        real = scipy.linalg.eigh_tridiagonal
+
+        def spy(*args, **kwargs):
+            drivers.append(kwargs.get("lapack_driver"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
+        p = make_params(1.3, 0.7, 2.0, 0.9, 0.4, 400)
+        B = _tau_balance(p, build_reduced_matrix(p))
+        roots = tridiag_polynomial_eigenvalues(B)
+        assert drivers == ["stemr"]
+        assert pairing_distance(roots, scipy.linalg.eigvals(B)) < 1e-12
+
     def test_complex_roots_match_lapack(self):
         # (a+e)c < 0: one negative off-diagonal product, complex roots
         p = make_params(1, 1, 2, 2.95, -2.25, 60)

@@ -9,7 +9,8 @@ from flockspectra import (DomainError, SimConfig, StepSizeTooLarge,
                           laplacian_spectrum, make_params,
                           simulate_first_order, simulate_second_order,
                           spectral_radius_estimate)
-from flockspectra.simulate import _coherence_second, _rk4
+from flockspectra.simulate import (_coherence_first, _coherence_second,
+                                   _rk4)
 
 
 def _stable_params(n=20):
@@ -58,6 +59,17 @@ class TestSimulateFirstOrder:
         with pytest.raises(StepSizeTooLarge):
             simulate_first_order(SimConfig(p, h, h, t_end=10.0, dt=10.0))
 
+    @pytest.mark.parametrize("stride", [0, -1])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_save_stride_below_one_rejected(self, stride, order):
+        p = _stable_params()
+        h = np.zeros(21)
+        cfg = SimConfig(p, h, h, t_end=1.0, v0=h, alpha=1.0, beta=1.0,
+                        save_stride=stride)
+        run = simulate_first_order if order == 1 else simulate_second_order
+        with pytest.raises(DomainError, match="save_stride"):
+            run(cfg)
+
     def test_rk4_refinement_ratio(self):
         p = _stable_params()
         h = -np.arange(21.0)
@@ -97,6 +109,48 @@ class TestSimulateFirstOrder:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20
+
+    @pytest.mark.parametrize("stride", [1, 3, 7])
+    def test_rk4_matches_list_loop(self, stride):
+        def old_rk4(f, y0, dt, steps, stride):
+            times, states, y = [0.0], [y0.copy()], y0.copy()
+            for i in range(1, steps + 1):
+                k1 = f(y)
+                k2 = f(y + 0.5 * dt * k1)
+                k3 = f(y + 0.5 * dt * k2)
+                k4 = f(y + dt * k3)
+                y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                if i % stride == 0 or i == steps:
+                    times.append(i * dt)
+                    states.append(y.copy())
+            return np.array(times), np.array(states)
+
+        minus_L = -build_laplacian(_stable_params(6))
+        x0 = np.random.default_rng(2).normal(size=7)
+        for steps in (1, 20, 21):
+            got = _rk4(lambda x: minus_L @ x, x0, 0.03, steps, stride)
+            want = old_rk4(lambda x: minus_L @ x, x0, 0.03, steps, stride)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("order,limit_mib", [(1, 13.0), (2, 22.5)])
+    def test_peak_memory_near_the_states(self, order, limit_mib):
+        # 501 snapshots of 1601 positions are 6.1 MiB (first order); 587
+        # of positions and velocities are 14.3 MiB (second order).  Room
+        # for the states, one scratch array the size of the positions for
+        # the coherence, and O(n) work vectors.
+        p = make_params(1, 1.5, 2.5, 1, 0.5, 1600)
+        h = -np.arange(1601.0)
+        x0 = h + np.linspace(0.0, 1.0, 1601)
+        cfg = SimConfig(p, h, x0, t_end=50.0, v0=np.zeros(1601), alpha=1.0,
+                        beta=1.0)
+        run = simulate_first_order if order == 1 else simulate_second_order
+        tracemalloc.start()
+        try:
+            run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mib * 2 ** 20
 
 
 class TestSimulateSecondOrder:
@@ -188,6 +242,17 @@ def test_coherence_second_matches_per_snapshot_loop(m):
         _coherence_second(positions, h, vels, times),
         _coherence_second_loop(positions - h, vels, times),
         rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("m", [2, 21, 1601])
+def test_coherence_first_matches_norm(m):
+    rng = np.random.default_rng(m)
+    positions = rng.normal(size=(41, m)) + 3.0
+    h = -np.arange(m, dtype=float)
+    offsets = positions - h
+    want = np.linalg.norm(offsets - offsets.mean(axis=1, keepdims=True),
+                          axis=1)
+    assert np.array_equal(_coherence_first(positions, h), want)
 
 
 def test_decay_rate_matches_spectral_prediction():

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,13 +8,14 @@ from hypothesis import strategies as st
 from scipy.linalg import eigvals
 
 from flockspectra import (DegenerateRoot, DiscriminantCollapse,
-                          DimensionMismatch, RootCountAnomaly,
-                          build_full_matrix, build_laplacian,
-                          build_reduced_matrix, classify_regime,
-                          compute_spectrum, eigenvector_for,
+                          DimensionMismatch, FlockSpectraError,
+                          RootCountAnomaly, build_full_matrix,
+                          build_laplacian, build_reduced_matrix,
+                          classify_regime, compute_spectrum, eigenvector_for,
                           is_decentralized, leader_eigenvector, make_params,
-                          pairing_distance, residual)
+                          pairing_distance, quadratic_roots, residual)
 from flockspectra.oracle import _tau_balance
+from flockspectra.spectrum import CIRCLE_SEED_MARGIN, _special_seeds
 
 
 class TestClassifyRegime:
@@ -234,3 +236,76 @@ def test_laplacian_matches_lapack_for_any_boundary(a, c, b, d, e, n):
     want = [-z for z in eigvals(_tau_balance(p, build_laplacian(p)))]
     got = compute_spectrum(p, "laplacian").eigenvalues()
     assert pairing_distance(got, want) <= 1e-9 * (a + c)
+
+
+# The quadratic roots each theorem case of the paper lists as special
+# eigenvalues; "+" is y_plus and "-" is y_minus.
+SEED_TABLE = {
+    ("T1", "1"): "+", ("T1", "2"): "", ("T1", "3"): "-",
+    ("T2", "1"): "+", ("T2", "2"): "+-", ("T2", "3"): "-",
+    ("T3", "1"): "-", ("T3", "2a"): "+-", ("T3", "2b"): "+-",
+    ("T3", "2c"): "+-", ("T3", "3"): "+",
+}
+
+
+@st.composite
+def boundary_params(draw):
+    """(a, c, d, e) off the a + e = 0 line, with e and d often exactly on
+    the thresholds classify_regime compares them with."""
+    a, c = draw(st.floats(0.2, 5)), draw(st.floats(0.2, 5))
+    e = draw(st.one_of(st.floats(-5, 5), st.sampled_from([a, 0.0])))
+    assume(abs(e + a) >= 1e-6 * a)
+    t = (a - e) * math.sqrt(c / a)
+    s = 2 * math.sqrt(c * abs(e))
+    d = draw(st.one_of(st.floats(-5, 5), st.sampled_from([t, -t, s, -s])))
+    return a, c, d, e
+
+
+@settings(max_examples=400, deadline=None)
+@given(boundary_params())
+@example((1.0, 1.0, 3.0, -2.25))     # T3 boundary d = 2 sqrt(c|e|)
+@example((1.0, 2.0, 0.0, 1.0))       # e = a
+def test_off_circle_seeds_are_the_theorem_table(params):
+    """The special seeds, the quadratic roots outside the unit circle, are
+    the roots the theorem case lists.  On a case threshold a listed root
+    may sit on the circle; the margin drops it on both sides of the
+    comparison."""
+    a, c, d, e = params
+    p = make_params(a, c, None, d, e, 10)
+    regime = classify_regime(p)
+    q = quadratic_roots(p)
+    listed = [{"+": q.y_plus, "-": q.y_minus}[k]
+              for k in SEED_TABLE[(regime.theorem, regime.case)]]
+    assert _special_seeds(p) == [y for y in listed
+                                 if abs(y) > 1 + CIRCLE_SEED_MARGIN]
+
+
+@pytest.mark.parametrize("kind", ["full", "reduced"])
+@pytest.mark.parametrize("side", [1, -1], ids=["e>-a", "e<-a"])
+def test_assembly_near_a_plus_e_zero_ends_promptly(kind, side):
+    # |a+e| = 1e-10 a, so |B| ~ 2e10: the scan misses roots crowded at
+    # the branch ends, and the count check must fire without delay
+    p = make_params(1, 1, 2, 0.5, -1 + side * 1e-10, 400)
+    start = time.perf_counter()
+    try:
+        assert len(compute_spectrum(p, kind).eigenvalues()) in (400, 401)
+    except FlockSpectraError:
+        pass
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("kind", ["full", "reduced"])
+@pytest.mark.parametrize("args", [
+    (1.9622768212420452, 4.179999553518589, 4.650296370269988,
+     -1.9791010244640208, 26),
+    (1.0, 1.0, 0.5, -1 - 1e-5, 50)], ids=["close-pair", "a+e=-1e-5"])
+def test_large_b_sets_assemble(kind, args):
+    # |B| = 234 with two roots of branch 6 in one sample interval, and
+    # |B| = 2e5 with every root near a branch end
+    a, c, d, e, n = args
+    p = make_params(a, c, a + c, d, e, n)
+    got = compute_spectrum(p, kind).eigenvalues()
+    M = build_full_matrix(p) if kind == "full" else build_reduced_matrix(p)
+    want = eigvals(_tau_balance(p, M))
+    assert len(got) == len(want)
+    assert pairing_distance(got, want) <= 1e-9 * 2 * math.sqrt(a * c)
