@@ -10,8 +10,11 @@ the cotangent equation
 
     cot(n phi) sin(phi) = d tau / (e + a) + ((e - a)/(e + a)) cos(phi)
 
-and are located branch by branch; roots off the circle are tracked by
-Newton iteration from the quadratic seeds y+- of a y^2 - d tau y - e.
+and are located branch by branch: every interior branch is a bracket
+of the pole-free H(phi) = a sin((n+1) phi) - d tau sin(n phi) - e
+sin((n-1) phi), polished by Newton's method, and the two end branches
+are scanned (see find_branch_roots).  Roots off the circle are tracked
+by Newton iteration from the quadratic seeds y+- of a y^2 - d tau y - e.
 """
 from __future__ import annotations
 
@@ -36,7 +39,7 @@ NEWTON_MAX_ITER = 100
 POLE_TOL = 1e-12
 # Branches per scan block; every temporary of the scan is O(_BLOCK).
 _BLOCK = 2048
-# Sign-change samples per branch, whatever the parameters.
+# Sign-change samples per end branch, whatever the parameters.
 SCAN_SAMPLES = 32
 
 
@@ -170,14 +173,26 @@ def special_eigen_estimates(p: SystemParams) -> SpecialEigenEstimate:
     return SpecialEigenEstimate(r_plus=r_plus, r_minus=r_minus)
 
 
+def _as_branch_roots(ell, phi, eigenvalue) -> List[BranchRoot]:
+    """BranchRoot objects from the arrays, a block at a time, so that the
+    transient lists of Python numbers stay O(_BLOCK)."""
+    out = []
+    for i in range(0, len(phi), _BLOCK):
+        part = slice(i, i + _BLOCK)
+        out += map(BranchRoot, ell[part].tolist(), phi[part].tolist(),
+                   eigenvalue[part].tolist())
+    return out
+
+
+def _closed_form_arrays(p: SystemParams):
+    ell = np.arange(1, p.n)
+    phi = math.pi * ell / p.n
+    return ell, phi, 2 * math.sqrt(p.a * p.c) * np.cos(phi)
+
+
 def closed_form_branch_roots(p: SystemParams) -> List[BranchRoot]:
     """Branch layout for e + a = 0: phi_ell = pi ell / n, ell = 1..n-1."""
-    out = []
-    for ell in range(1, p.n):
-        phi = math.pi * ell / p.n
-        out.append(BranchRoot(ell=ell, phi=phi,
-                              eigenvalue=2 * math.sqrt(p.a * p.c) * math.cos(phi)))
-    return out
+    return _as_branch_roots(*_closed_form_arrays(p))
 
 
 def _stationary_angles(p: SystemParams) -> List[float]:
@@ -199,83 +214,189 @@ def _stationary_angles(p: SystemParams) -> List[float]:
     return sorted(math.acos(x) for x in u if -1 < x < 1)
 
 
-def find_branch_roots(p: SystemParams) -> List[BranchRoot]:
-    """All unit-circle roots, by sign-change scanning on each branch.
+def _h_and_slope(p: SystemParams, phi):
+    """H(phi) = a sin((n+1) phi) - d tau sin(n phi) - e sin((n-1) phi)
+    and H'(phi), from sin and cos of n phi and phi.  On the unit circle
+    f(e^(i phi)) = 2i e^(i(n+1) phi) H(phi).  The (a+e) term is formed
+    first, so H keeps its digits near the line a + e = 0."""
+    a, e, dt, n = p.a, p.e, p.d * p.tau, p.n
+    sn, cn = np.sin(n * phi), np.cos(n * phi)
+    s1, c1 = np.sin(phi), np.cos(phi)
+    h = (a - e) * sn * c1 + (a + e) * cn * s1 - dt * sn
+    dh = ((a * (n + 1) - e * (n - 1)) * cn * c1
+          - (a * (n + 1) + e * (n - 1)) * sn * s1 - dt * n * cn)
+    return h, dh
 
-    Each branch I_ell = ((ell-1) pi/n, ell pi/n) is sampled at
-    SCAN_SAMPLES + 1 evenly spaced points, and the sign changes of each
-    block of _BLOCK branches are bisected together to adjacent doubles.
-    A branch holds up to three roots when e < -a, and two of them can
-    share a sample interval; they then straddle one of the at most two
-    stationary angles of _stationary_angles, which splits that interval.
-    The work is O(n) whatever the parameters: close to the line a + e = 0
-    the roots crowd against the branch ends, where the scan can miss
-    them, and the caller's root count then falls short.  Roots pinned at
-    phi = 0 or pi (y = +-1) are never emitted.
+
+def _newton_branches(p: SystemParams, first: int, last: int,
+                     stationary: List[float]):
+    """(ell, phi) of the roots on the interior branches first..last, one
+    per branch or per piece of a branch cut at a stationary angle (see
+    find_branch_roots).  Each bracket starts from one fixed-point step of
+    F = (ell-1) pi at its midpoint and takes Newton steps on H, bisecting
+    whenever a step would not land inside the bracket, until the step is
+    at the rounding floor."""
+    n = p.n
+    B = (p.e - p.a) / (p.e + p.a)
+    C = p.d * p.tau / (p.e + p.a)
+    # H(m pi/n) = (-1)^m (a+e) sin(m pi/n): the signs at the branch ends
+    # are known, and H is evaluated only at the stationary cuts
+    m = np.arange(first - 1, last + 1)
+    edges = m * math.pi / n
+    neg = (m % 2 == 1) != (p.a + p.e < 0)
+    ell = np.arange(first, last + 1)
+    cut = np.array([phi for phi in stationary if edges[0] < phi < edges[-1]
+                    and phi not in edges])
+    if len(cut):
+        k = np.searchsorted(edges, cut)
+        edges = np.insert(edges, k, cut)
+        neg = np.insert(neg, k, _h_and_slope(p, cut)[0] < 0)
+        ell = np.insert(ell, k - 1, ell[k - 1])
+    change = np.flatnonzero(neg[:-1] != neg[1:])
+    lo, hi, neg, ell = edges[change], edges[change + 1], neg[change], \
+        ell[change]
+    mid = 0.5 * (lo + hi)
+    # arccot(R) = atan2(sin(phi), C + B cos(phi)), as sin(phi) > 0
+    x = ((ell - 1) * math.pi
+         + np.arctan2(np.sin(mid), C + B * np.cos(mid))) / n
+    x = np.where((lo <= x) & (x <= hi), x, mid)
+    phi = np.empty_like(x)
+    todo = np.arange(len(x))
+    for _ in range(NEWTON_MAX_ITER):
+        h, dh = _h_and_slope(p, x)
+        left = (h < 0) != neg  # the root lies in [lo, x]
+        lo, hi = np.where(left, lo, x), np.where(left, x, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = x - h / dh
+        tol = 4 * np.finfo(float).eps * x
+        # A step onto a bracket end evaluates nothing new: where the
+        # rounding noise of H exceeds tol, Newton would hop between the
+        # two ends for good, so that step bisects instead.
+        newton = ((lo < new) & (new < hi)) | (np.abs(new - x) <= tol)
+        new = np.where(newton, new, 0.5 * (lo + hi))
+        done = np.abs(new - x) <= tol
+        phi[todo[done]] = new[done]
+        more = ~done
+        if not more.any():
+            break
+        x, lo, hi, neg, todo = new[more], lo[more], hi[more], neg[more], \
+            todo[more]
+    else:
+        phi[todo] = x
+    return ell, phi
+
+
+def _scan_branches(p: SystemParams, ell: np.ndarray,
+                   stationary: List[float]):
+    """(ell, phi) of the roots on the branches ell, by a sampled scan of
+    the cotangent residual.
+
+    Each branch I_ell = ((ell-1) pi/n, ell pi/n), shrunk by
+    ENDPOINT_DELTA/n at both ends, is sampled at SCAN_SAMPLES + 1 evenly
+    spaced points; a sample interval holding a stationary angle is cut
+    there, and every sign change is bisected to adjacent doubles.  A
+    root within 10 ENDPOINT_DELTA/n of a branch end is kept only if the
+    polynomial itself vanishes there.
     """
     n = p.n
-    if _on_a_plus_e_line(p):
-        return closed_form_branch_roots(p)
     delta = ENDPOINT_DELTA / n
-    two_sqrt_ac = 2 * math.sqrt(p.a * p.c)
     scale = max(abs(p.a), abs(p.d * p.tau), abs(p.e), 1.0)
-    stationary = _stationary_angles(p)
+    lo = (ell - 1) * math.pi / n + delta
+    hi = ell * math.pi / n - delta
+    step = (hi - lo) / SCAN_SAMPLES
+    # A root is where the residual changes sign (zero counts as
+    # positive); the one between samples k and k+1 of branch i gets the
+    # bracket number i * SCAN_SAMPLES + k.
+    hits = []
+    neg0 = eval_cotangent_residual(p, lo) < 0
+    for k in range(SCAN_SAMPLES):
+        neg1 = eval_cotangent_residual(p, lo + (k + 1) * step) < 0
+        hits.append(np.flatnonzero(neg0 != neg1) * SCAN_SAMPLES + k)
+        neg0 = neg1
+    which, k = np.divmod(np.sort(np.concatenate(hits)), SCAN_SAMPLES)
+    blo = lo[which] + k * step[which]
+    bhi = lo[which] + (k + 1) * step[which]
+    # An interval holding stationary angles is cut there; if the pieces
+    # show more than one sign change, they replace its bracket.
+    cuts = {}
+    for phi in stationary:
+        for i in np.flatnonzero((lo < phi) & (phi < hi)).tolist():
+            j = min(int((phi - lo[i]) / step[i]), SCAN_SAMPLES - 1)
+            cuts.setdefault((i, j), []).append(phi)
+    for (i, j), cut in cuts.items():
+        pts = np.r_[lo[i] + j * step[i], cut, lo[i] + (j + 1) * step[i]]
+        neg = eval_cotangent_residual(p, pts) < 0
+        change = np.flatnonzero(neg[1:] != neg[:-1])
+        if len(change) > 1:
+            rest = (which != i) | (k != j)
+            which = np.r_[which[rest], [i] * len(change)]
+            k = np.r_[k[rest], [j] * len(change)]
+            blo = np.r_[blo[rest], pts[change]]
+            bhi = np.r_[bhi[rest], pts[change + 1]]
+    # sorted: ell ascending, phi ascending within a branch
+    order = np.argsort(blo)
+    which, blo, bhi = which[order], blo[order], bhi[order]
+    neg = eval_cotangent_residual(p, blo) < 0
+    while True:
+        mid = 0.5 * (blo + bhi)
+        if not np.any((mid != blo) & (mid != bhi)):
+            break
+        left = (eval_cotangent_residual(p, mid) < 0) != neg
+        blo, bhi = np.where(left, blo, mid), np.where(left, mid, bhi)
+    # Roots hugging a branch endpoint sit next to a pole of cot;
+    # re-verify them against the polynomial itself.
+    keep = np.minimum(mid - (lo[which] - delta),
+                      (hi[which] + delta) - mid) >= 10 * delta
+    keep[~keep] = [abs(eval_polynomial(p, cmath.exp(1j * phi)))
+                   <= 1e-6 * scale for phi in mid[~keep].tolist()]
+    return ell[which][keep], mid[keep]
 
-    out = []
-    for first in range(1, n + 1, _BLOCK):
-        ell = np.arange(first, min(first + _BLOCK, n + 1))
-        lo = (ell - 1) * math.pi / n + delta
-        hi = ell * math.pi / n - delta
-        step = (hi - lo) / SCAN_SAMPLES
-        # A root is where the residual changes sign (zero counts as
-        # positive); the one between samples k and k+1 of branch i gets the
-        # bracket number i * SCAN_SAMPLES + k.
-        hits = []
-        neg0 = eval_cotangent_residual(p, lo) < 0
-        for k in range(SCAN_SAMPLES):
-            neg1 = eval_cotangent_residual(p, lo + (k + 1) * step) < 0
-            hits.append(np.flatnonzero(neg0 != neg1) * SCAN_SAMPLES + k)
-            neg0 = neg1
-        which, k = np.divmod(np.sort(np.concatenate(hits)), SCAN_SAMPLES)
-        blo = lo[which] + k * step[which]
-        bhi = lo[which] + (k + 1) * step[which]
-        # An interval holding stationary angles is cut there; if the
-        # pieces show more than one sign change, they replace its bracket.
-        cuts = {}
-        for phi in stationary:
-            i = int(phi * n / math.pi) + 1 - first
-            if 0 <= i < len(ell) and lo[i] < phi < hi[i]:
-                j = min(int((phi - lo[i]) / step[i]), SCAN_SAMPLES - 1)
-                cuts.setdefault((i, j), []).append(phi)
-        for (i, j), cut in cuts.items():
-            pts = np.r_[lo[i] + j * step[i], cut, lo[i] + (j + 1) * step[i]]
-            neg = eval_cotangent_residual(p, pts) < 0
-            change = np.flatnonzero(neg[1:] != neg[:-1])
-            if len(change) > 1:
-                rest = (which != i) | (k != j)
-                which = np.r_[which[rest], [i] * len(change)]
-                k = np.r_[k[rest], [j] * len(change)]
-                blo = np.r_[blo[rest], pts[change]]
-                bhi = np.r_[bhi[rest], pts[change + 1]]
-        # sorted: ell ascending, phi ascending within a branch
-        order = np.argsort(blo)
-        which, blo, bhi = which[order], blo[order], bhi[order]
-        neg = eval_cotangent_residual(p, blo) < 0
-        while True:
-            mid = 0.5 * (blo + bhi)
-            if not np.any((mid != blo) & (mid != bhi)):
-                break
-            left = (eval_cotangent_residual(p, mid) < 0) != neg
-            blo, bhi = np.where(left, blo, mid), np.where(left, mid, bhi)
-        # Roots hugging a branch endpoint sit next to a pole of cot;
-        # re-verify them against the polynomial itself.
-        keep = np.minimum(mid - (lo[which] - delta),
-                          (hi[which] + delta) - mid) >= 10 * delta
-        keep[~keep] = [abs(eval_polynomial(p, cmath.exp(1j * phi)))
-                       <= 1e-6 * scale for phi in mid[~keep].tolist()]
-        out += map(BranchRoot, ell[which][keep].tolist(), mid[keep].tolist(),
-                   (two_sqrt_ac * np.cos(mid[keep])).tolist())
-    return out
+
+def _branch_root_arrays(p: SystemParams):
+    """(ell, phi, eigenvalue) arrays of every unit-circle root, sorted by
+    phi; see find_branch_roots."""
+    n = p.n
+    if _on_a_plus_e_line(p):
+        return _closed_form_arrays(p)
+    stationary = _stationary_angles(p)
+    end_ell, end_phi = _scan_branches(p, np.array([1, n]), stationary)
+    k = int(np.count_nonzero(end_ell == 1))
+    parts = [(end_ell[:k], end_phi[:k])]
+    parts += [_newton_branches(p, first, min(first + _BLOCK, n) - 1,
+                               stationary)
+              for first in range(2, n, _BLOCK)]
+    parts.append((end_ell[k:], end_phi[k:]))
+    ell = np.concatenate([part[0] for part in parts])
+    phi = np.concatenate([part[1] for part in parts])
+    return ell, phi, 2 * math.sqrt(p.a * p.c) * np.cos(phi)
+
+
+def find_branch_roots(p: SystemParams) -> List[BranchRoot]:
+    """All unit-circle roots, ell ascending and phi ascending within a
+    branch.
+
+    H = a sin((n+1) phi) - d tau sin(n phi) - e sin((n-1) phi) is (e+a)
+    sin(n phi) times the cotangent residual and has no poles.  At an
+    interior branch end H(ell pi/n) = (-1)^ell (a+e) sin(ell pi/n), so
+    its sign alternates and is known without evaluating anything.  A
+    root of branch ell solves F = n phi - arccot(R) = (ell-1) pi, and F
+    is monotone between the at most two stationary angles of
+    _stationary_angles.  So an interior branch (ell = 2..n-1) with no
+    stationary angle holds exactly one root and is its own bracket; one
+    that holds a stationary angle is cut there, H is evaluated at the
+    cut, and each piece holds at most one root.  The brackets of a block
+    of _BLOCK branches are polished together by safeguarded Newton on H.
+
+    The end branches ell = 1 and n keep a sampled scan of the cotangent
+    residual (see _scan_branches): at the finite-n thresholds, where y =
+    +-1 is a double root of f, a root there merges with y = +-1, and
+    rounding decides whether it is on the branch.  Close to the line
+    a + e = 0, for e > -a, their roots crowd against phi = 0 and pi,
+    where the scan can miss them, and the caller's root count then falls
+    short.  Roots pinned at phi = 0 or pi (y = +-1) are never emitted.
+    The work is O(n) whatever the parameters.
+    """
+    return _as_branch_roots(*_branch_root_arrays(p))
 
 
 def refine_special_root(p: SystemParams, seed: complex) -> complex:

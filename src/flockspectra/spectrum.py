@@ -8,21 +8,29 @@ the asymptotic special eigenvalues r+- materialize, and is reported with
 the spectrum; the assembly itself reads only the parameters.  Each root
 y of a y^2 - d tau y - e off the unit circle seeds one special
 eigenvalue, and the remaining eigenvalues are bulk values
-2 sqrt(ac) cos(psi_ell) from the branch scan.
+2 sqrt(ac) cos(phi) of the unit-circle roots.  Off the line a + e = 0
+the interior branches ((ell-1) pi/n, ell pi/n) are searched without
+sampling: the pole-free H(phi) = a sin((n+1) phi) - d tau sin(n phi) -
+e sin((n-1) phi) has the known sign (-1)^ell (a+e) at their ends, so
+each branch, cut at the at most two stationary angles of the branch
+function, brackets its roots one by one, and Newton's method on H
+polishes them.  The two end branches, where a root can merge with y =
++-1, keep a sampled scan of the cotangent residual.  The bulk stays in
+arrays of branch index, angle and eigenvalue from the scan to the
+Spectrum.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .charpoly import (BranchRoot, _on_a_plus_e_line,
-                       closed_form_branch_roots, eigenvalue_from_root,
-                       find_branch_roots, quadratic_roots,
-                       refine_special_root)
+from .charpoly import (BranchRoot, _as_branch_roots, _branch_root_arrays,
+                       _on_a_plus_e_line, eigenvalue_from_root,
+                       quadratic_roots, refine_special_root)
 from .errors import (DegenerateRoot, DimensionMismatch, DiscriminantCollapse,
                      DomainError, NoConvergence, RootCountAnomaly,
                      UnitCircleCollapse)
@@ -72,19 +80,24 @@ class EigenPair:
     vector: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Complete labeled eigenvalue set of one of the three matrices.
 
-    For matrix_kind="laplacian" the reported values are the eigenvalues
-    of -L (the system matrix of the consensus ODE): shift = -(a+c) is
-    added to every labeled value, params and regime describe the
-    decentralized twin, and only a failed assembly leaves the oracle's
-    values, stored unlabeled.
+    The bulk is held as three arrays, branch index, angle and eigenvalue
+    2 sqrt(ac) cos(phi) of each unit-circle root, sorted by angle; the
+    bulk property wraps them as BranchRoot objects.  For
+    matrix_kind="laplacian" the reported values are the eigenvalues of
+    -L (the system matrix of the consensus ODE): shift = -(a+c) is added
+    to every labeled value, params and regime describe the decentralized
+    twin, and only a failed assembly leaves the oracle's values, stored
+    unlabeled.
     """
 
     leader: Optional[float]
-    bulk: List[BranchRoot]
+    bulk_ell: np.ndarray
+    bulk_phi: np.ndarray
+    bulk_eigenvalue: np.ndarray
     special: List[SpecialRoot]
     regime: RegimeLabel
     matrix_kind: str
@@ -92,13 +105,27 @@ class Spectrum:
     shift: float = 0.0
     unlabeled: Optional[List[complex]] = None
 
+    def __eq__(self, other):
+        if not isinstance(other, Spectrum):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name))
+                 for f in fields(self))
+        return all(np.array_equal(x, y) if isinstance(x, np.ndarray)
+                   else x == y for x, y in pairs)
+
+    @property
+    def bulk(self) -> List[BranchRoot]:
+        """The bulk arrays as BranchRoot objects, built on each read."""
+        return _as_branch_roots(self.bulk_ell, self.bulk_phi,
+                                self.bulk_eigenvalue)
+
     def eigenvalues(self) -> List[complex]:
         if self.unlabeled is not None:
             return list(self.unlabeled)
         out = []
         if self.leader is not None:
             out.append(complex(self.leader + self.shift))
-        out.extend(complex(b.eigenvalue + self.shift) for b in self.bulk)
+        out += (self.bulk_eigenvalue + self.shift).astype(complex).tolist()
         out.extend(s.eigenvalue + self.shift for s in self.special)
         return out
 
@@ -111,8 +138,9 @@ class Spectrum:
                        "e": self.params.e, "n": self.params.n},
             "regime": self.regime.as_dict(),
             "leader": None if self.leader is None else self.leader + self.shift,
-            "bulk": [{"ell": b.ell, "phi": b.phi,
-                      "r": b.eigenvalue + self.shift} for b in self.bulk],
+            "bulk": [{"ell": ell, "phi": phi, "r": r} for ell, phi, r in
+                     zip(self.bulk_ell.tolist(), self.bulk_phi.tolist(),
+                         (self.bulk_eigenvalue + self.shift).tolist())],
             "special": [{"seed": [s.seed.real, s.seed.imag],
                          "y": [s.y.real, s.y.imag],
                          "r": [(s.eigenvalue + self.shift).real,
@@ -129,8 +157,9 @@ class Spectrum:
             return [(z.real, z.imag, "oracle") for z in self.unlabeled]
         if self.leader is not None:
             rows.append((self.leader + self.shift, 0.0, "leader"))
-        for b in self.bulk:
-            rows.append((b.eigenvalue + self.shift, 0.0, f"bulk:{b.ell}"))
+        rows += [(r, 0.0, f"bulk:{ell}") for ell, r in
+                 zip(self.bulk_ell.tolist(),
+                     (self.bulk_eigenvalue + self.shift).tolist())]
         for s in self.special:
             z = s.eigenvalue + self.shift
             rows.append((z.real, z.imag, "special"))
@@ -244,10 +273,11 @@ def _p31_special(p: SystemParams) -> SpecialRoot:
 
 
 def _assemble_reduced(p: SystemParams):
-    """Bulk and special roots of the n x n reduced matrix."""
+    """Bulk (ell, phi, eigenvalue) arrays and special roots of the n x n
+    reduced matrix."""
+    bulk = _branch_root_arrays(p)
     if _on_a_plus_e_line(p):
-        return closed_form_branch_roots(p), [_p31_special(p)]
-    bulk = find_branch_roots(p)
+        return bulk, [_p31_special(p)]
     special = []
     for seed in _special_seeds(p):
         try:
@@ -260,23 +290,17 @@ def _assemble_reduced(p: SystemParams):
             continue  # both seeds found one root (small n); counted below
         special.append(SpecialRoot(seed=seed, y=y,
                                    eigenvalue=eigenvalue_from_root(p, y)))
-    total = len(bulk) + len(special)
-    if total > p.n:
+    count = len(bulk[0])
+    if count + len(special) > p.n:
         # a special root at a regime boundary may duplicate a bulk root
         # that converged to a branch endpoint (y near +-1)
-        scale = 2 * math.sqrt(p.a * p.c)
-        keep = []
-        for s in special:
-            if any(abs(s.eigenvalue - b.eigenvalue) < DEDUPE_TOL * scale
-                   for b in bulk):
-                continue
-            keep.append(s)
-        special = keep
-        total = len(bulk) + len(special)
-    if total != p.n:
+        tol = DEDUPE_TOL * 2 * math.sqrt(p.a * p.c)
+        special = [s for s in special
+                   if not np.any(np.abs(s.eigenvalue - bulk[2]) < tol)]
+    if count + len(special) != p.n:
         raise RootCountAnomaly(
-            f"found {len(bulk)} bulk + {len(special)} special roots, "
-            f"expected {p.n}", expected=p.n, bulk_count=len(bulk),
+            f"found {count} bulk + {len(special)} special roots, "
+            f"expected {p.n}", expected=p.n, bulk_count=count,
             special_count=len(special), params=p)
     return bulk, special
 
@@ -295,20 +319,22 @@ def compute_spectrum(p: SystemParams, kind: str = "full") -> Spectrum:
     q = replace(p, b=p.a + p.c, d=p.c - p.e) if kind == "laplacian" else p
     regime = classify_regime(q)
     try:
-        bulk, special = _assemble_reduced(q)
+        (ell, phi, eig), special = _assemble_reduced(q)
     except (RootCountAnomaly, NoConvergence):
         if kind != "laplacian":
             raise
         from .oracle import qr_eigenvalues
         eigs = qr_eigenvalues(-build_laplacian(p))
-        return Spectrum(leader=None, bulk=[], special=[], regime=regime,
-                        matrix_kind=kind, params=q, unlabeled=list(eigs))
-    if kind == "reduced":
-        return Spectrum(leader=None, bulk=bulk, special=special,
-                        regime=regime, matrix_kind=kind, params=q)
-    shift = -(q.a + q.c) if kind == "laplacian" else 0.0
-    return Spectrum(leader=q.b, bulk=bulk, special=special, regime=regime,
-                    matrix_kind=kind, params=q, shift=shift)
+        empty = np.empty(0)
+        return Spectrum(leader=None, bulk_ell=np.empty(0, dtype=int),
+                        bulk_phi=empty, bulk_eigenvalue=empty, special=[],
+                        regime=regime, matrix_kind=kind, params=q,
+                        unlabeled=eigs)
+    return Spectrum(leader=None if kind == "reduced" else q.b,
+                    bulk_ell=ell, bulk_phi=phi, bulk_eigenvalue=eig,
+                    special=special, regime=regime, matrix_kind=kind,
+                    params=q,
+                    shift=-(q.a + q.c) if kind == "laplacian" else 0.0)
 
 
 def eigenvector_for(p: SystemParams, y: complex) -> EigenPair:

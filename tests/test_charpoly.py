@@ -192,11 +192,13 @@ class TestFindBranchRoots:
     @pytest.mark.parametrize("side", [1, -1], ids=["e>-a", "e<-a"])
     def test_residual_calls_do_not_grow_near_a_plus_e_zero(self, monkeypatch,
                                                             side):
-        # |a+e| = 1e-3 a, so |B| ~ 2000; the scan's work must not grow
-        # with |B|: SCAN_SAMPLES + 1 sample columns, one evaluation at the
-        # stationary angles, the sign at the bracket ends, and one array
-        # bisection down to adjacent doubles (~47 halvings here).  No
-        # root is off the circle for e > -a; y+- both are for e < -a.
+        # |a+e| = 1e-3 a, so |B| ~ 2000; the scan of the two end branches
+        # must not grow with |B|: SCAN_SAMPLES + 1 sample columns, one
+        # evaluation at the stationary angles, the sign at the bracket
+        # ends, and one array bisection down to adjacent doubles (~47
+        # halvings here).  The interior branches do not call the
+        # residual.  No root is off the circle for e > -a; y+- both are
+        # for e < -a.
         import flockspectra.charpoly as charpoly
         calls = []
 
@@ -208,6 +210,28 @@ class TestFindBranchRoots:
         p = make_params(1, 1, 2, 0.5, -1 + side * 1e-3, 50)
         assert len(find_branch_roots(p)) == (p.n if side == 1 else p.n - 2)
         assert len(calls) <= SCAN_SAMPLES + 3 + 64
+
+    @pytest.mark.parametrize("side", [1, -1], ids=["e>-a", "e<-a"])
+    def test_h_calls_per_block_do_not_grow_near_a_plus_e_zero(
+            self, monkeypatch, side):
+        # The interior branches are their own brackets: per block of
+        # _BLOCK branches, at most one evaluation at the stationary angles
+        # and a few Newton steps (two here), never a sample column or a
+        # bisection down to adjacent doubles.
+        import flockspectra.charpoly as charpoly
+        calls = []
+
+        def counted(p, phi):
+            calls.append(len(phi))
+            return h_and_slope(p, phi)
+
+        h_and_slope = charpoly._h_and_slope
+        monkeypatch.setattr(charpoly, "_h_and_slope", counted)
+        p = make_params(1, 1, 2, 0.5, -1 + side * 1e-3, 30720)
+        assert len(find_branch_roots(p)) == (p.n if side == 1 else p.n - 2)
+        blocks = math.ceil((p.n - 2) / charpoly._BLOCK)
+        assert len(calls) <= 1 + 3 * blocks
+        assert sum(calls) <= 1 + 2.5 * (p.n - 2)
 
     def test_close_pair_on_one_branch(self):
         # T3 case 2b, |B| = 234 at n = 26: branch 6 holds three roots,
@@ -332,26 +356,55 @@ def large_b_params(draw):
     return a, c, d, e, draw(st.integers(2, 40))
 
 
+def _dense_sign_scan(p, samples=1024):
+    """Roots per branch, by a plain scan of the signs of H(phi) = a
+    sin((n+1) phi) - d tau sin(n phi) - e sin((n-1) phi) at samples + 1
+    points of each branch, ENDPOINT_DELTA/n in from its ends.  H is
+    expanded as (a+e) cos(n phi) sin(phi) - (d tau + (e-a) cos(phi))
+    sin(n phi): near phi = 0 and pi the three sines cancel to below
+    their rounding error, and the product form does not."""
+    n = p.n
+    delta = ENDPOINT_DELTA / n
+    ell = np.arange(1, n + 1)
+    phi = np.linspace((ell - 1) * math.pi / n + delta,
+                      ell * math.pi / n - delta, samples + 1, axis=1)
+    neg = ((p.a + p.e) * np.cos(n * phi) * np.sin(phi)
+           - (p.d * p.tau + (p.e - p.a) * np.cos(phi)) * np.sin(n * phi)) < 0
+    changes = (neg[:, 1:] != neg[:, :-1]).sum(axis=1)
+    return collections.Counter(dict(zip(ell.tolist(), changes.tolist())))
+
+
 @settings(max_examples=40, deadline=None)
 @given(large_b_params())
 @example((1.9622768212420452, 4.179999553518589, 4.650296370269988,
           -1.9791010244640208, 26))
 def test_fixed_scan_finds_what_a_dense_scan_finds(params):
-    """The SCAN_SAMPLES scan with its stationary-angle splits finds every
-    root that a 32 times denser plain scan finds, and an odd number on
-    each interior branch, where the residual runs from +inf to -inf."""
-    import flockspectra.charpoly as charpoly
+    """The bracketed scan finds every root that a plain 1024-sample sign
+    scan finds, and an odd number on each interior branch, across whose
+    ends H changes sign."""
     a, c, d, e, n = params
     p = make_params(a, c, a + c, d, e, n)
     got = collections.Counter(r.ell for r in find_branch_roots(p))
-    saved = charpoly.SCAN_SAMPLES, charpoly._stationary_angles
-    charpoly.SCAN_SAMPLES, charpoly._stationary_angles = 1024, lambda p: []
-    try:
-        dense = collections.Counter(r.ell for r in find_branch_roots(p))
-    finally:
-        charpoly.SCAN_SAMPLES, charpoly._stationary_angles = saved
+    dense = _dense_sign_scan(p)
     assert not dense - got
     assert all(got[ell] % 2 == 1 for ell in range(2, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(0.2, 5), c=st.floats(0.2, 5), d=st.floats(-5, 5),
+       e=st.floats(-5, 5), n=st.integers(2, 300))
+@example(a=1.9622768212420452, c=4.179999553518589, d=4.650296370269988,
+         e=-1.9791010244640208, n=26)
+def test_interior_branch_without_stationary_angle_has_one_root(a, c, d, e,
+                                                                n):
+    """F = n phi - arccot(R) is monotone away from the stationary angles,
+    and H changes sign across every interior branch: such a branch holds
+    exactly one root."""
+    assume(abs(e + a) > 1e-9 * a)
+    p = make_params(a, c, a + c, d, e, n)
+    got = collections.Counter(r.ell for r in find_branch_roots(p))
+    holding = {int(phi * n / math.pi) + 1 for phi in _stationary_angles(p)}
+    assert all(got[ell] == 1 for ell in range(2, n) if ell not in holding)
 
 
 @pytest.mark.parametrize("args", [

@@ -12,8 +12,9 @@ from flockspectra import (DegenerateRoot, DiscriminantCollapse,
                           RootCountAnomaly, build_full_matrix,
                           build_laplacian, build_reduced_matrix,
                           classify_regime, compute_spectrum, eigenvector_for,
-                          is_decentralized, leader_eigenvector, make_params,
-                          pairing_distance, quadratic_roots, residual)
+                          find_branch_roots, is_decentralized,
+                          leader_eigenvector, make_params, pairing_distance,
+                          quadratic_roots, residual)
 from flockspectra.oracle import _tau_balance
 from flockspectra.spectrum import CIRCLE_SEED_MARGIN, _special_seeds
 
@@ -283,8 +284,9 @@ def test_off_circle_seeds_are_the_theorem_table(params):
 @pytest.mark.parametrize("kind", ["full", "reduced"])
 @pytest.mark.parametrize("side", [1, -1], ids=["e>-a", "e<-a"])
 def test_assembly_near_a_plus_e_zero_ends_promptly(kind, side):
-    # |a+e| = 1e-10 a, so |B| ~ 2e10: the scan misses roots crowded at
-    # the branch ends, and the count check must fire without delay
+    # |a+e| = 1e-10 a, so |B| ~ 2e10: for e > -a the end-branch scan
+    # misses the roots crowded against phi = 0 and pi, and the count
+    # check must fire without delay
     p = make_params(1, 1, 2, 0.5, -1 + side * 1e-10, 400)
     start = time.perf_counter()
     try:
@@ -309,3 +311,50 @@ def test_large_b_sets_assemble(kind, args):
     want = eigvals(_tau_balance(p, M))
     assert len(got) == len(want)
     assert pairing_distance(got, want) <= 1e-9 * 2 * math.sqrt(a * c)
+
+
+@pytest.mark.parametrize("kind", ["full", "reduced"])
+@pytest.mark.parametrize("n", [50, 400])
+@pytest.mark.parametrize("gap", [1e-8, 1e-11])
+@pytest.mark.parametrize("acd", [(1, 1, 0.5), (1.3, 0.7, 0.9), (2, 3, 4)])
+def test_assembles_just_below_a_plus_e_zero(acd, gap, n, kind):
+    # e = -a (1 + gap): the interior roots crowd against the branch ends,
+    # where H has no pole, and both y+- leave the unit circle
+    a, c, d = acd
+    p = make_params(a, c, a + c, d, -a * (1 + gap), n)
+    got = compute_spectrum(p, kind).eigenvalues()
+    M = build_full_matrix(p) if kind == "full" else build_reduced_matrix(p)
+    want = eigvals(_tau_balance(p, M))
+    assert len(got) == len(want)
+    assert pairing_distance(got, want) <= 1e-12 * 2 * math.sqrt(a * c)
+
+
+@pytest.mark.parametrize("kind", ["full", "reduced", "laplacian"])
+@pytest.mark.parametrize("args", [
+    (1.3, 0.7, 2.0, 0.9, 0.4, 3000),
+    (1.9622768212420452, 4.179999553518589, None, 4.650296370269988,
+     -1.9791010244640208, 26),
+    (1.0, 1.0, 2.0, 0.5, -1.0, 20)], ids=["baseline", "close-pair", "a+e=0"])
+def test_bulk_views_agree_bit_for_bit(kind, args):
+    s = compute_spectrum(make_params(*args), kind)
+    roots = find_branch_roots(s.params)
+    assert s.bulk == roots
+    lead = 0 if s.leader is None else 1
+    r = [b.eigenvalue + s.shift for b in roots]
+    bulk = s.eigenvalues()[lead:lead + len(roots)]
+    assert bulk == [complex(x) for x in r]
+    assert all(type(z) is complex for z in bulk)
+    assert s.as_dict()["bulk"] == [{"ell": b.ell, "phi": b.phi, "r": x}
+                                   for b, x in zip(roots, r)]
+    assert s.csv_rows()[lead:lead + len(roots)] == [
+        (x, 0.0, f"bulk:{b.ell}") for b, x in zip(roots, r)]
+
+
+def test_spectrum_equality_and_repr():
+    p = make_params(1.3, 0.7, 2.0, 0.9, 0.4, 40)
+    s = compute_spectrum(p, "full")
+    assert s == compute_spectrum(p, "full")
+    assert s != compute_spectrum(p, "reduced")
+    assert s != compute_spectrum(make_params(1.3, 0.7, 2.0, 0.9, 0.41, 40),
+                                 "full")
+    assert repr(s).startswith("Spectrum(leader=2.0, bulk_ell=array([")
