@@ -13,8 +13,9 @@ the cotangent equation
 and are located branch by branch: every interior branch is a bracket
 of the pole-free H(phi) = a sin((n+1) phi) - d tau sin(n phi) - e
 sin((n-1) phi), polished by Newton's method, and the two end branches
-are scanned (see find_branch_roots).  Roots off the circle are tracked
-by Newton iteration from the quadratic seeds y+- of a y^2 - d tau y - e.
+are sampled and polished by the same Newton steps (see
+find_branch_roots).  Roots off the circle are tracked by Newton
+iteration from the quadratic seeds y+- of a y^2 - d tau y - e.
 """
 from __future__ import annotations
 
@@ -232,13 +233,8 @@ def _newton_branches(p: SystemParams, first: int, last: int,
                      stationary: List[float]):
     """(ell, phi) of the roots on the interior branches first..last, one
     per branch or per piece of a branch cut at a stationary angle (see
-    find_branch_roots).  Each bracket starts from one fixed-point step of
-    F = (ell-1) pi at its midpoint and takes Newton steps on H, bisecting
-    whenever a step would not land inside the bracket, until the step is
-    at the rounding floor."""
+    find_branch_roots), each polished by _safeguarded_newton on H."""
     n = p.n
-    B = (p.e - p.a) / (p.e + p.a)
-    C = p.d * p.tau / (p.e + p.a)
     # H(m pi/n) = (-1)^m (a+e) sin(m pi/n): the signs at the branch ends
     # are known, and H is evaluated only at the stationary cuts
     m = np.arange(first - 1, last + 1)
@@ -255,16 +251,36 @@ def _newton_branches(p: SystemParams, first: int, last: int,
     change = np.flatnonzero(neg[:-1] != neg[1:])
     lo, hi, neg, ell = edges[change], edges[change + 1], neg[change], \
         ell[change]
+    return ell, _safeguarded_newton(p, ell, lo, hi, neg)
+
+
+def _safeguarded_newton(p: SystemParams, ell, lo, hi, neg, residual=None):
+    """The root in each bracket [lo, hi] of branch ell, by Newton steps
+    on H from one fixed-point step of F = (ell-1) pi at the midpoint (or
+    from the midpoint, where that step leaves the bracket).
+
+    neg says whether the sign function is negative at lo; it is H
+    itself, or residual(p, phi) when given, and its sign at each iterate
+    moves one end of the bracket there.  A step that lands inside the
+    bracket, or one at the rounding floor, is taken; any other bisects.
+    An iterate is done once its step is at the rounding floor, which
+    also holds once its bracket is two adjacent doubles.
+    """
+    B = (p.e - p.a) / (p.e + p.a)
+    C = p.d * p.tau / (p.e + p.a)
     mid = 0.5 * (lo + hi)
     # arccot(R) = atan2(sin(phi), C + B cos(phi)), as sin(phi) > 0
     x = ((ell - 1) * math.pi
-         + np.arctan2(np.sin(mid), C + B * np.cos(mid))) / n
+         + np.arctan2(np.sin(mid), C + B * np.cos(mid))) / p.n
     x = np.where((lo <= x) & (x <= hi), x, mid)
     phi = np.empty_like(x)
     todo = np.arange(len(x))
     for _ in range(NEWTON_MAX_ITER):
+        if not len(todo):
+            break
         h, dh = _h_and_slope(p, x)
-        left = (h < 0) != neg  # the root lies in [lo, x]
+        sign = h if residual is None else residual(p, x)
+        left = (sign < 0) != neg  # the root lies in [lo, x]
         lo, hi = np.where(left, lo, x), np.where(left, x, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
             new = x - h / dh
@@ -277,13 +293,27 @@ def _newton_branches(p: SystemParams, first: int, last: int,
         done = np.abs(new - x) <= tol
         phi[todo[done]] = new[done]
         more = ~done
-        if not more.any():
-            break
         x, lo, hi, neg, todo = new[more], lo[more], hi[more], neg[more], \
             todo[more]
     else:
         phi[todo] = x
-    return ell, phi
+    return phi
+
+
+def _sample_brackets(p: SystemParams, lo, step):
+    """(which, k, blo, bhi, neg) of the sign changes of the cotangent
+    residual on the grids lo[i] + k step[i], k = 0..SCAN_SAMPLES, from
+    one array evaluation.  A root is where the residual changes sign
+    (zero counts as positive); the one between samples k and k+1 of
+    grid i gets the bracket number i * SCAN_SAMPLES + k, and the
+    brackets come in that order.  neg is the sign at blo."""
+    k = np.arange(SCAN_SAMPLES + 1)
+    neg = eval_cotangent_residual(p, lo[:, None] + k * step[:, None]) < 0
+    hits = np.flatnonzero(neg[:, :-1] != neg[:, 1:])
+    which, k = np.divmod(hits, SCAN_SAMPLES)
+    blo = lo[which] + k * step[which]
+    bhi = lo[which] + (k + 1) * step[which]
+    return which, k, blo, bhi, neg[which, k]
 
 
 def _scan_branches(p: SystemParams, ell: np.ndarray,
@@ -293,9 +323,12 @@ def _scan_branches(p: SystemParams, ell: np.ndarray,
 
     Each branch I_ell = ((ell-1) pi/n, ell pi/n), shrunk by
     ENDPOINT_DELTA/n at both ends, is sampled at SCAN_SAMPLES + 1 evenly
-    spaced points; a sample interval holding a stationary angle is cut
-    there, and every sign change is bisected to adjacent doubles.  A
-    root within 10 ENDPOINT_DELTA/n of a branch end is kept only if the
+    spaced points, all of them in one array call; a sample interval
+    holding a stationary angle is cut there.  Every sign change is
+    polished by _safeguarded_newton: the steps come from H, but the
+    bracket follows the residual's own sign, which at the finite-n
+    thresholds rounding decides where H has no sign change.  A root
+    within 10 ENDPOINT_DELTA/n of a branch end is kept only if the
     polynomial itself vanishes there.
     """
     n = p.n
@@ -304,18 +337,7 @@ def _scan_branches(p: SystemParams, ell: np.ndarray,
     lo = (ell - 1) * math.pi / n + delta
     hi = ell * math.pi / n - delta
     step = (hi - lo) / SCAN_SAMPLES
-    # A root is where the residual changes sign (zero counts as
-    # positive); the one between samples k and k+1 of branch i gets the
-    # bracket number i * SCAN_SAMPLES + k.
-    hits = []
-    neg0 = eval_cotangent_residual(p, lo) < 0
-    for k in range(SCAN_SAMPLES):
-        neg1 = eval_cotangent_residual(p, lo + (k + 1) * step) < 0
-        hits.append(np.flatnonzero(neg0 != neg1) * SCAN_SAMPLES + k)
-        neg0 = neg1
-    which, k = np.divmod(np.sort(np.concatenate(hits)), SCAN_SAMPLES)
-    blo = lo[which] + k * step[which]
-    bhi = lo[which] + (k + 1) * step[which]
+    which, k, blo, bhi, neg = _sample_brackets(p, lo, step)
     # An interval holding stationary angles is cut there; if the pieces
     # show more than one sign change, they replace its bracket.
     cuts = {}
@@ -325,31 +347,27 @@ def _scan_branches(p: SystemParams, ell: np.ndarray,
             cuts.setdefault((i, j), []).append(phi)
     for (i, j), cut in cuts.items():
         pts = np.r_[lo[i] + j * step[i], cut, lo[i] + (j + 1) * step[i]]
-        neg = eval_cotangent_residual(p, pts) < 0
-        change = np.flatnonzero(neg[1:] != neg[:-1])
+        sign = eval_cotangent_residual(p, pts) < 0
+        change = np.flatnonzero(sign[1:] != sign[:-1])
         if len(change) > 1:
             rest = (which != i) | (k != j)
             which = np.r_[which[rest], [i] * len(change)]
             k = np.r_[k[rest], [j] * len(change)]
             blo = np.r_[blo[rest], pts[change]]
             bhi = np.r_[bhi[rest], pts[change + 1]]
+            neg = np.r_[neg[rest], sign[change]]
     # sorted: ell ascending, phi ascending within a branch
     order = np.argsort(blo)
-    which, blo, bhi = which[order], blo[order], bhi[order]
-    neg = eval_cotangent_residual(p, blo) < 0
-    while True:
-        mid = 0.5 * (blo + bhi)
-        if not np.any((mid != blo) & (mid != bhi)):
-            break
-        left = (eval_cotangent_residual(p, mid) < 0) != neg
-        blo, bhi = np.where(left, blo, mid), np.where(left, mid, bhi)
+    which, blo, bhi, neg = which[order], blo[order], bhi[order], neg[order]
+    phi = _safeguarded_newton(p, ell[which], blo, bhi, neg,
+                              eval_cotangent_residual)
     # Roots hugging a branch endpoint sit next to a pole of cot;
     # re-verify them against the polynomial itself.
-    keep = np.minimum(mid - (lo[which] - delta),
-                      (hi[which] + delta) - mid) >= 10 * delta
-    keep[~keep] = [abs(eval_polynomial(p, cmath.exp(1j * phi)))
-                   <= 1e-6 * scale for phi in mid[~keep].tolist()]
-    return ell[which][keep], mid[keep]
+    keep = np.minimum(phi - (lo[which] - delta),
+                      (hi[which] + delta) - phi) >= 10 * delta
+    keep[~keep] = [abs(eval_polynomial(p, cmath.exp(1j * x)))
+                   <= 1e-6 * scale for x in phi[~keep].tolist()]
+    return ell[which][keep], phi[keep]
 
 
 def _branch_root_arrays(p: SystemParams):
@@ -388,7 +406,9 @@ def find_branch_roots(p: SystemParams) -> List[BranchRoot]:
     of _BLOCK branches are polished together by safeguarded Newton on H.
 
     The end branches ell = 1 and n keep a sampled scan of the cotangent
-    residual (see _scan_branches): at the finite-n thresholds, where y =
+    residual, one array call for both, and polish each sign change by
+    the same Newton steps on H inside a bracket kept by the residual's
+    sign (see _scan_branches): at the finite-n thresholds, where y =
     +-1 is a double root of f, a root there merges with y = +-1, and
     rounding decides whether it is on the branch.  Close to the line
     a + e = 0, for e > -a, their roots crowd against phi = 0 and pi,

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
-import mpmath as mp
 import numpy as np
 
 from .charpoly import (_BLOCK, _on_a_plus_e_line, _scaled_poly_and_deriv,
@@ -69,6 +68,7 @@ class MonotonicityReport:
 def _mp_seed(p: SystemParams, target: complex):
     """The quadratic root y_pm, in working precision, nearest `target`
     (the chosen double-precision seed)."""
+    import mpmath as mp
     a, d, e = mp.mpf(p.a), mp.mpf(p.d), mp.mpf(p.e)
     tau = mp.sqrt(mp.mpf(p.a) / mp.mpf(p.c))
     disc = d * d * tau * tau + 4 * a * e
@@ -83,6 +83,7 @@ def _mp_seed(p: SystemParams, target: complex):
 def _mp_refine(p: SystemParams, n: int, seed, max_iter: int = 200):
     """Newton on f(y)/y^(2n) = (a y^2 - d tau y - e)
     + (e y^2 + d tau y - a) y^(-2n), in the current mpmath precision."""
+    import mpmath as mp
     a, d, e = mp.mpf(p.a), mp.mpf(p.d), mp.mpf(p.e)
     tau = mp.sqrt(mp.mpf(p.a) / mp.mpf(p.c))
     y = mp.mpc(seed)
@@ -105,6 +106,7 @@ def _mp_deviation(p: SystemParams, n: int, y0):
     """|y(n) - y0| and sgn(r(n) - r0) (0 for a complex pair), refining
     from y0 in the current mpmath precision.  r = sqrt(ac) (y + 1/y); the
     positive factor sqrt(ac) cannot change the sign and is left out."""
+    import mpmath as mp
     y1 = _mp_refine(p, n, y0)
     diff = (y1 + 1 / y1) - (y0 + 1 / y0)
     sign = (0 if abs(mp.im(diff)) > abs(mp.re(diff))
@@ -136,6 +138,7 @@ def track_root_convergence(p: SystemParams, n_values: Sequence[int],
     the fit; the default floor matches double precision, callers probing
     the extended-precision regime can lower it.
     """
+    import mpmath as mp
     n_values = sorted(int(n) for n in n_values)
     if not n_values:
         raise DomainError("n_values must not be empty")
@@ -177,6 +180,7 @@ def track_root_convergence(p: SystemParams, n_values: Sequence[int],
 def perturbation_sign(p: SystemParams, n: int) -> int:
     """sgn(r(n) - r0) for the tracked real off-circle root; the theory
     predicts -sgn(a+e) for n above the regime threshold."""
+    import mpmath as mp
     if p.a + p.e == 0:
         raise NotApplicable("a+e=0: the deviation sign is undefined")
     seed = _off_circle_seed(p)

@@ -15,7 +15,9 @@ e sin((n-1) phi) has the known sign (-1)^ell (a+e) at their ends, so
 each branch, cut at the at most two stationary angles of the branch
 function, brackets its roots one by one, and Newton's method on H
 polishes them.  The two end branches, where a root can merge with y =
-+-1, keep a sampled scan of the cotangent residual.  The bulk stays in
++-1, keep a sampled scan of the cotangent residual, and the same Newton
+steps polish its sign changes inside brackets that follow the
+residual's own sign.  The bulk stays in
 arrays of branch index, angle and eigenvalue from the scan to the
 Spectrum.
 """

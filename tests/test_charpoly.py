@@ -15,7 +15,7 @@ from flockspectra import (BranchPole, BranchRoot, DomainError,
                           find_branch_roots, make_params, quadratic_roots,
                           refine_special_root, special_eigen_estimates)
 from flockspectra.charpoly import (ENDPOINT_DELTA, POLE_TOL, SCAN_SAMPLES,
-                                   _stationary_angles)
+                                   _sample_brackets, _stationary_angles)
 from flockspectra.model import tridiagonal
 
 
@@ -193,12 +193,11 @@ class TestFindBranchRoots:
     def test_residual_calls_do_not_grow_near_a_plus_e_zero(self, monkeypatch,
                                                             side):
         # |a+e| = 1e-3 a, so |B| ~ 2000; the scan of the two end branches
-        # must not grow with |B|: SCAN_SAMPLES + 1 sample columns, one
-        # evaluation at the stationary angles, the sign at the bracket
-        # ends, and one array bisection down to adjacent doubles (~47
-        # halvings here).  The interior branches do not call the
-        # residual.  No root is off the circle for e > -a; y+- both are
-        # for e < -a.
+        # must not grow with |B|: one array of SCAN_SAMPLES + 1 samples
+        # per branch, one evaluation at the stationary angles, and one
+        # sign per safeguarded Newton step on the brackets found.  The
+        # interior branches do not call the residual.  No root is off
+        # the circle for e > -a; y+- both are for e < -a.
         import flockspectra.charpoly as charpoly
         calls = []
 
@@ -210,6 +209,26 @@ class TestFindBranchRoots:
         p = make_params(1, 1, 2, 0.5, -1 + side * 1e-3, 50)
         assert len(find_branch_roots(p)) == (p.n if side == 1 else p.n - 2)
         assert len(calls) <= SCAN_SAMPLES + 3 + 64
+
+    @pytest.mark.parametrize("args", [
+        (1.3, 0.7, 2.0, 0.9, 0.4, 3000),
+        (1, 1, 2, 0.5, -1 + 1e-3, 50),
+        (1, 1, 2, 0.5, -1 - 1e-3, 50)],
+        ids=["baseline", "a+e=1e-3", "a+e=-1e-3"])
+    def test_end_branches_take_few_residual_calls(self, monkeypatch, args):
+        # one array call samples both end branches, and the sign of each
+        # safeguarded Newton step costs one more; no bisection down to
+        # adjacent doubles
+        import flockspectra.charpoly as charpoly
+        calls = []
+
+        def counted(p, phi):
+            calls.append(phi)
+            return eval_cotangent_residual(p, phi)
+
+        monkeypatch.setattr(charpoly, "eval_cotangent_residual", counted)
+        find_branch_roots(make_params(*args))
+        assert len(calls) <= 10
 
     @pytest.mark.parametrize("side", [1, -1], ids=["e>-a", "e<-a"])
     def test_h_calls_per_block_do_not_grow_near_a_plus_e_zero(
@@ -249,6 +268,54 @@ class TestFindBranchRoots:
     def test_no_stationary_angles_when_c_overflows(self, e):
         # C = d tau/(e+a) squared overflows: the quadratic is not formed
         assert _stationary_angles(make_params(1, 1, 2, 1e200, e, 20)) == []
+
+
+def _per_column_brackets(p, lo, step):
+    """Reference: the end-branch sampling as one residual call per
+    sample column, which the one-call grid replaced."""
+    hits = []
+    neg0 = eval_cotangent_residual(p, lo) < 0
+    for k in range(SCAN_SAMPLES):
+        neg1 = eval_cotangent_residual(p, lo + (k + 1) * step) < 0
+        hits.append(np.flatnonzero(neg0 != neg1) * SCAN_SAMPLES + k)
+        neg0 = neg1
+    which, k = np.divmod(np.sort(np.concatenate(hits)), SCAN_SAMPLES)
+    blo = lo[which] + k * step[which]
+    bhi = lo[which] + (k + 1) * step[which]
+    return which, k, blo, bhi, eval_cotangent_residual(p, blo) < 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(0.2, 5), c=st.floats(0.2, 5), d=st.floats(-5, 5),
+       e=st.floats(-5, 5), n=st.integers(2, 500),
+       gap=st.floats(1e-6, 0.4), near_line=st.sampled_from([0, 1, -1]),
+       threshold=st.sampled_from([None, "case", "finite-n"]),
+       flip=st.booleans())
+@example(a=4.066298483196855, c=1.0885899760998974, d=-1.2669744137092758,
+         e=6.59515826166445, n=133, gap=1e-6, near_line=0,
+         threshold=None, flip=False)
+def test_one_call_grid_matches_per_column_brackets(a, c, d, e, n, gap,
+                                                   near_line, threshold,
+                                                   flip):
+    # near_line puts e at -a (1 -+ gap), where |B| >= 4; threshold puts d
+    # on a case threshold or on a finite-n threshold, where a root of an
+    # end branch merges with y = +-1
+    if near_line:
+        e = -a * (1 - near_line * gap)
+    tau = math.sqrt(a / c)
+    if threshold == "case":
+        d = (a - e) / tau
+    elif threshold == "finite-n":
+        d = ((a - e) + (a + e) / n) / tau
+    p = make_params(a, c, a + c, -d if flip else d, e, n)
+    ell = np.array([1, n])
+    delta = ENDPOINT_DELTA / n
+    lo = (ell - 1) * math.pi / n + delta
+    step = (ell * math.pi / n - delta - lo) / SCAN_SAMPLES
+    got = _sample_brackets(p, lo, step)
+    want = _per_column_brackets(p, lo, step)
+    for x, y in zip(got, want):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 def _scalar_residual(p, phi):

@@ -223,3 +223,11 @@ def test_import_does_not_load_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr or "scipy was imported"
+
+
+def test_import_does_not_load_mpmath():
+    code = ("import sys, flockspectra, flockspectra.cli; "
+            "sys.exit('mpmath' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr or "mpmath was imported"

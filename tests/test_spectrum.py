@@ -314,6 +314,28 @@ def test_large_b_sets_assemble(kind, args):
 
 
 @pytest.mark.parametrize("kind", ["full", "reduced"])
+@pytest.mark.parametrize("args", [
+    (4.066298483196855, 1.0885899760998974, -2.9152706755059867,
+     -1.2669744137092758, 6.59515826166445, 133),
+    (3.257438706190912, 4.528638368453062, 0.8691991572758564,
+     2.017282887998502, 4.994110946206543, 320),
+    (3.8400643712810885, 4.897749571673629, 2.6974136460169067,
+     4.801126159515471, 8.687856973170597, 21)],
+    ids=["G(0)=0", "n=320", "n=21"])
+def test_finite_n_threshold_band_assembles(kind, args):
+    # d on a finite-n threshold +-((a-e) + (a+e)/n)/tau, where a root of
+    # an end branch merges with y = +-1 and rounding decides the sign of
+    # the cotangent residual near phi = 0 or pi; H has no sign change
+    # there, so only the residual's own sign brackets that root
+    p = make_params(*args)
+    got = compute_spectrum(p, kind).eigenvalues()
+    M = build_full_matrix(p) if kind == "full" else build_reduced_matrix(p)
+    want = eigvals(_tau_balance(p, M))
+    assert len(got) == len(want)
+    assert pairing_distance(got, want) <= 1e-12 * 2 * math.sqrt(p.a * p.c)
+
+
+@pytest.mark.parametrize("kind", ["full", "reduced"])
 @pytest.mark.parametrize("n", [50, 400])
 @pytest.mark.parametrize("gap", [1e-8, 1e-11])
 @pytest.mark.parametrize("acd", [(1, 1, 0.5), (1.3, 0.7, 0.9), (2, 3, 4)])
