@@ -314,7 +314,8 @@ def compute_spectrum(p: SystemParams, kind: str = "full") -> Spectrum:
     -L depends on a, c, e alone (b and d cancel on the diagonal of
     L = D - A): it is the full matrix of the decentralized twin (b, d) =
     (a+c, c-e) minus (a+c) I.  When the closed-form assembly fails (e.g.
-    c+e=0) the Laplacian falls back to the QR oracle.
+    c+e=0) the Laplacian falls back to the QR oracle on the tau-balanced
+    -L, since -L itself is far from normal when tau^n is far from 1.
     """
     if kind not in ("full", "reduced", "laplacian"):
         raise DomainError(f"unknown matrix kind {kind!r}")
@@ -325,8 +326,8 @@ def compute_spectrum(p: SystemParams, kind: str = "full") -> Spectrum:
     except (RootCountAnomaly, NoConvergence):
         if kind != "laplacian":
             raise
-        from .oracle import qr_eigenvalues
-        eigs = qr_eigenvalues(-build_laplacian(p))
+        from .oracle import _tau_balance, qr_eigenvalues
+        eigs = qr_eigenvalues(_tau_balance(p, -build_laplacian(p)))
         empty = np.empty(0)
         return Spectrum(leader=None, bulk_ell=np.empty(0, dtype=int),
                         bulk_phi=empty, bulk_eigenvalue=empty, special=[],

@@ -1,7 +1,10 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flockspectra import (DomainError, SimConfig, StepSizeTooLarge,
                           Trajectory,
@@ -9,12 +12,28 @@ from flockspectra import (DomainError, SimConfig, StepSizeTooLarge,
                           laplacian_spectrum, make_params,
                           simulate_first_order, simulate_second_order,
                           spectral_radius_estimate)
+from flockspectra import simulate
 from flockspectra.simulate import (_coherence_first, _coherence_second,
                                    _rk4)
 
 
 def _stable_params(n=20):
     return make_params(1, 1, 2, 0.5, 0.5, n)
+
+
+def _stage_rk4(f, y0, dt, steps, stride):
+    """The four-stage RK4 loop the banded step matrix replaced."""
+    times, states, y = [0.0], [y0.copy()], y0.copy()
+    for i in range(1, steps + 1):
+        k1 = f(y)
+        k2 = f(y + 0.5 * dt * k1)
+        k3 = f(y + 0.5 * dt * k2)
+        k4 = f(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if i % stride == 0 or i == steps:
+            times.append(i * dt)
+            states.append(y.copy())
+    return np.array(times), np.array(states)
 
 
 class TestSimulateFirstOrder:
@@ -86,14 +105,15 @@ class TestSimulateFirstOrder:
         assert 8 <= e1 / e2 <= 32
 
     def test_matches_negated_laplacian_reference(self):
-        # the three-diagonal product sums in another order than BLAS
-        # dgemv, which moves each step by at most 1 ulp per row
+        # the banded step matrix sums each step in another order than the
+        # four stages, which moves it by a few ulps per row
         p = make_params(1.3, 0.7, 2.0, 0.9, 1.1, 30)
         h = -np.arange(31.0)
         x0 = h + np.random.default_rng(5).normal(size=31)
         traj = simulate_first_order(SimConfig(p, h, x0, t_end=3.0, dt=0.01))
         minus_L = -build_laplacian(p)
-        times, states = _rk4(lambda x: minus_L @ (x - h), x0, 0.01, 300, 1)
+        times, states = _stage_rk4(lambda x: minus_L @ (x - h), x0, 0.01,
+                                   300, 1)
         assert np.array_equal(traj.times, times)
         np.testing.assert_allclose(traj.positions, states, rtol=1e-13,
                                    atol=0)
@@ -112,25 +132,13 @@ class TestSimulateFirstOrder:
 
     @pytest.mark.parametrize("stride", [1, 3, 7])
     def test_rk4_matches_list_loop(self, stride):
-        def old_rk4(f, y0, dt, steps, stride):
-            times, states, y = [0.0], [y0.copy()], y0.copy()
-            for i in range(1, steps + 1):
-                k1 = f(y)
-                k2 = f(y + 0.5 * dt * k1)
-                k3 = f(y + 0.5 * dt * k2)
-                k4 = f(y + dt * k3)
-                y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-                if i % stride == 0 or i == steps:
-                    times.append(i * dt)
-                    states.append(y.copy())
-            return np.array(times), np.array(states)
-
         minus_L = -build_laplacian(_stable_params(6))
         x0 = np.random.default_rng(2).normal(size=7)
         for steps in (1, 20, 21):
-            got = _rk4(lambda x: minus_L @ x, x0, 0.03, steps, stride)
-            want = old_rk4(lambda x: minus_L @ x, x0, 0.03, steps, stride)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            got = _rk4(lambda x: minus_L @ x, x0, 0.03, steps, stride, 4)
+            want = _stage_rk4(lambda x: minus_L @ x, x0, 0.03, steps, stride)
+            assert np.array_equal(got[0], want[0])
+            np.testing.assert_allclose(got[1], want[1], rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("order,limit_mib", [(1, 13.0), (2, 22.5)])
     def test_peak_memory_near_the_states(self, order, limit_mib):
@@ -151,6 +159,79 @@ class TestSimulateFirstOrder:
         finally:
             tracemalloc.stop()
         assert peak <= limit_mib * 2 ** 20
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_step_matrix_takes_four_generator_applications(monkeypatch, order):
+    # the four stages applied the generator 4 times per step; the band
+    # of P(dt G) takes 4 applications to one block of probe columns
+    calls = []
+
+    def counted_rk4(f, *args):
+        def counted(y):
+            calls.append(y.shape)
+            return f(y)
+        return _rk4(counted, *args)
+
+    monkeypatch.setattr(simulate, "_rk4", counted_rk4)
+    p = _stable_params()
+    h = -np.arange(21.0)
+    cfg = SimConfig(p, h, h + 1.0, t_end=10.0, v0=np.zeros(21), alpha=1.0,
+                    beta=1.0)
+    run = simulate_first_order if order == 1 else simulate_second_order
+    assert len(run(cfg).times) > 5
+    # 21 states and half-width 4, or 42 interleaved and half-width 9
+    assert calls == [(21, 9) if order == 1 else (42, 19)] * 4
+
+
+def _stage_trajectory(p, h, x0, dt, steps, stride, v0=None):
+    """Positions and velocities from the stage-form RK4 on the dense
+    Laplacian: x' = -L(x - h), or x'' = -L(x - h) - L x'."""
+    L = build_laplacian(p)
+    if v0 is None:
+        times, states = _stage_rk4(lambda x: -L @ (x - h), x0, dt, steps,
+                                   stride)
+        return times, states, None
+    m = len(x0)
+
+    def rhs(y):
+        x, v = y[:m], y[m:]
+        return np.concatenate([v, -L @ (x - h) - L @ v])
+    times, states = _stage_rk4(rhs, np.concatenate([x0, v0]), dt, steps,
+                               stride)
+    return times, states[:, :m], states[:, m:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(0.2, 5), c=st.floats(0.2, 5), gap=st.floats(-2, 2),
+       n=st.integers(2, 80), t_end=st.floats(0.05, 20),
+       stride=st.integers(1, 40), order=st.sampled_from([1, 2]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_step_matrix_matches_stage_form(a, c, gap, n, t_end, stride, order,
+                                        seed):
+    # e on both sides of the line a+e = 0.  With alpha = beta = 1 the
+    # second-order step bound is above 1.8 / (rho_L + 1), so one explicit
+    # dt below it fixes the step count of both orders
+    e = -a + gap
+    p = make_params(a, c, a + c, c - e, e, n)
+    rng = np.random.default_rng(seed)
+    h = -np.arange(n + 1.0)
+    x0 = h + rng.normal(size=n + 1)
+    v0 = rng.normal(size=n + 1) if order == 2 else None
+    dt = 0.25 / (spectral_radius_estimate(p) + 1.0)
+    cfg = SimConfig(p, h, x0, t_end=t_end, dt=dt, v0=v0, alpha=1.0,
+                    beta=1.0, save_stride=stride)
+    run = simulate_first_order if order == 1 else simulate_second_order
+    traj = run(cfg)
+    steps = max(1, math.ceil(t_end / dt))
+    times, pos, vel = _stage_trajectory(p, h, x0, t_end / steps, steps,
+                                        stride, v0)
+    assert np.array_equal(traj.times, times)
+    scale = max(np.abs(s).max() for s in (pos, vel) if s is not None)
+    assert np.abs(traj.positions - pos).max() <= 1e-12 * scale
+    if order == 2:
+        assert np.abs(traj.velocities - vel).max() <= 1e-12 * scale
+        assert np.all(traj.velocities[:, 0] == v0[0])
 
 
 class TestSimulateSecondOrder:

@@ -122,8 +122,8 @@ class TestComputeSpectrum:
             compute_spectrum(p, "full")
         s = compute_spectrum(p, "laplacian")
         assert s.unlabeled is not None
-        assert pairing_distance(s.eigenvalues(),
-                                np.linalg.eigvals(-build_laplacian(p))) < 1e-9
+        want = np.linalg.eigvals(_tau_balance(p, -build_laplacian(p)))
+        assert pairing_distance(s.eigenvalues(), want) < 1e-9
 
     def test_seeds_converging_to_one_root_counted_once(self):
         # n=2, T3 case 2c: both seeds converge to the same off-circle root;
@@ -349,6 +349,26 @@ def test_assembles_just_below_a_plus_e_zero(acd, gap, n, kind):
     want = eigvals(_tau_balance(p, M))
     assert len(got) == len(want)
     assert pairing_distance(got, want) <= 1e-12 * 2 * math.sqrt(a * c)
+
+
+@pytest.mark.parametrize("a,c,e,n", [
+    (1.439076088902024, 4.895845459108242, -1.4390760905779676, 376),
+    (2.381770183046295, 3.7666458787315364, -2.3817701897114, 322),
+    (1.3, 0.7, -1.3 * (1 + 1e-9), 400)])
+def test_laplacian_fallback_is_balanced(a, c, e, n):
+    # just below a+e = 0 the twin's assembly fails and -L goes to QR;
+    # unbalanced, -L is so far from normal that QR is off by up to 0.54
+    # of scale.  The reference scales -L by exact powers of two near
+    # tau^k, a similarity that rounds nothing.
+    p = make_params(a, c, a + c, c - e, e, n)
+    s = compute_spectrum(p, "laplacian")
+    assert s.unlabeled is not None
+    M = -build_laplacian(p)
+    step = np.diff(np.round(np.arange(n + 1) * np.log2(p.tau)).astype(int))
+    B = (np.diag(np.diag(M)) + np.diag(np.ldexp(np.diag(M, -1), -step), -1)
+         + np.diag(np.ldexp(np.diag(M, 1), step), 1))
+    assert pairing_distance(s.eigenvalues(), np.linalg.eigvals(B)) \
+        < 1e-10 * 2 * math.sqrt(a * c)
 
 
 @pytest.mark.parametrize("kind", ["full", "reduced", "laplacian"])
