@@ -10,12 +10,11 @@ the cotangent equation
 
     cot(n phi) sin(phi) = d tau / (e + a) + ((e - a)/(e + a)) cos(phi)
 
-and are located branch by branch: every interior branch is a bracket
-of the pole-free H(phi) = a sin((n+1) phi) - d tau sin(n phi) - e
-sin((n-1) phi), polished by Newton's method, and the two end branches
-are sampled and polished by the same Newton steps (see
-find_branch_roots).  Roots off the circle are tracked by Newton
-iteration from the quadratic seeds y+- of a y^2 - d tau y - e.
+and are located branch by branch: every branch is a bracket of the
+pole-free H(phi) = a sin((n+1) phi) - d tau sin(n phi) - e sin((n-1)
+phi), whose end signs are known in closed form, polished by Newton's
+method (see find_branch_roots).  Roots off the circle are tracked by
+Newton iteration from the quadratic seeds y+- of a y^2 - d tau y - e.
 """
 from __future__ import annotations
 
@@ -32,16 +31,13 @@ from .model import SystemParams
 
 # |e+a| below this times a routes to the closed-form branch layout.
 EPLUSA_THRESHOLD = 1e-12
-# Pole guard at branch endpoints; divided by n when used.
-ENDPOINT_DELTA = 1e-9
 TOL_ROOT = 1e-12
 CIRCLE_EPS = 1e-9
 NEWTON_MAX_ITER = 100
+EPS = float(np.finfo(float).eps)
 POLE_TOL = 1e-12
 # Branches per scan block; every temporary of the scan is O(_BLOCK).
 _BLOCK = 2048
-# Sign-change samples per end branch, whatever the parameters.
-SCAN_SAMPLES = 32
 
 
 def _on_a_plus_e_line(p: SystemParams) -> bool:
@@ -219,10 +215,18 @@ def _h_and_slope(p: SystemParams, phi):
     """H(phi) = a sin((n+1) phi) - d tau sin(n phi) - e sin((n-1) phi)
     and H'(phi), from sin and cos of n phi and phi.  On the unit circle
     f(e^(i phi)) = 2i e^(i(n+1) phi) H(phi).  The (a+e) term is formed
-    first, so H keeps its digits near the line a + e = 0."""
+    first, so H keeps its digits near the line a + e = 0.  Above pi/2
+    the sines and cosines come from the exact psi = pi - phi, so that
+    sin(n phi) keeps its relative digits near phi = pi: sin(n phi) =
+    (-1)^(n+1) sin(n psi), cos(n phi) = (-1)^n cos(n psi), cos(phi) =
+    -cos(psi)."""
     a, e, dt, n = p.a, p.e, p.d * p.tau, p.n
-    sn, cn = np.sin(n * phi), np.cos(n * phi)
-    s1, c1 = np.sin(phi), np.cos(phi)
+    far = phi > math.pi / 2
+    x = np.where(far, math.pi - phi, phi)
+    flip = np.where(far, -1.0, 1.0)
+    sn = np.sin(n * x) * (1.0 if n % 2 else flip)
+    cn = np.cos(n * x) * (flip if n % 2 else 1.0)
+    s1, c1 = np.sin(x), flip * np.cos(x)
     h = (a - e) * sn * c1 + (a + e) * cn * s1 - dt * sn
     dh = ((a * (n + 1) - e * (n - 1)) * cn * c1
           - (a * (n + 1) + e * (n - 1)) * sn * s1 - dt * n * cn)
@@ -231,15 +235,29 @@ def _h_and_slope(p: SystemParams, phi):
 
 def _newton_branches(p: SystemParams, first: int, last: int,
                      stationary: List[float]):
-    """(ell, phi) of the roots on the interior branches first..last, one
-    per branch or per piece of a branch cut at a stationary angle (see
+    """(ell, phi) of the roots on the branches first..last, one per
+    branch or per piece of a branch cut at a stationary angle (see
     find_branch_roots), each polished by _safeguarded_newton on H."""
-    n = p.n
-    # H(m pi/n) = (-1)^m (a+e) sin(m pi/n): the signs at the branch ends
-    # are known, and H is evaluated only at the stationary cuts
+    a, e, dt, n = p.a, p.e, p.d * p.tau, p.n
+    # The sign of G = H/sin(phi) at the branch ends m pi/n is known
+    # without evaluating H: (-1)^m (a+e) inside, and, as U_k(+-1) =
+    # (+-1)^k (k+1), G(0) = a(n+1) - d tau n - e(n-1) and G(pi) = (-1)^n
+    # (a(n+1) + d tau n - e(n-1)).  H is evaluated only at the cuts.
     m = np.arange(first - 1, last + 1)
     edges = m * math.pi / n
-    neg = (m % 2 == 1) != (p.a + p.e < 0)
+    g = np.where(m % 2 == 1, -(a + e), a + e)
+    # An outer G within its rounding error of 0 is a finite-n threshold:
+    # that end takes its neighbour's sign, and the root merging with y =
+    # +-1 is left to the caller's count.
+    floor = 4 * EPS * (abs(a) * (n + 1) + abs(dt) * n + abs(e) * (n - 1))
+    if first == 1:
+        g0 = a * (n + 1) - dt * n - e * (n - 1)
+        g[0] = g0 if abs(g0) > floor else g[1]
+    if last == n:
+        edges[-1] = math.pi
+        gpi = (-1) ** n * (a * (n + 1) + dt * n - e * (n - 1))
+        g[-1] = gpi if abs(gpi) > floor else g[-2]
+    neg = g < 0
     ell = np.arange(first, last + 1)
     cut = np.array([phi for phi in stationary if edges[0] < phi < edges[-1]
                     and phi not in edges])
@@ -254,17 +272,16 @@ def _newton_branches(p: SystemParams, first: int, last: int,
     return ell, _safeguarded_newton(p, ell, lo, hi, neg)
 
 
-def _safeguarded_newton(p: SystemParams, ell, lo, hi, neg, residual=None):
+def _safeguarded_newton(p: SystemParams, ell, lo, hi, neg):
     """The root in each bracket [lo, hi] of branch ell, by Newton steps
     on H from one fixed-point step of F = (ell-1) pi at the midpoint (or
     from the midpoint, where that step leaves the bracket).
 
-    neg says whether the sign function is negative at lo; it is H
-    itself, or residual(p, phi) when given, and its sign at each iterate
-    moves one end of the bracket there.  A step that lands inside the
-    bracket, or one at the rounding floor, is taken; any other bisects.
-    An iterate is done once its step is at the rounding floor, which
-    also holds once its bracket is two adjacent doubles.
+    neg says whether H is negative at lo; its sign at each iterate moves
+    one end of the bracket there.  A step that lands inside the bracket,
+    or one at the rounding floor, is taken; any other bisects.  An
+    iterate is done once its step is at the rounding floor, which also
+    holds once its bracket is two adjacent doubles.
     """
     B = (p.e - p.a) / (p.e + p.a)
     C = p.d * p.tau / (p.e + p.a)
@@ -272,15 +289,14 @@ def _safeguarded_newton(p: SystemParams, ell, lo, hi, neg, residual=None):
     # arccot(R) = atan2(sin(phi), C + B cos(phi)), as sin(phi) > 0
     x = ((ell - 1) * math.pi
          + np.arctan2(np.sin(mid), C + B * np.cos(mid))) / p.n
-    x = np.where((lo <= x) & (x <= hi), x, mid)
+    x = np.where((lo < x) & (x < hi), x, mid)
     phi = np.empty_like(x)
     todo = np.arange(len(x))
     for _ in range(NEWTON_MAX_ITER):
         if not len(todo):
             break
         h, dh = _h_and_slope(p, x)
-        sign = h if residual is None else residual(p, x)
-        left = (sign < 0) != neg  # the root lies in [lo, x]
+        left = (h < 0) != neg  # the root lies in [lo, x]
         lo, hi = np.where(left, lo, x), np.where(left, x, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
             new = x - h / dh
@@ -300,76 +316,6 @@ def _safeguarded_newton(p: SystemParams, ell, lo, hi, neg, residual=None):
     return phi
 
 
-def _sample_brackets(p: SystemParams, lo, step):
-    """(which, k, blo, bhi, neg) of the sign changes of the cotangent
-    residual on the grids lo[i] + k step[i], k = 0..SCAN_SAMPLES, from
-    one array evaluation.  A root is where the residual changes sign
-    (zero counts as positive); the one between samples k and k+1 of
-    grid i gets the bracket number i * SCAN_SAMPLES + k, and the
-    brackets come in that order.  neg is the sign at blo."""
-    k = np.arange(SCAN_SAMPLES + 1)
-    neg = eval_cotangent_residual(p, lo[:, None] + k * step[:, None]) < 0
-    hits = np.flatnonzero(neg[:, :-1] != neg[:, 1:])
-    which, k = np.divmod(hits, SCAN_SAMPLES)
-    blo = lo[which] + k * step[which]
-    bhi = lo[which] + (k + 1) * step[which]
-    return which, k, blo, bhi, neg[which, k]
-
-
-def _scan_branches(p: SystemParams, ell: np.ndarray,
-                   stationary: List[float]):
-    """(ell, phi) of the roots on the branches ell, by a sampled scan of
-    the cotangent residual.
-
-    Each branch I_ell = ((ell-1) pi/n, ell pi/n), shrunk by
-    ENDPOINT_DELTA/n at both ends, is sampled at SCAN_SAMPLES + 1 evenly
-    spaced points, all of them in one array call; a sample interval
-    holding a stationary angle is cut there.  Every sign change is
-    polished by _safeguarded_newton: the steps come from H, but the
-    bracket follows the residual's own sign, which at the finite-n
-    thresholds rounding decides where H has no sign change.  A root
-    within 10 ENDPOINT_DELTA/n of a branch end is kept only if the
-    polynomial itself vanishes there.
-    """
-    n = p.n
-    delta = ENDPOINT_DELTA / n
-    scale = max(abs(p.a), abs(p.d * p.tau), abs(p.e), 1.0)
-    lo = (ell - 1) * math.pi / n + delta
-    hi = ell * math.pi / n - delta
-    step = (hi - lo) / SCAN_SAMPLES
-    which, k, blo, bhi, neg = _sample_brackets(p, lo, step)
-    # An interval holding stationary angles is cut there; if the pieces
-    # show more than one sign change, they replace its bracket.
-    cuts = {}
-    for phi in stationary:
-        for i in np.flatnonzero((lo < phi) & (phi < hi)).tolist():
-            j = min(int((phi - lo[i]) / step[i]), SCAN_SAMPLES - 1)
-            cuts.setdefault((i, j), []).append(phi)
-    for (i, j), cut in cuts.items():
-        pts = np.r_[lo[i] + j * step[i], cut, lo[i] + (j + 1) * step[i]]
-        sign = eval_cotangent_residual(p, pts) < 0
-        change = np.flatnonzero(sign[1:] != sign[:-1])
-        if len(change) > 1:
-            rest = (which != i) | (k != j)
-            which = np.r_[which[rest], [i] * len(change)]
-            k = np.r_[k[rest], [j] * len(change)]
-            blo = np.r_[blo[rest], pts[change]]
-            bhi = np.r_[bhi[rest], pts[change + 1]]
-            neg = np.r_[neg[rest], sign[change]]
-    # sorted: ell ascending, phi ascending within a branch
-    order = np.argsort(blo)
-    which, blo, bhi, neg = which[order], blo[order], bhi[order], neg[order]
-    phi = _safeguarded_newton(p, ell[which], blo, bhi, neg,
-                              eval_cotangent_residual)
-    # Roots hugging a branch endpoint sit next to a pole of cot;
-    # re-verify them against the polynomial itself.
-    keep = np.minimum(phi - (lo[which] - delta),
-                      (hi[which] + delta) - phi) >= 10 * delta
-    keep[~keep] = [abs(eval_polynomial(p, cmath.exp(1j * x)))
-                   <= 1e-6 * scale for x in phi[~keep].tolist()]
-    return ell[which][keep], phi[keep]
-
-
 def _branch_root_arrays(p: SystemParams):
     """(ell, phi, eigenvalue) arrays of every unit-circle root, sorted by
     phi; see find_branch_roots."""
@@ -377,13 +323,9 @@ def _branch_root_arrays(p: SystemParams):
     if _on_a_plus_e_line(p):
         return _closed_form_arrays(p)
     stationary = _stationary_angles(p)
-    end_ell, end_phi = _scan_branches(p, np.array([1, n]), stationary)
-    k = int(np.count_nonzero(end_ell == 1))
-    parts = [(end_ell[:k], end_phi[:k])]
-    parts += [_newton_branches(p, first, min(first + _BLOCK, n) - 1,
-                               stationary)
-              for first in range(2, n, _BLOCK)]
-    parts.append((end_ell[k:], end_phi[k:]))
+    parts = [_newton_branches(p, first, min(first + _BLOCK - 1, n),
+                              stationary)
+             for first in range(1, n + 1, _BLOCK)]
     ell = np.concatenate([part[0] for part in parts])
     phi = np.concatenate([part[1] for part in parts])
     return ell, phi, 2 * math.sqrt(p.a * p.c) * np.cos(phi)
@@ -394,27 +336,23 @@ def find_branch_roots(p: SystemParams) -> List[BranchRoot]:
     branch.
 
     H = a sin((n+1) phi) - d tau sin(n phi) - e sin((n-1) phi) is (e+a)
-    sin(n phi) times the cotangent residual and has no poles.  At an
-    interior branch end H(ell pi/n) = (-1)^ell (a+e) sin(ell pi/n), so
-    its sign alternates and is known without evaluating anything.  A
-    root of branch ell solves F = n phi - arccot(R) = (ell-1) pi, and F
-    is monotone between the at most two stationary angles of
-    _stationary_angles.  So an interior branch (ell = 2..n-1) with no
-    stationary angle holds exactly one root and is its own bracket; one
-    that holds a stationary angle is cut there, H is evaluated at the
-    cut, and each piece holds at most one root.  The brackets of a block
-    of _BLOCK branches are polished together by safeguarded Newton on H.
+    sin(n phi) times the cotangent residual and has no poles.  The sign
+    of G = H/sin(phi), a polynomial of degree n in cos(phi), is known at
+    every branch end (see _newton_branches).  A root of branch ell
+    solves F = n phi - arccot(R) = (ell-1) pi, and F is monotone between
+    the at most two stationary angles of _stationary_angles.  So a
+    branch with no stationary angle holds one root if G changes sign
+    across it and none otherwise, and is its own bracket; one that holds
+    a stationary angle is cut there, H is evaluated at the cut, and each
+    piece holds at most one root.  The brackets of a block of _BLOCK
+    branches are polished together by safeguarded Newton on H.
 
-    The end branches ell = 1 and n keep a sampled scan of the cotangent
-    residual, one array call for both, and polish each sign change by
-    the same Newton steps on H inside a bracket kept by the residual's
-    sign (see _scan_branches): at the finite-n thresholds, where y =
-    +-1 is a double root of f, a root there merges with y = +-1, and
-    rounding decides whether it is on the branch.  Close to the line
-    a + e = 0, for e > -a, their roots crowd against phi = 0 and pi,
-    where the scan can miss them, and the caller's root count then falls
-    short.  Roots pinned at phi = 0 or pi (y = +-1) are never emitted.
-    The work is O(n) whatever the parameters.
+    Where G(0) or G(pi) is zero to within its rounding error (a finite-n
+    threshold), a root of an end branch merges with y = +-1; that end
+    takes its neighbour's sign, so the branch does not bracket the root,
+    and the caller's root count recovers it from the trace.  Roots
+    pinned at phi = 0 or pi are never emitted.  The work is O(n)
+    whatever the parameters.
     """
     return _as_branch_roots(*_branch_root_arrays(p))
 

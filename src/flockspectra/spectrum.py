@@ -9,30 +9,33 @@ the spectrum; the assembly itself reads only the parameters.  Each root
 y of a y^2 - d tau y - e off the unit circle seeds one special
 eigenvalue, and the remaining eigenvalues are bulk values
 2 sqrt(ac) cos(phi) of the unit-circle roots.  Off the line a + e = 0
-the interior branches ((ell-1) pi/n, ell pi/n) are searched without
-sampling: the pole-free H(phi) = a sin((n+1) phi) - d tau sin(n phi) -
-e sin((n-1) phi) has the known sign (-1)^ell (a+e) at their ends, so
-each branch, cut at the at most two stationary angles of the branch
-function, brackets its roots one by one, and Newton's method on H
-polishes them.  The two end branches, where a root can merge with y =
-+-1, keep a sampled scan of the cotangent residual, and the same Newton
-steps polish its sign changes inside brackets that follow the
-residual's own sign.  The bulk stays in
+the branches ((ell-1) pi/n, ell pi/n) are searched without sampling:
+G(phi) = H(phi)/sin(phi), H(phi) = a sin((n+1) phi) - d tau sin(n
+phi) - e sin((n-1) phi), has a sign known in closed form at every
+branch end, so each branch, cut at the at most two stationary angles
+of the branch function, brackets its roots one by one, and Newton's
+method on H polishes them.  The root count is certified by the power
+sums sum r = d and sum r^2 = d^2 + 2c((n-2) a + (a+e)) of the reduced
+matrix: where a root merges with y = +-1 or both seeds find one double
+root, one missing root is recovered from the trace, or one extra bulk
+root dropped, and the sum of squares must agree.  The bulk stays in
 arrays of branch index, angle and eigenvalue from the scan to the
 Spectrum.
 """
 from __future__ import annotations
 
 import cmath
+import logging
 import math
 from dataclasses import dataclass, fields, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .charpoly import (BranchRoot, _as_branch_roots, _branch_root_arrays,
-                       _on_a_plus_e_line, eigenvalue_from_root,
-                       quadratic_roots, refine_special_root)
+from .charpoly import (EPS, BranchRoot, _as_branch_roots,
+                       _branch_root_arrays, _on_a_plus_e_line,
+                       eigenvalue_from_root, quadratic_roots,
+                       refine_special_root)
 from .errors import (DegenerateRoot, DimensionMismatch, DiscriminantCollapse,
                      DomainError, NoConvergence, RootCountAnomaly,
                      UnitCircleCollapse)
@@ -41,6 +44,8 @@ from .model import SystemParams, build_laplacian, is_decentralized
 CIRCLE_SEED_MARGIN = 1e-9
 DEDUPE_TOL = 1e-9
 DISCRIMINANT_REL_TOL = 1e-12
+
+_log = logging.getLogger("flockspectra")
 
 
 @dataclass(frozen=True)
@@ -274,6 +279,66 @@ def _p31_special(p: SystemParams) -> SpecialRoot:
     return SpecialRoot(seed=y, y=y, eigenvalue=eigenvalue_from_root(p, y))
 
 
+def _power_sum_residuals(p: SystemParams, eig, special):
+    """|sum r - tr Q| / (n s) and |sum r^2 - tr Q^2| / (n s^2) over the
+    bulk eigenvalues eig and the special roots, s the largest of their
+    moduli and 2 sqrt(ac).  tr Q = d and tr Q^2 = d^2 + 2c((n-2) a +
+    (a+e)) come from the three diagonals of the reduced matrix Q."""
+    r = np.r_[eig, [x.eigenvalue for x in special]]
+    s = max(2 * math.sqrt(p.a * p.c), float(np.abs(r).max(initial=0)))
+    t2 = p.d * p.d + 2 * p.c * ((p.n - 2) * p.a + (p.a + p.e))
+    return (abs(r.sum() - p.d) / (p.n * s),
+            abs((r * r).sum() - t2) / (p.n * s * s))
+
+
+def _power_sum_tol(n: int) -> float:
+    """Bound on both power-sum residuals of a correct spectrum.  A root
+    off by delta moves them by at most 2 delta / (n s).  Up to four roots
+    at double roots of f are good only to sqrt(eps) of s; the rest, good
+    to a few eps of s, keep the sums within 16 eps."""
+    return 8 * math.sqrt(EPS) / n + 16 * EPS
+
+
+def _certify_count(p: SystemParams, bulk, special):
+    """Bulk arrays and special roots, n in all, or RootCountAnomaly.
+
+    At a finite-n threshold a root merges with y = +-1, and its end
+    branch leaves it out; at a double root of a y^2 - d tau y - e both
+    seeds converge to one root.  So one missing root is recovered from
+    the trace, r = d - sum(found), with y from y + 1/y = r/sqrt(ac) and
+    |y| >= 1, and one extra is the bulk root nearest sum(found) - d,
+    which is dropped.  Either correction must leave both power-sum
+    residuals within _power_sum_tol."""
+    eig, nspecial = bulk[2], len(special)
+    msg = f"found {len(eig)} bulk + {nspecial} special roots, expected {p.n}"
+    short = p.n - len(eig) - nspecial
+    if short == 0:
+        return bulk, special
+    if abs(short) == 1:
+        total = np.sum(eig) + sum(s.eigenvalue for s in special)
+        extra = float(total.real) - p.d
+        if short == 1:
+            kind, r = "recovered", -extra
+            w = r / math.sqrt(p.a * p.c)
+            root = cmath.sqrt(w * w - 4)
+            y = (w + root) / 2 if w >= 0 else (w - root) / 2
+            special = special + [SpecialRoot(seed=y, y=y,
+                                             eigenvalue=complex(r))]
+        else:
+            k = int(np.argmin(np.abs(eig - extra)))
+            kind, r = "dropped", float(eig[k])
+            bulk = tuple(np.delete(x, k) for x in bulk)
+        res = _power_sum_residuals(p, bulk[2], special)
+        _log.info("trace correction: %s root %r; power-sum residuals %.3g, "
+                  "%.3g", kind, r, *res)
+        if max(res) <= _power_sum_tol(p.n):
+            return bulk, special
+        msg += (f"; the {kind} root {r!r} leaves power-sum residuals "
+                f"{res[0]:.3g}, {res[1]:.3g}")
+    raise RootCountAnomaly(msg, expected=p.n, bulk_count=len(eig),
+                           special_count=nspecial, params=p)
+
+
 def _assemble_reduced(p: SystemParams):
     """Bulk (ell, phi, eigenvalue) arrays and special roots of the n x n
     reduced matrix."""
@@ -292,19 +357,13 @@ def _assemble_reduced(p: SystemParams):
             continue  # both seeds found one root (small n); counted below
         special.append(SpecialRoot(seed=seed, y=y,
                                    eigenvalue=eigenvalue_from_root(p, y)))
-    count = len(bulk[0])
-    if count + len(special) > p.n:
+    if len(bulk[0]) + len(special) > p.n:
         # a special root at a regime boundary may duplicate a bulk root
         # that converged to a branch endpoint (y near +-1)
         tol = DEDUPE_TOL * 2 * math.sqrt(p.a * p.c)
         special = [s for s in special
                    if not np.any(np.abs(s.eigenvalue - bulk[2]) < tol)]
-    if count + len(special) != p.n:
-        raise RootCountAnomaly(
-            f"found {count} bulk + {len(special)} special roots, "
-            f"expected {p.n}", expected=p.n, bulk_count=count,
-            special_count=len(special), params=p)
-    return bulk, special
+    return _certify_count(p, bulk, special)
 
 
 def compute_spectrum(p: SystemParams, kind: str = "full") -> Spectrum:
@@ -323,9 +382,10 @@ def compute_spectrum(p: SystemParams, kind: str = "full") -> Spectrum:
     regime = classify_regime(q)
     try:
         (ell, phi, eig), special = _assemble_reduced(q)
-    except (RootCountAnomaly, NoConvergence):
+    except (RootCountAnomaly, NoConvergence) as ex:
         if kind != "laplacian":
             raise
+        _log.info("laplacian assembly failed (%s); QR on balanced -L", ex)
         from .oracle import _tau_balance, qr_eigenvalues
         eigs = qr_eigenvalues(_tau_balance(p, -build_laplacian(p)))
         empty = np.empty(0)

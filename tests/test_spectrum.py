@@ -1,4 +1,8 @@
+import functools
+import logging
 import math
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -16,7 +20,9 @@ from flockspectra import (DegenerateRoot, DiscriminantCollapse,
                           leader_eigenvector, make_params, pairing_distance,
                           quadratic_roots, residual)
 from flockspectra.oracle import _tau_balance
-from flockspectra.spectrum import CIRCLE_SEED_MARGIN, _special_seeds
+from flockspectra.spectrum import (CIRCLE_SEED_MARGIN, _branch_root_arrays,
+                                   _certify_count, _power_sum_residuals,
+                                   _power_sum_tol, _special_seeds)
 
 
 class TestClassifyRegime:
@@ -127,12 +133,15 @@ class TestComputeSpectrum:
 
     def test_seeds_converging_to_one_root_counted_once(self):
         # n=2, T3 case 2c: both seeds converge to the same off-circle root;
-        # kept twice it hid the missing root, now the count check fires
+        # kept twice it hid the missing root.  Counted once, the root is
+        # one short, and the trace recovers the other one.
         p = make_params(0.29, 2.75, None, 2.75 + 4.07, -4.07, 2)
-        with pytest.raises(RootCountAnomaly):
-            compute_spectrum(p, "full")
+        s = compute_spectrum(p, "full")
+        assert len(s.special) == 2
+        assert pairing_distance(s.eigenvalues(),
+                                np.linalg.eigvals(build_full_matrix(p))) < 1e-9
         s = compute_spectrum(p, "laplacian")
-        assert s.unlabeled is not None
+        assert s.unlabeled is None
         assert pairing_distance(s.eigenvalues(),
                                 np.linalg.eigvals(-build_laplacian(p))) < 1e-9
 
@@ -284,9 +293,9 @@ def test_off_circle_seeds_are_the_theorem_table(params):
 @pytest.mark.parametrize("kind", ["full", "reduced"])
 @pytest.mark.parametrize("side", [1, -1], ids=["e>-a", "e<-a"])
 def test_assembly_near_a_plus_e_zero_ends_promptly(kind, side):
-    # |a+e| = 1e-10 a, so |B| ~ 2e10: for e > -a the end-branch scan
-    # misses the roots crowded against phi = 0 and pi, and the count
-    # check must fire without delay
+    # |a+e| = 1e-10 a, so |B| ~ 2e10: the roots crowd against the branch
+    # ends, and whether or not the count comes out right, the assembly
+    # must end without delay
     p = make_params(1, 1, 2, 0.5, -1 + side * 1e-10, 400)
     start = time.perf_counter()
     try:
@@ -323,10 +332,9 @@ def test_large_b_sets_assemble(kind, args):
      4.801126159515471, 8.687856973170597, 21)],
     ids=["G(0)=0", "n=320", "n=21"])
 def test_finite_n_threshold_band_assembles(kind, args):
-    # d on a finite-n threshold +-((a-e) + (a+e)/n)/tau, where a root of
-    # an end branch merges with y = +-1 and rounding decides the sign of
-    # the cotangent residual near phi = 0 or pi; H has no sign change
-    # there, so only the residual's own sign brackets that root
+    # d on a finite-n threshold +-((a-e) + (a+e)/n)/tau, where G(0) or
+    # G(pi) vanishes: a root of an end branch merges with y = +-1, and
+    # the count, not the branch, accounts for it
     p = make_params(*args)
     got = compute_spectrum(p, kind).eigenvalues()
     M = build_full_matrix(p) if kind == "full" else build_reduced_matrix(p)
@@ -356,13 +364,13 @@ def test_assembles_just_below_a_plus_e_zero(acd, gap, n, kind):
     (2.381770183046295, 3.7666458787315364, -2.3817701897114, 322),
     (1.3, 0.7, -1.3 * (1 + 1e-9), 400)])
 def test_laplacian_fallback_is_balanced(a, c, e, n):
-    # just below a+e = 0 the twin's assembly fails and -L goes to QR;
-    # unbalanced, -L is so far from normal that QR is off by up to 0.54
-    # of scale.  The reference scales -L by exact powers of two near
+    # just below a+e = 0 the twin assembles, labeled.  Unbalanced, -L is
+    # so far from normal here that QR on it is off by up to 0.54 of
+    # scale, so the reference scales -L by exact powers of two near
     # tau^k, a similarity that rounds nothing.
     p = make_params(a, c, a + c, c - e, e, n)
     s = compute_spectrum(p, "laplacian")
-    assert s.unlabeled is not None
+    assert s.unlabeled is None
     M = -build_laplacian(p)
     step = np.diff(np.round(np.arange(n + 1) * np.log2(p.tau)).astype(int))
     B = (np.diag(np.diag(M)) + np.diag(np.ldexp(np.diag(M, -1), -step), -1)
@@ -400,3 +408,141 @@ def test_spectrum_equality_and_repr():
     assert s != compute_spectrum(make_params(1.3, 0.7, 2.0, 0.9, 0.41, 40),
                                  "full")
     assert repr(s).startswith("Spectrum(leader=2.0, bulk_ell=array([")
+
+
+@functools.lru_cache(maxsize=None)
+def _lapack_reduced(a, c, d, e, n):
+    """eigvals of the tau-balanced reduced matrix, shared by both kinds:
+    the full matrix adds only its leader eigenvalue b."""
+    p = make_params(a, c, None, d, e, n)
+    return tuple(eigvals(_tau_balance(p, build_reduced_matrix(p))))
+
+
+def _assert_matches_lapack(a, c, b, d, e, n, kind):
+    p = make_params(a, c, b, d, e, n)
+    got = compute_spectrum(p, kind).eigenvalues()
+    want = list(_lapack_reduced(a, c, d, e, n))
+    if kind == "full":
+        want.append(p.b)
+    assert len(got) == len(want)
+    assert pairing_distance(got, want) <= 1e-12 * 2 * math.sqrt(a * c)
+
+
+@pytest.mark.parametrize("kind", ["full", "reduced"])
+@pytest.mark.parametrize("n", [10, 50, 400, 2000])
+@pytest.mark.parametrize("gap", [1e-9, 1e-11])
+def test_assembles_just_above_a_plus_e_zero(gap, n, kind):
+    # e = -a (1 - gap): the roots of the end branches crowd against the
+    # inner branch ends, where a sampled scan kept off the ends misses
+    # them; the closed-form signs of G at phi = 0 and pi bracket them
+    _assert_matches_lapack(1, 1, None, 0.5, -(1 - gap), n, kind)
+
+
+@pytest.mark.parametrize("kind", ["full", "reduced"])
+@pytest.mark.parametrize("args", [
+    (1.0, 1.0, None, 3.0, -2.25, 10),
+    (1.3812604072160024, 3.621632637925091, None, 4.4851962716305644,
+     -1.3886583804323795, 7),
+    (0.31801331583289427, 4.227799272189352, None, 2.3924687403369207,
+     -0.31801331583733317, 5),
+    (2.8968475056654825, 1.3534325065455581, None, -1.8552485678857764,
+     0.1926812795853019, 307),
+    (2.69570434989378, 4.430939088968237, -0.5534614419012716,
+     -3.9365674444470606, 0.2054594996937169, 5)],
+    ids=["T3-double-root", "case-1/3-threshold", "below-line-n=5",
+         "one-too-many", "G(pi)=0"])
+def test_count_is_certified_by_the_trace(args, kind):
+    # Sets a sampled end-branch scan could not count or place: a double
+    # root of a y^2 - d tau y - e that both seeds converge to, and a root
+    # of the quadratic exactly on y = 1 (each one short, so the trace
+    # recovers the missing root); an end branch below a+e = 0 that the
+    # scan missed; and two sets with G(pi) = 0 to rounding, where a root
+    # merges with y = -1 and branch n leaves it to the count (the scan
+    # put that root 2e-12 of scale off on the second)
+    _assert_matches_lapack(*args, kind)
+
+
+@pytest.mark.parametrize("kind", ["full", "reduced"])
+def test_t3_double_root_at_n_100_passes_the_power_sums(kind):
+    # d = 2 sqrt(c|e|): the double root leaves both LAPACK and the
+    # recovered pair only sqrt(eps) accurate (2.1e-8 of scale apart), so
+    # the check is the root count and both power sums
+    p = make_params(1, 1, None, 3, -2.25, 100)
+    s = compute_spectrum(p, kind)
+    assert len(s.eigenvalues()) == p.n + (kind == "full")
+    res = _power_sum_residuals(p, s.bulk_eigenvalue, s.special)
+    assert max(res) <= _power_sum_tol(p.n)
+
+
+@st.composite
+def threshold_params(draw):
+    """(a, c, d, e, n) with e often within 1e-12..1e-6 a of -a, and d often
+    on a case threshold +-(a-e)/tau, the T3 threshold +-2 sqrt(c|e|) or a
+    finite-n threshold +-((a-e) + (a+e)/n)/tau."""
+    a, c = draw(st.floats(0.2, 5)), draw(st.floats(0.2, 5))
+    n = draw(st.integers(2, 400))
+    gap = 10 ** draw(st.floats(-12, -6))
+    e = draw(st.floats(-5, 5)
+             | st.sampled_from([-a * (1 + gap), -a * (1 - gap)]))
+    tau = math.sqrt(a / c)
+    d = draw(st.floats(-5, 5) | st.sampled_from([
+        (a - e) / tau, 2 * math.sqrt(c * abs(e)),
+        ((a - e) + (a + e) / n) / tau]))
+    return a, c, d * draw(st.sampled_from([1, -1])), e, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(threshold_params())
+def test_assembled_spectra_pass_the_power_sums(params):
+    a, c, d, e, n = params
+    p = make_params(a, c, None, d, e, n)
+    try:
+        s = compute_spectrum(p, "reduced")
+    except RootCountAnomaly:
+        return  # off by two or more, or no correction passed
+    res = _power_sum_residuals(p, s.bulk_eigenvalue, s.special)
+    assert max(res) <= _power_sum_tol(n)
+
+
+def test_one_root_too_many_drops_the_bulk_root_the_trace_names():
+    p = make_params(1.3, 0.7, None, 0.3, 0.4, 40)   # T1 case 2: no special
+    bulk = _branch_root_arrays(p)
+    doubled = tuple(np.insert(x, 17, x[17]) for x in bulk)
+    got, special = _certify_count(p, doubled, [])
+    assert special == []
+    assert all(np.array_equal(x, y) for x, y in zip(got, bulk))
+
+
+def test_trace_correction_failing_the_power_sums_raises():
+    # one root missing and another 0.1 off: the trace alone would
+    # recover a root 0.1 off the other way, which the sum of squares
+    # rejects
+    p = make_params(1.3, 0.7, None, 0.3, 0.4, 40)
+    ell, phi, eig = _branch_root_arrays(p)
+    eig = eig.copy()
+    eig[5] += 0.1
+    bad = tuple(np.delete(x, 20) for x in (ell, phi, eig))
+    with pytest.raises(RootCountAnomaly):
+        _certify_count(p, bad, [])
+
+
+def test_trace_corrections_and_fallbacks_are_logged(caplog):
+    with caplog.at_level(logging.INFO, logger="flockspectra"):
+        compute_spectrum(make_params(1, 1, None, 3, -2.25, 10), "reduced")
+        compute_spectrum(make_params(1, 3, 4, 6, -3, 30), "laplacian")
+    recovered, fallback = [r.getMessage() for r in caplog.records
+                           if r.name == "flockspectra"]
+    assert recovered.startswith("trace correction: recovered root 2.15304")
+    assert "power-sum residuals" in recovered
+    assert fallback.startswith("laplacian assembly failed")
+    assert "QR" in fallback
+
+
+def test_logging_adds_no_output_by_default():
+    # the package logs at INFO and installs no handler, so a trace
+    # correction prints nothing
+    code = ("from flockspectra import compute_spectrum, make_params\n"
+            "compute_spectrum(make_params(1, 1, None, 3, -2.25, 10))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout == out.stderr == ""
