@@ -2,19 +2,24 @@
 
 Two unrelated methods.  The first is LAPACK's Francis QR with aggressive
 early deflation (``dhseqr`` through ``scipy.linalg.eigvals``).  The second
-finds the roots of det(zI - M), evaluated by the three-term determinant
-recurrence along the tridiagonal: multiple relatively robust
-representations (MRRR, LAPACK ``dstemr``) on the symmetrized tridiagonal
-when every off-diagonal product is non-negative, and Aberth-Ehrlich
-simultaneous iteration otherwise.  Neither shares any code with the
-transfer-matrix theory path, so each validates the other and both
-validate the theory.
+finds the roots of det(zI - M), defined by the three-term determinant
+recurrence along the tridiagonal, without expanding it into monomial
+coefficients: multiple relatively robust representations (MRRR, LAPACK
+``dstemr``) on the symmetrized tridiagonal when every off-diagonal
+product is non-negative, and Aberth-Ehrlich simultaneous iteration
+otherwise.  Aberth's p/p' comes from the recurrence written as banded
+unit lower-triangular systems, solved by LAPACK ``ztbtrs`` for all
+iterates at once.  Both routes run on M scaled to unit size, so their
+roots do not depend on the scale of M.  Neither method shares any code
+with the transfer-matrix theory path, so each validates the other and
+both validate the theory.
 
 scipy is imported inside the functions that use it, so that importing
 the package does not pay for it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +27,9 @@ import numpy as np
 from .errors import DimensionMismatch, DomainError, NoConvergence
 from .model import SystemParams, _dense, tridiagonal
 
-# Steps of the determinant recurrence between two joint rescalings of
-# (p, p'); each step grows them by at most |z - d_k| + |w_k| + 1.
-_RESCALE_EVERY = 8
+# Most cells (points x rows) in one banded solve of _newton_correction;
+# at 16 bytes a cell, its band and right-hand sides stay under 3 MiB.
+_CHUNK_CELLS = 1 << 15
 _ABERTH_MAX_ITER = 800
 _ABERTH_TOL = 1e-12
 
@@ -75,30 +80,71 @@ def matrix_for_kind(p: SystemParams, kind: str) -> np.ndarray:
 
 def _newton_correction(z, d, w):
     """p(z)/p'(z) for p(z) = det(zI - M), from the recurrence
-    D_k = (z - d_k) D_(k-1) - w_(k-1) D_(k-2) and its derivative.
+    D_k = (z - d_k) D_(k-1) - w_(k-1) D_(k-2) and its derivative
+    D'_k = (z - d_k) D'_(k-1) - w_(k-1) D'_(k-2) + D_(k-1).
 
-    Row 0 of each state holds D, row 1 holds D'; both rows are divided by
-    the same factor every few steps, which keeps them representable and
-    leaves their ratio unchanged.  A z at which both vanish yields NaN.
+    Both recurrences are unit lower-triangular banded systems (two
+    sub-diagonals) in the rows of D and D', with the same band.  One
+    LAPACK ``ztbtrs`` call solves a chunk of rows for every point of z at
+    once, the points stacked block-diagonally; a second call gives D'
+    from D shifted down one row.  Each block opens with two identity rows
+    that carry D (or D') of the previous chunk's last two rows, divided
+    per point by their largest modulus, which leaves D/D' unchanged.
+
+    The entries must be scaled to |d|, |w| <= 1.  Then row k grows the
+    pair (D_(k-1), D_k) by at most g = max|z| + 2 and shrinks it by at
+    most g/|w_(k-1)| (a zero w_(k-1) splits the chain, and only D_(k-1)
+    carries on).  So in a chunk whose rows' ln(g/|w_(k-1)|) sum to at
+    most 600, D stays within a factor e^600 of its carried size either
+    way, and D' grows no faster.  A z at which D and D' both vanish
+    yields NaN.
     """
-    prev = np.zeros((2, len(z)), dtype=complex)
-    prev[0] = 1.0
-    cur = np.empty_like(prev)
-    cur[0] = z - d[0]
-    cur[1] = 1.0
-    for k in range(1, len(d)):
-        nxt = (z - d[k]) * cur - w[k - 1] * prev
-        nxt[1] += cur[0]
-        prev, cur = cur, nxt
-        if k % _RESCALE_EVERY == 0:
-            s = np.abs(cur).max(axis=0)
-            prev /= s
-            cur /= s
-    return cur[0] / cur[1]
+    from scipy.linalg.lapack import ztbtrs
+    n, m = len(d), len(z)
+    wpad = np.concatenate(([0.0], w))  # wpad[k] = w_(k-1)
+    aw = np.abs(wpad)
+    g = np.max(np.abs(z)) + 2
+    edge = np.cumsum(np.log(g / np.where(aw > 0, aw, 1.0)))
+    cap = max(1, _CHUNK_CELLS // m - 2)
+    # D_(r-2), D_(r-1) per point; before row 0 they are 0 and the empty
+    # determinant 1
+    carry = np.zeros((m, 2), dtype=complex)
+    carry[:, 1] = 1.0
+    dcarry = np.zeros((m, 2), dtype=complex)
+    r = 0
+    while r < n:
+        fit = np.searchsorted(edge, (edge[r - 1] if r else 0.0) + 600,
+                              side="right") - r
+        L = max(1, min(fit, cap, n - r)) + 2
+        # LAPACK band storage (3, m L) in column-major order: entry
+        # (i, j) holds the coefficient of unknown j in row i + j
+        band = np.zeros((m, L, 3), dtype=complex)
+        np.subtract(d[r:r + L - 2], z[:, None], out=band[:, 1:-1, 1])
+        band[:, :-2, 2] = wpad[r:r + L - 2]
+        band = band.reshape(m * L, 3).T
+        rhs = np.zeros((m, L), dtype=complex)
+        rhs[:, :2] = carry
+        D, _ = ztbtrs(band, rhs.reshape(-1, 1), uplo="L", diag="U",
+                      overwrite_b=1)
+        D = D.reshape(m, L)
+        rhs = np.empty((m, L), dtype=complex)
+        rhs[:, :2] = dcarry
+        rhs[:, 2:] = D[:, 1:-1]
+        dD, _ = ztbtrs(band, rhs.reshape(-1, 1), uplo="L", diag="U",
+                       overwrite_b=1)
+        dD = dD.reshape(m, L)
+        s = np.maximum(np.abs(D[:, -2:]).max(axis=1),
+                       np.abs(dD[:, -2:]).max(axis=1))[:, None]
+        carry = D[:, -2:] / s
+        dcarry = dD[:, -2:] / s
+        r += L - 2
+    return carry[:, 1] / dcarry[:, 1]
 
 
 def _aberth(d, w):
-    """Aberth-Ehrlich iteration on the roots of det(zI - M).
+    """Aberth-Ehrlich iteration on the roots of det(zI - M), with p/p'
+    from banded triangular solves (_newton_correction).  M must be
+    scaled to max(|d|, sqrt|w|) in [1/2, 1).
 
     The bulk eigenvalues of this chain fill a real interval of half-width
     about 2 rho, rho the median coupling sqrt|w|, with spacing about
@@ -107,8 +153,10 @@ def _aberth(d, w):
     and the smaller of rho/2 and one root spacing across it, so each
     starts near a root.  At n=480 this takes 19-27 sweeps where the
     rho/2 ellipse takes 81-88.  The angle offset keeps every iterate off
-    the real axis.  An iterate whose correction falls below
-    _ABERTH_TOL is frozen; the others still repel from it.
+    the real axis.  An iterate whose correction falls below _ABERTH_TOL
+    times max(1, max|z|) is frozen; the others still repel from it.  On
+    the scaled M that test is relative to the size of M, so the iterates
+    of a tiny M do not freeze on their starting ellipse.
     """
     n = len(d)
     coupling = np.sqrt(np.abs(w))
@@ -133,8 +181,10 @@ def _aberth(d, w):
         active = active[moving]
         if not len(active):
             return z
-    raise NoConvergence(f"Aberth iteration did not settle in "
-                        f"{_ABERTH_MAX_ITER} sweeps")
+    raise NoConvergence(
+        f"Aberth iteration did not settle in {_ABERTH_MAX_ITER} sweeps: "
+        f"{len(active)} of {n} points still moving, largest last step "
+        f"{np.max(np.abs(step)):.3g} of the matrix scale")
 
 
 def tridiag_polynomial_eigenvalues(M: np.ndarray):
@@ -147,18 +197,30 @@ def tridiag_polynomial_eigenvalues(M: np.ndarray):
     off-diagonal sqrt(w), whose roots LAPACK ``dstemr`` finds by MRRR
     (dqds on a shifted LDL^T factorization, not QR).  Otherwise the roots
     are complex and Aberth-Ehrlich iteration finds them, with p/p'
-    evaluated by the recurrence and its derivative.  No route expands the
-    polynomial into monomial coefficients, which destroys the roots in
-    double precision past degree ~50.  Entries off the three diagonals
-    are not read.
+    from the recurrence and its derivative as banded triangular solves.
+    Both routes run on M divided by its largest |d_k| or sqrt|w_k|, so
+    the roots are found to the same relative accuracy at any scale of M,
+    and w never leaves the float range.  No route expands the polynomial
+    into monomial coefficients, which destroys the roots in double
+    precision past degree ~50.  Entries off the three diagonals are not
+    read.
     """
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"matrix must be square, got {A.shape}")
-    d = np.diag(A).copy()
-    w = np.diag(A, -1) * np.diag(A, 1)
-    if not (np.isfinite(d).all() and np.isfinite(w).all()):
+    d, sub, sup = np.diag(A), np.diag(A, -1), np.diag(A, 1)
+    if not all(np.isfinite(x).all() for x in (d, sub, sup)):
         raise DomainError("matrix has non-finite entries")
+    # both routes run on M/s: w = sub sup formed at the scale of M leaves
+    # the float range once the entries pass about 1e+-154.  s is the power
+    # of two just above the largest |d_k|, sqrt|w_k|, so scaling is exact;
+    # it is applied as two factors s1 s2, as s itself may be 2^1024
+    e = math.frexp(max(
+        np.abs(d).max(initial=0.0),
+        (np.sqrt(np.abs(sub)) * np.sqrt(np.abs(sup))).max(initial=0.0)))[1]
+    s1, s2 = math.ldexp(1.0, e // 2), math.ldexp(1.0, e - e // 2)
+    d = d / s1 / s2
+    w = (sub / s1 / s2) * (sup / s1 / s2)
     if (w >= 0).all():
         from scipy.linalg import LinAlgError, eigh_tridiagonal
         try:
@@ -166,8 +228,8 @@ def tridiag_polynomial_eigenvalues(M: np.ndarray):
                                     lapack_driver="stemr", check_finite=False)
         except LinAlgError as ex:
             raise NoConvergence(f"LAPACK MRRR failed: {ex}") from ex
-        return eigs.astype(complex).tolist()
-    return _aberth(d, w).tolist()
+        return (eigs * s1 * s2).astype(complex).tolist()
+    return (_aberth(d, w) * s1 * s2).tolist()
 
 
 def _tau_balance(p: SystemParams, M: np.ndarray) -> np.ndarray:
@@ -184,21 +246,26 @@ def pairing_distance(u, v) -> float:
     """Max matched distance between two equal-size eigenvalue multisets.
 
     Sorted-by-(re, im) pairing first; if that looks ambiguous the exact
-    optimal assignment is used instead.  Off the real axis the real part
-    is rounded to 1e-9 for the sort, so that the two members of a
-    conjugate pair whose real parts differ in the last bits sort the same
-    way in both multisets; real eigenvalues closer than that keep their
-    order.
+    optimal assignment is used instead.  Every threshold is relative to
+    the largest modulus r in the two multisets, so the result scales with
+    them.  Off the real axis the real part is rounded to 1e-9 r for the
+    sort, so that the two members of a conjugate pair whose real parts
+    differ in the last bits sort the same way in both multisets; real
+    eigenvalues closer than that keep their order.
     """
     if len(u) != len(v):
         raise DimensionMismatch(f"multisets have sizes {len(u)} and {len(v)}")
+    u = [complex(z) for z in u]
+    v = [complex(z) for z in v]
+    r = max(map(abs, u + v)) or 1.0
 
     def key(z):
-        return (round(z.real, 9) if abs(z.imag) > 1e-9 else z.real), z.imag
-    u = sorted((complex(z) for z in u), key=key)
-    v = sorted((complex(z) for z in v), key=key)
+        x = z.real / r
+        return (round(x, 9) if abs(z.imag) > 1e-9 * r else x), z.imag
+    u.sort(key=key)
+    v.sort(key=key)
     d_sorted = max(abs(a - b) for a, b in zip(u, v))
-    if d_sorted < 1e-9 or len(u) > 600:
+    if d_sorted < 1e-9 * r or len(u) > 600:
         return d_sorted
     from scipy.optimize import linear_sum_assignment
     ua = np.array(u)

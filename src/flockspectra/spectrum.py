@@ -349,9 +349,11 @@ def _assemble_reduced(p: SystemParams):
     for seed in _special_seeds(p):
         try:
             y = refine_special_root(p, seed)
-        except (NoConvergence, UnitCircleCollapse):
+        except (NoConvergence, UnitCircleCollapse) as ex:
             # legal below the regime's n threshold: the root is still on
             # the circle and was picked up by the branch scan
+            _log.info("special seed %r dropped: %s: %s", seed,
+                      type(ex).__name__, ex)
             continue
         if any(abs(y - s.y) <= DEDUPE_TOL * abs(y) for s in special):
             continue  # both seeds found one root (small n); counted below

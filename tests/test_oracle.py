@@ -14,11 +14,32 @@ from flockspectra import (DimensionMismatch, DomainError, NoConvergence,
                           build_full_matrix, build_reduced_matrix,
                           cross_validate, make_params, pairing_distance,
                           qr_eigenvalues, tridiag_polynomial_eigenvalues)
-from flockspectra.oracle import _tau_balance
+from flockspectra import oracle
+from flockspectra.oracle import _newton_correction, _tau_balance
 
 
 def _sorted_real(vals):
     return sorted(v.real for v in vals)
+
+
+def _reference_correction(z, d, w):
+    """p(z)/p'(z) one row at a time: D_k = (z - d_k) D_(k-1) -
+    w_(k-1) D_(k-2) and its derivative, both divided by their largest
+    modulus every 8 rows."""
+    prev = np.zeros((2, len(z)), dtype=complex)
+    prev[0] = 1.0
+    cur = np.empty_like(prev)
+    cur[0] = z - d[0]
+    cur[1] = 1.0
+    for k in range(1, len(d)):
+        nxt = (z - d[k]) * cur - w[k - 1] * prev
+        nxt[1] += cur[0]
+        prev, cur = cur, nxt
+        if k % 8 == 0:
+            s = np.abs(cur).max(axis=0)
+            prev /= s
+            cur /= s
+    return cur[0] / cur[1]
 
 
 class TestQrEigenvalues:
@@ -114,6 +135,17 @@ class TestPolynomialEigenvalues:
         roots = tridiag_polynomial_eigenvalues(B)
         assert pairing_distance(roots, scipy.linalg.eigvals(B)) < 1e-10
 
+    @pytest.mark.parametrize("args", [(0.6, 0.6, 1.2, 2, -1.8, 400),
+                                      (1, 1, 2, 2.95, -2.25, 600)])
+    def test_weak_coupling_does_not_underflow(self, args):
+        # |d| and sqrt|c(a+e)| well above sqrt(ac): scaled to unit size,
+        # D shrinks by 0.15-0.25 a row across the bulk, so a chunk sized
+        # for growth alone runs D down to 0
+        p = make_params(*args)
+        B = _tau_balance(p, build_reduced_matrix(p))
+        roots = tridiag_polynomial_eigenvalues(B)
+        assert pairing_distance(roots, scipy.linalg.eigvals(B)) < 1e-10
+
     def test_recurrence_rescaling_avoids_overflow(self):
         # |det(zI - M)| reaches ~1e360 here without the joint rescaling
         p = make_params(1, 1, 2, 2.95, -2.25, 120)
@@ -123,9 +155,50 @@ class TestPolynomialEigenvalues:
             roots = tridiag_polynomial_eigenvalues(B)
         assert pairing_distance(roots, scipy.linalg.eigvals(B)) < 1e-9 * 1e3
 
+    @pytest.mark.parametrize("s", [1e-170, 1e-100, 1e-20, 1e-10, 1e40,
+                                   1e100, 1e170, 5e307])
+    @pytest.mark.parametrize("e", [-2.25, 0.4])  # Aberth, MRRR
+    def test_roots_do_not_depend_on_scale(self, e, s):
+        # past 1e+-154 the products sub_k * sup_k leave the float range,
+        # and at 5e307 the power of two above the largest entry does;
+        # LAPACK QR on s M is itself wrong past 1e+-137, so the reference
+        # is QR on M
+        M = build_reduced_matrix(make_params(1, 1, 2, 2.95, e, 60))
+        roots = tridiag_polynomial_eigenvalues(s * M)
+        assert pairing_distance([z / s for z in roots],
+                                qr_eigenvalues(M)) < 1e-12
+
+    def test_no_convergence_reports_progress(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_ABERTH_MAX_ITER", 2)
+        M = build_reduced_matrix(make_params(1, 1, 2, 2.95, -2.25, 60))
+        with pytest.raises(NoConvergence,
+                           match=r"in 2 sweeps: \d+ of 60 points still "
+                                 r"moving, largest last step \S+"):
+            tridiag_polynomial_eigenvalues(M)
+
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatch):
             tridiag_polynomial_eigenvalues(np.zeros((3, 2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 700), m=st.integers(1, 60),
+       spread=st.sampled_from([1.0, 0.1]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_banded_correction_matches_recurrence(n, m, spread, seed):
+    # entries scaled to |d|, |w| <= 1 as _aberth passes them; at n=700
+    # the solves run in two to four chunks.  A spread of 0.1 puts every
+    # d_k and z near one centre with |w| <= 0.01, as when |d| dominates
+    # sqrt|w|: D then shrinks ~10-fold a row and the chunks are shorter
+    rng = np.random.default_rng(seed)
+    centre = (1 - spread) * rng.uniform(-1, 1)
+    d = centre + spread * rng.uniform(-1, 1, n)
+    w = spread ** 2 * rng.uniform(-1, 1, n - 1)
+    z = centre + spread * (rng.uniform(-3, 3, m)
+                           + 1j * rng.uniform(-1.5, 1.5, m))
+    got = _newton_correction(z, d, w)
+    want = _reference_correction(z, d, w)
+    assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
 
 
 class TestTauBalance:
@@ -202,6 +275,22 @@ class TestMultisetInvariants:
         u = [1 + 1j, 1 - 1j, -2.0]
         v = [-2.0, 1 + 1j, complex(1 + 2.0 ** -52, -1)]
         assert pairing_distance(u, v) < 1e-15
+
+
+_grid = st.integers(-32, 32).map(lambda k: k / 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(),
+       u=st.lists(st.builds(complex, _grid, _grid), min_size=1, max_size=10),
+       shift=st.builds(complex, _grid, _grid),
+       s=st.sampled_from([2.0 ** -332, 2.0 ** -66, 2.0 ** 66, 2.0 ** 332]))
+def test_pairing_distance_scales_with_its_input(data, u, shift, s):
+    # s ~ 1e-100, 1e-20, 1e20, 1e100; powers of two keep the scaling exact
+    v = data.draw(st.permutations(u))
+    v[0] += shift
+    got = pairing_distance([s * z for z in u], [s * z for z in v])
+    assert got == pytest.approx(s * pairing_distance(u, v), rel=1e-15, abs=0)
 
 
 @settings(max_examples=15, deadline=None)

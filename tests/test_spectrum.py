@@ -530,12 +530,30 @@ def test_trace_corrections_and_fallbacks_are_logged(caplog):
     with caplog.at_level(logging.INFO, logger="flockspectra"):
         compute_spectrum(make_params(1, 1, None, 3, -2.25, 10), "reduced")
         compute_spectrum(make_params(1, 3, 4, 6, -3, 30), "laplacian")
-    recovered, fallback = [r.getMessage() for r in caplog.records
-                           if r.name == "flockspectra"]
+    recovered, *dropped, fallback = [r.getMessage() for r in caplog.records
+                                     if r.name == "flockspectra"]
     assert recovered.startswith("trace correction: recovered root 2.15304")
     assert "power-sum residuals" in recovered
+    # c+e = 0: the twin's quadratic has a double root, Newton stalls on it
+    assert len(dropped) == 2
+    assert all(m.startswith("special seed (1.73205")
+               and "dropped: NoConvergence: no root near seed" in m
+               for m in dropped)
     assert fallback.startswith("laplacian assembly failed")
     assert "QR" in fallback
+
+
+def test_dropped_special_seed_is_logged(caplog):
+    # T1/1 just past d = (a-e) sqrt(c/a): at n=5 the root of f is still
+    # on the unit circle, so Newton from the quadratic's seed collapses
+    p = make_params(1, 1, None, 0.6, 0.5, 5)
+    with caplog.at_level(logging.INFO, logger="flockspectra"):
+        spec = compute_spectrum(p, "reduced")
+    assert spec.special == []
+    (msg,) = [r.getMessage() for r in caplog.records
+              if r.name == "flockspectra"]
+    assert msg.startswith("special seed (1.06811")
+    assert "dropped: UnitCircleCollapse: iterate collapsed" in msg
 
 
 def test_logging_adds_no_output_by_default():
