@@ -36,7 +36,7 @@ CIRCLE_EPS = 1e-9
 NEWTON_MAX_ITER = 100
 EPS = float(np.finfo(float).eps)
 POLE_TOL = 1e-12
-# Branches per scan block; every temporary of the scan is O(_BLOCK).
+# Items per slice of array work; every temporary of a slice is O(_BLOCK).
 _BLOCK = 2048
 
 
@@ -233,43 +233,38 @@ def _h_and_slope(p: SystemParams, phi):
     return h, dh
 
 
-def _newton_branches(p: SystemParams, first: int, last: int,
-                     stationary: List[float]):
-    """(ell, phi) of the roots on the branches first..last, one per
-    branch or per piece of a branch cut at a stationary angle (see
-    find_branch_roots), each polished by _safeguarded_newton on H."""
+def _brackets(p: SystemParams):
+    """(ell, lo, hi, neg) of every bracket on the branches 1..n: one per
+    branch, or per piece of a branch cut at a stationary angle (see
+    find_branch_roots), with neg the sign of H at lo."""
     a, e, dt, n = p.a, p.e, p.d * p.tau, p.n
     # The sign of G = H/sin(phi) at the branch ends m pi/n is known
     # without evaluating H: (-1)^m (a+e) inside, and, as U_k(+-1) =
     # (+-1)^k (k+1), G(0) = a(n+1) - d tau n - e(n-1) and G(pi) = (-1)^n
     # (a(n+1) + d tau n - e(n-1)).  H is evaluated only at the cuts.
-    m = np.arange(first - 1, last + 1)
+    m = np.arange(n + 1)
     edges = m * math.pi / n
+    edges[-1] = math.pi
     g = np.where(m % 2 == 1, -(a + e), a + e)
     # An outer G within its rounding error of 0 is a finite-n threshold:
     # that end takes its neighbour's sign, and the root merging with y =
     # +-1 is left to the caller's count.
     floor = 4 * EPS * (abs(a) * (n + 1) + abs(dt) * n + abs(e) * (n - 1))
-    if first == 1:
-        g0 = a * (n + 1) - dt * n - e * (n - 1)
-        g[0] = g0 if abs(g0) > floor else g[1]
-    if last == n:
-        edges[-1] = math.pi
-        gpi = (-1) ** n * (a * (n + 1) + dt * n - e * (n - 1))
-        g[-1] = gpi if abs(gpi) > floor else g[-2]
+    g0 = a * (n + 1) - dt * n - e * (n - 1)
+    g[0] = g0 if abs(g0) > floor else g[1]
+    gpi = (-1) ** n * (a * (n + 1) + dt * n - e * (n - 1))
+    g[-1] = gpi if abs(gpi) > floor else g[-2]
     neg = g < 0
-    ell = np.arange(first, last + 1)
-    cut = np.array([phi for phi in stationary if edges[0] < phi < edges[-1]
-                    and phi not in edges])
+    ell = np.arange(1, n + 1)
+    cut = np.array([phi for phi in _stationary_angles(p)
+                    if phi not in edges])
     if len(cut):
         k = np.searchsorted(edges, cut)
         edges = np.insert(edges, k, cut)
         neg = np.insert(neg, k, _h_and_slope(p, cut)[0] < 0)
         ell = np.insert(ell, k - 1, ell[k - 1])
     change = np.flatnonzero(neg[:-1] != neg[1:])
-    lo, hi, neg, ell = edges[change], edges[change + 1], neg[change], \
-        ell[change]
-    return ell, _safeguarded_newton(p, ell, lo, hi, neg)
+    return ell[change], edges[change], edges[change + 1], neg[change]
 
 
 def _safeguarded_newton(p: SystemParams, ell, lo, hi, neg):
@@ -318,16 +313,16 @@ def _safeguarded_newton(p: SystemParams, ell, lo, hi, neg):
 
 def _branch_root_arrays(p: SystemParams):
     """(ell, phi, eigenvalue) arrays of every unit-circle root, sorted by
-    phi; see find_branch_roots."""
-    n = p.n
+    phi: the brackets of _brackets, polished _BLOCK at a time, so that
+    the Newton temporaries stay small enough for the cache."""
     if _on_a_plus_e_line(p):
         return _closed_form_arrays(p)
-    stationary = _stationary_angles(p)
-    parts = [_newton_branches(p, first, min(first + _BLOCK - 1, n),
-                              stationary)
-             for first in range(1, n + 1, _BLOCK)]
-    ell = np.concatenate([part[0] for part in parts])
-    phi = np.concatenate([part[1] for part in parts])
+    ell, lo, hi, neg = _brackets(p)
+    phi = np.empty(len(ell))
+    for i in range(0, len(ell), _BLOCK):
+        part = slice(i, i + _BLOCK)
+        phi[part] = _safeguarded_newton(p, ell[part], lo[part], hi[part],
+                                        neg[part])
     return ell, phi, 2 * math.sqrt(p.a * p.c) * np.cos(phi)
 
 
@@ -338,14 +333,15 @@ def find_branch_roots(p: SystemParams) -> List[BranchRoot]:
     H = a sin((n+1) phi) - d tau sin(n phi) - e sin((n-1) phi) is (e+a)
     sin(n phi) times the cotangent residual and has no poles.  The sign
     of G = H/sin(phi), a polynomial of degree n in cos(phi), is known at
-    every branch end (see _newton_branches).  A root of branch ell
+    every branch end (see _brackets).  A root of branch ell
     solves F = n phi - arccot(R) = (ell-1) pi, and F is monotone between
     the at most two stationary angles of _stationary_angles.  So a
     branch with no stationary angle holds one root if G changes sign
     across it and none otherwise, and is its own bracket; one that holds
     a stationary angle is cut there, H is evaluated at the cut, and each
-    piece holds at most one root.  The brackets of a block of _BLOCK
-    branches are polished together by safeguarded Newton on H.
+    piece holds at most one root.  The brackets of all n branches are
+    built at once and polished by safeguarded Newton on H, _BLOCK
+    brackets at a time.
 
     Where G(0) or G(pi) is zero to within its rounding error (a finite-n
     threshold), a root of an end branch merges with y = +-1; that end
@@ -355,6 +351,14 @@ def find_branch_roots(p: SystemParams) -> List[BranchRoot]:
     whatever the parameters.
     """
     return _as_branch_roots(*_branch_root_arrays(p))
+
+
+def _special_seeds(p: SystemParams) -> List[complex]:
+    """The roots of a y^2 - d tau y - e outside the unit circle, y_plus
+    first: the Newton seeds of the special roots.  These are the roots
+    the theorem cases list."""
+    q = quadratic_roots(p)
+    return [y for y in (q.y_plus, q.y_minus) if abs(y) > 1.0 + CIRCLE_EPS]
 
 
 def refine_special_root(p: SystemParams, seed: complex) -> complex:

@@ -29,7 +29,7 @@ FLOAT_FMT = ".17g"
 
 PARAM_KEYS = ("a", "c", "b", "d", "e", "n", "alpha", "beta",
               "t_end", "dt", "kind", "n_values", "samples",
-              "spacing", "state_csv", "order", "t3", "format", "output")
+              "spacing", "state_csv", "format", "output")
 
 
 def _fmt(x) -> str:

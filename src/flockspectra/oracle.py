@@ -9,7 +9,7 @@ coefficients: multiple relatively robust representations (MRRR, LAPACK
 product is non-negative, and Aberth-Ehrlich simultaneous iteration
 otherwise.  Aberth's p/p' comes from the recurrence written as banded
 unit lower-triangular systems, solved by LAPACK ``ztbtrs`` for all
-iterates at once.  Both routes run on M scaled to unit size, so their
+iterates at once.  Both methods run on M scaled to unit size, so their
 roots do not depend on the scale of M.  Neither method shares any code
 with the transfer-matrix theory path, so each validates the other and
 both validate the theory.
@@ -55,22 +55,39 @@ class ValidationReport:
 def qr_eigenvalues(M: np.ndarray):
     """All eigenvalues of a real square matrix by LAPACK's Francis QR
     (``dgeev``/``dhseqr``: Hessenberg reduction, then multishift QR with
-    aggressive early deflation).
+    aggressive early deflation), on M scaled to unit size (_unit_scale).
 
     Raises DimensionMismatch for a non-square input, DomainError for a
     non-finite one, and NoConvergence if LAPACK fails to converge.
     """
-    A = np.asarray(M, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatch(f"matrix must be square, got {A.shape}")
+    A, s1, s2 = _unit_scale(M)
     if not np.isfinite(A).all():
         raise DomainError("matrix has non-finite entries")
     from scipy.linalg import LinAlgError, eigvals
     try:
-        eigs = eigvals(A, check_finite=False)
+        eigs = eigvals(A / s1 / s2, check_finite=False)
     except LinAlgError as ex:
         raise NoConvergence(f"LAPACK QR failed: {ex}") from ex
-    return eigs.astype(complex).tolist()
+    return (eigs.astype(complex) * s1 * s2).tolist()
+
+
+def _unit_scale(M):
+    """(A, s1, s2): M as a square float array and two powers of two whose
+    product s, perhaps 2^1024, is the power of two just above the largest
+    |d_k|, sqrt|sub_k sup_k| of A.  Both oracles run on the exact A/s: QR
+    on A is wrong past about 1e+-137, and sub_k sup_k overflows past
+    1e+-154.
+    """
+    A = np.asarray(M, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise DimensionMismatch(f"matrix must be square, got {A.shape}")
+    d, sub, sup = np.diag(A), np.diag(A, -1), np.diag(A, 1)
+    if not all(np.isfinite(x).all() for x in (d, sub, sup)):
+        raise DomainError("matrix has non-finite entries")
+    e = math.frexp(max(
+        np.abs(d).max(initial=0.0),
+        (np.sqrt(np.abs(sub)) * np.sqrt(np.abs(sup))).max(initial=0.0)))[1]
+    return A, math.ldexp(1.0, e // 2), math.ldexp(1.0, e - e // 2)
 
 
 def matrix_for_kind(p: SystemParams, kind: str) -> np.ndarray:
@@ -198,29 +215,16 @@ def tridiag_polynomial_eigenvalues(M: np.ndarray):
     (dqds on a shifted LDL^T factorization, not QR).  Otherwise the roots
     are complex and Aberth-Ehrlich iteration finds them, with p/p'
     from the recurrence and its derivative as banded triangular solves.
-    Both routes run on M divided by its largest |d_k| or sqrt|w_k|, so
+    Both routes run on M divided by the power of two of _unit_scale, so
     the roots are found to the same relative accuracy at any scale of M,
     and w never leaves the float range.  No route expands the polynomial
     into monomial coefficients, which destroys the roots in double
     precision past degree ~50.  Entries off the three diagonals are not
     read.
     """
-    A = np.asarray(M, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatch(f"matrix must be square, got {A.shape}")
-    d, sub, sup = np.diag(A), np.diag(A, -1), np.diag(A, 1)
-    if not all(np.isfinite(x).all() for x in (d, sub, sup)):
-        raise DomainError("matrix has non-finite entries")
-    # both routes run on M/s: w = sub sup formed at the scale of M leaves
-    # the float range once the entries pass about 1e+-154.  s is the power
-    # of two just above the largest |d_k|, sqrt|w_k|, so scaling is exact;
-    # it is applied as two factors s1 s2, as s itself may be 2^1024
-    e = math.frexp(max(
-        np.abs(d).max(initial=0.0),
-        (np.sqrt(np.abs(sub)) * np.sqrt(np.abs(sup))).max(initial=0.0)))[1]
-    s1, s2 = math.ldexp(1.0, e // 2), math.ldexp(1.0, e - e // 2)
-    d = d / s1 / s2
-    w = (sub / s1 / s2) * (sup / s1 / s2)
+    A, s1, s2 = _unit_scale(M)
+    d = np.diag(A) / s1 / s2
+    w = (np.diag(A, -1) / s1 / s2) * (np.diag(A, 1) / s1 / s2)
     if (w >= 0).all():
         from scipy.linalg import LinAlgError, eigh_tridiagonal
         try:

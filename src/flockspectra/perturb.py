@@ -19,10 +19,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .charpoly import (_BLOCK, _on_a_plus_e_line, _scaled_poly_and_deriv,
-                       eval_cotangent_residual)
+                       _special_seeds, eval_cotangent_residual)
 from .errors import DomainError, NoConvergence, NotApplicable
 from .model import SystemParams
-from .spectrum import _special_seeds
 
 DEVIATION_FLOOR = 1e-14        # double-precision fit floor
 REAL_SEED_TOL = 1e-12

@@ -34,14 +34,13 @@ import numpy as np
 
 from .charpoly import (EPS, BranchRoot, _as_branch_roots,
                        _branch_root_arrays, _on_a_plus_e_line,
-                       eigenvalue_from_root, quadratic_roots,
-                       refine_special_root)
+                       _special_seeds, eigenvalue_from_root,
+                       quadratic_roots, refine_special_root)
 from .errors import (DegenerateRoot, DimensionMismatch, DiscriminantCollapse,
                      DomainError, NoConvergence, RootCountAnomaly,
                      UnitCircleCollapse)
 from .model import SystemParams, build_laplacian, is_decentralized
 
-CIRCLE_SEED_MARGIN = 1e-9
 DEDUPE_TOL = 1e-9
 DISCRIMINANT_REL_TOL = 1e-12
 
@@ -158,19 +157,15 @@ class Spectrum:
         }
 
     def csv_rows(self):
-        """(re, im, label) rows, one eigenvalue per row."""
-        rows = []
+        """(re, im, label) rows in the order of eigenvalues()."""
         if self.unlabeled is not None:
-            return [(z.real, z.imag, "oracle") for z in self.unlabeled]
-        if self.leader is not None:
-            rows.append((self.leader + self.shift, 0.0, "leader"))
-        rows += [(r, 0.0, f"bulk:{ell}") for ell, r in
-                 zip(self.bulk_ell.tolist(),
-                     (self.bulk_eigenvalue + self.shift).tolist())]
-        for s in self.special:
-            z = s.eigenvalue + self.shift
-            rows.append((z.real, z.imag, "special"))
-        return rows
+            labels = ["oracle"] * len(self.unlabeled)
+        else:
+            labels = (["leader"] * (self.leader is not None)
+                      + [f"bulk:{ell}" for ell in self.bulk_ell.tolist()]
+                      + ["special"] * len(self.special))
+        return [(z.real, z.imag, label)
+                for z, label in zip(self.eigenvalues(), labels)]
 
 
 def _decentralized_cell(p: SystemParams):
@@ -258,24 +253,11 @@ def classify_regime(p: SystemParams) -> RegimeLabel:
     return label("T3", "3")
 
 
-def _special_seeds(p: SystemParams):
-    """The roots of a y^2 - d tau y - e outside the unit circle, y_plus
-    first: the Newton seeds of the special roots.  These are the roots
-    the theorem cases list."""
-    q = quadratic_roots(p)
-    return [y for y in (q.y_plus, q.y_minus)
-            if abs(y) > 1.0 + CIRCLE_SEED_MARGIN]
-
-
 def _p31_special(p: SystemParams) -> SpecialRoot:
     """The exact extra root for a + e = 0: the polynomial factors and the
     quadratic a y^2 - d tau y + a contributes exactly one eigenvalue, d."""
-    a, d, tau = p.a, p.d, p.tau
-    disc = d * d * tau * tau - 4 * a * a
-    root = cmath.sqrt(complex(disc))
-    y1 = (d * tau + root) / (2 * a)
-    y2 = (d * tau - root) / (2 * a)
-    y = y1 if abs(y1) >= abs(y2) else y2
+    q = quadratic_roots(replace(p, e=-p.a))
+    y = max(q.y_plus, q.y_minus, key=abs)
     return SpecialRoot(seed=y, y=y, eigenvalue=eigenvalue_from_root(p, y))
 
 
@@ -355,16 +337,25 @@ def _assemble_reduced(p: SystemParams):
             _log.info("special seed %r dropped: %s: %s", seed,
                       type(ex).__name__, ex)
             continue
-        if any(abs(y - s.y) <= DEDUPE_TOL * abs(y) for s in special):
-            continue  # both seeds found one root (small n); counted below
+        same = [s.y for s in special if abs(y - s.y) <= DEDUPE_TOL * abs(y)]
+        if same:  # both seeds found one root (small n); counted below
+            _log.info("special root %r dropped: seed %r found the kept "
+                      "special root %r", y, seed, same[0])
+            continue
         special.append(SpecialRoot(seed=seed, y=y,
                                    eigenvalue=eigenvalue_from_root(p, y)))
     if len(bulk[0]) + len(special) > p.n:
         # a special root at a regime boundary may duplicate a bulk root
         # that converged to a branch endpoint (y near +-1)
         tol = DEDUPE_TOL * 2 * math.sqrt(p.a * p.c)
-        special = [s for s in special
-                   if not np.any(np.abs(s.eigenvalue - bulk[2]) < tol)]
+        for s in list(special):
+            near = np.flatnonzero(np.abs(s.eigenvalue - bulk[2]) < tol)
+            if len(near):
+                special.remove(s)
+                _log.info("special root %r dropped: its eigenvalue %r is "
+                          "the kept bulk root %r of branch %d", s.y,
+                          s.eigenvalue, float(bulk[2][near[0]]),
+                          bulk[0][near[0]])
     return _certify_count(p, bulk, special)
 
 

@@ -196,8 +196,9 @@ class TestFindBranchRoots:
                                      y).real, abs=1e-10)
 
     def test_peak_memory_bounded_by_result(self):
-        # The scan works on fixed-size branch blocks, so its transient
-        # memory stays small next to the list of roots it returns.
+        # The scan holds one bracket table and polishes it in fixed-size
+        # slices, so its transient memory stays small next to the list of
+        # roots it returns.
         p = make_params(1.3, 0.7, 2.0, 0.9, 0.4, 30720)
         tracemalloc.start()
         try:
@@ -231,9 +232,9 @@ class TestFindBranchRoots:
         (1, 1, 2, 0.5, -1 - 1e-3, 50)],
         ids=["baseline", "a+e=1e-3", "a+e=-1e-3"])
     def test_end_branches_take_few_residual_calls(self, monkeypatch, args):
-        # the end branches are brackets like the interior ones: per block
-        # of branches 1..n, one H evaluation at the stationary angles and
-        # a few Newton steps, no sample grid and no bisection down to
+        # the end branches are brackets like the interior ones: one H
+        # evaluation at the stationary angles, a few Newton steps per
+        # slice of brackets, no sample grid and no bisection down to
         # adjacent doubles
         import flockspectra.charpoly as charpoly
         calls, residual_calls = _count_calls(monkeypatch, charpoly)
@@ -243,13 +244,30 @@ class TestFindBranchRoots:
         assert len(calls) <= 12 * math.ceil(p.n / charpoly._BLOCK)
         assert sum(calls) <= 4 * p.n
 
+    @pytest.mark.parametrize("args", [
+        (1.3, 0.7, 2.0, 0.9, 0.4, 3000),
+        (1.9622768212420452, 4.179999553518589, None, 4.650296370269988,
+         -1.9791010244640208, 26),
+        (1, 1, None, 0.628, 0.4, 50),
+        (1, 1, 2, 0.5, -1 - 1e-3, 500)],
+        ids=["baseline", "close-pair", "G(0)=0", "a+e=-1e-3"])
+    def test_newton_slices_change_no_bit(self, monkeypatch, args):
+        # the brackets are built once for all n branches; _BLOCK only
+        # slices their Newton polish, which works bracket by bracket
+        import flockspectra.charpoly as charpoly
+        p = make_params(*args)
+        want = charpoly._branch_root_arrays(p)
+        monkeypatch.setattr(charpoly, "_BLOCK", 7)
+        got = charpoly._branch_root_arrays(p)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
     @pytest.mark.parametrize("side", [1, -1], ids=["e>-a", "e<-a"])
     def test_h_calls_per_block_do_not_grow_near_a_plus_e_zero(
             self, monkeypatch, side):
-        # The interior branches are their own brackets: per block of
-        # _BLOCK branches, at most one evaluation at the stationary angles
-        # and a few Newton steps (two here), never a sample column or a
-        # bisection down to adjacent doubles.
+        # The interior branches are their own brackets: one evaluation at
+        # the stationary angles, then per slice of _BLOCK brackets a few
+        # Newton steps (two here), never a sample column or a bisection
+        # down to adjacent doubles.
         import flockspectra.charpoly as charpoly
         calls = []
 

@@ -252,11 +252,17 @@ class TestConfigAndErrors:
         assert doc["result"]["theorem"] == "T1"
 
     def test_unknown_config_key(self, capsys, tmp_path):
+        # no subcommand reads "order" or "t3": the stability order follows
+        # from --alpha/--beta
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"a": 1.0, "zz": 2}))
-        code, _, err = run_cli(capsys, "classify", "--config", str(cfg))
-        assert code == 1
-        assert "zz" in json.loads(err)["message"]
+        for command, key, value in [("classify", "zz", 2),
+                                    ("stability", "order", 2),
+                                    ("stability", "t3", 1.0)]:
+            cfg.write_text(json.dumps({"a": 1.0, "c": 1.0, "d": 0.5,
+                                       "e": 0.5, key: value}))
+            code, _, err = run_cli(capsys, command, "--config", str(cfg))
+            assert code == 1
+            assert key in json.loads(err)["message"]
 
     def test_missing_params_exit_one(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--a", "1")

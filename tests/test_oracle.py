@@ -61,6 +61,14 @@ class TestQrEigenvalues:
         eigs = qr_eigenvalues(np.array([[0., -1], [1, 0]]))
         assert sorted(z.imag for z in eigs) == pytest.approx([-1, 1])
 
+    @pytest.mark.parametrize("s", [1e-160, 1e-140, 1e140, 1e160, 1e300])
+    @pytest.mark.parametrize("e", [-2.25, 0.4])
+    def test_eigenvalues_do_not_depend_on_scale(self, e, s):
+        # LAPACK QR on s M itself is off by up to 8e21 of the scale here
+        M = build_reduced_matrix(make_params(1, 1, 2, 2.95, e, 60))
+        assert pairing_distance([z / s for z in qr_eigenvalues(s * M)],
+                                qr_eigenvalues(M)) < 1e-13
+
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatch):
             qr_eigenvalues(np.zeros((2, 3)))
@@ -160,9 +168,7 @@ class TestPolynomialEigenvalues:
     @pytest.mark.parametrize("e", [-2.25, 0.4])  # Aberth, MRRR
     def test_roots_do_not_depend_on_scale(self, e, s):
         # past 1e+-154 the products sub_k * sup_k leave the float range,
-        # and at 5e307 the power of two above the largest entry does;
-        # LAPACK QR on s M is itself wrong past 1e+-137, so the reference
-        # is QR on M
+        # and at 5e307 the power of two above the largest entry does
         M = build_reduced_matrix(make_params(1, 1, 2, 2.95, e, 60))
         roots = tridiag_polynomial_eigenvalues(s * M)
         assert pairing_distance([z / s for z in roots],

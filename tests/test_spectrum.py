@@ -19,10 +19,11 @@ from flockspectra import (DegenerateRoot, DiscriminantCollapse,
                           find_branch_roots, is_decentralized,
                           leader_eigenvector, make_params, pairing_distance,
                           quadratic_roots, residual)
+from flockspectra.charpoly import (CIRCLE_EPS, EPLUSA_THRESHOLD,
+                                   _special_seeds)
 from flockspectra.oracle import _tau_balance
-from flockspectra.spectrum import (CIRCLE_SEED_MARGIN, _branch_root_arrays,
-                                   _certify_count, _power_sum_residuals,
-                                   _power_sum_tol, _special_seeds)
+from flockspectra.spectrum import (_branch_root_arrays, _certify_count,
+                                   _power_sum_residuals, _power_sum_tol)
 
 
 class TestClassifyRegime:
@@ -278,8 +279,8 @@ def boundary_params(draw):
 def test_off_circle_seeds_are_the_theorem_table(params):
     """The special seeds, the quadratic roots outside the unit circle, are
     the roots the theorem case lists.  On a case threshold a listed root
-    may sit on the circle; the margin drops it on both sides of the
-    comparison."""
+    may sit on the circle; charpoly's circle tolerance CIRCLE_EPS drops
+    it on both sides of the comparison."""
     a, c, d, e = params
     p = make_params(a, c, None, d, e, 10)
     regime = classify_regime(p)
@@ -287,7 +288,7 @@ def test_off_circle_seeds_are_the_theorem_table(params):
     listed = [{"+": q.y_plus, "-": q.y_minus}[k]
               for k in SEED_TABLE[(regime.theorem, regime.case)]]
     assert _special_seeds(p) == [y for y in listed
-                                 if abs(y) > 1 + CIRCLE_SEED_MARGIN]
+                                 if abs(y) > 1 + CIRCLE_EPS]
 
 
 @pytest.mark.parametrize("kind", ["full", "reduced"])
@@ -303,6 +304,31 @@ def test_assembly_near_a_plus_e_zero_ends_promptly(kind, side):
     except FlockSpectraError:
         pass
     assert time.perf_counter() - start < 1.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.floats(0.2, 5), c=st.floats(0.2, 5), d=st.floats(-6, 6),
+       side=st.sampled_from([1, -1]), u=st.floats(-16, -12),
+       n=st.integers(2, 400))
+@example(a=1.0, c=1.0, d=0.0, side=1, u=-13.0, n=2)
+def test_a_plus_e_dispatch_band_matches_lapack(a, c, d, side, u, n):
+    """|a+e| < EPLUSA_THRESHOLD a takes the closed-form layout of the line
+    a + e = 0, where the cotangent scan would drop roots or misplace them.
+
+    The layout is exact on the line; off it, the roots move by about
+    c |a+e| / delta, delta the distance from the special eigenvalue d to
+    the nearest bulk eigenvalue, and by up to sqrt(c |a+e|) where the two
+    meet (a double root: n = 2, d = 0, a+e = -1e-13 is 3.2e-7 off)."""
+    p = make_params(a, c, None, d, -a * (1 + side * 10 ** u), n)
+    assume(abs(p.a + p.e) < EPLUSA_THRESHOLD * p.a)
+    got = compute_spectrum(p, "reduced").eigenvalues()
+    want = eigvals(_tau_balance(p, build_reduced_matrix(p)))
+    bulk = 2 * math.sqrt(a * c) * np.cos(np.pi * np.arange(1, n) / n)
+    shift = c * abs(p.a + p.e)
+    delta = np.abs(bulk - d).min()
+    moved = math.sqrt(shift) if delta <= math.sqrt(shift) else shift / delta
+    assert (pairing_distance(got, want)
+            <= 1e-9 * 2 * math.sqrt(a * c) + moved)
 
 
 @pytest.mark.parametrize("kind", ["full", "reduced"])
@@ -530,8 +556,11 @@ def test_trace_corrections_and_fallbacks_are_logged(caplog):
     with caplog.at_level(logging.INFO, logger="flockspectra"):
         compute_spectrum(make_params(1, 1, None, 3, -2.25, 10), "reduced")
         compute_spectrum(make_params(1, 3, 4, 6, -3, 30), "laplacian")
-    recovered, *dropped, fallback = [r.getMessage() for r in caplog.records
-                                     if r.name == "flockspectra"]
+    same, recovered, *dropped, fallback = [
+        r.getMessage() for r in caplog.records if r.name == "flockspectra"]
+    # d = 2 sqrt(c|e|): both seeds reach the one double root
+    assert same.startswith("special root (1.51949")
+    assert "found the kept special root (1.51949" in same
     assert recovered.startswith("trace correction: recovered root 2.15304")
     assert "power-sum residuals" in recovered
     # c+e = 0: the twin's quadratic has a double root, Newton stalls on it
@@ -541,6 +570,28 @@ def test_trace_corrections_and_fallbacks_are_logged(caplog):
                for m in dropped)
     assert fallback.startswith("laplacian assembly failed")
     assert "QR" in fallback
+
+
+@pytest.mark.parametrize("args,parts", [
+    ((1, 1, 2, 3.0, -2.25, 20),
+     ("special root (1.50037", "found the kept special root (1.50037")),
+    ((1.3273146042545625, 4.433832387831716, None, -0.39815380295728325,
+      1.5907547244900506, 64),
+     ("special root (1.00000000413", "its eigenvalue (4.85184108609",
+      "is the kept bulk root 4.85184108608", "of branch 1")),
+], ids=["special-special", "special-bulk"])
+def test_dropped_duplicate_root_is_logged(caplog, args, parts):
+    # the double root d = 2 sqrt(c|e|), where both seeds reach one root;
+    # and G(0) = 1.4e-8, where the bulk root at phi = 1.9e-6 and the
+    # special root y = 1.0000000041 are one eigenvalue found twice
+    with caplog.at_level(logging.INFO, logger="flockspectra"):
+        spec = compute_spectrum(make_params(*args), "reduced")
+    assert len(spec.eigenvalues()) == spec.params.n
+    msg = next(r.getMessage() for r in caplog.records
+               if r.name == "flockspectra"
+               and r.getMessage().startswith("special root"))
+    assert msg.startswith(parts[0])
+    assert all(part in msg for part in parts[1:])
 
 
 def test_dropped_special_seed_is_logged(caplog):
