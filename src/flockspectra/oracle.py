@@ -1,18 +1,23 @@
 """Independent ground-truth eigensolvers.
 
-Two unrelated methods.  The first is LAPACK's Francis QR with aggressive
-early deflation (``dhseqr`` through ``scipy.linalg.eigvals``).  The second
-finds the roots of det(zI - M), defined by the three-term determinant
-recurrence along the tridiagonal, without expanding it into monomial
-coefficients: multiple relatively robust representations (MRRR, LAPACK
-``dstemr``) on the symmetrized tridiagonal when every off-diagonal
-product is non-negative, and Aberth-Ehrlich simultaneous iteration
-otherwise.  Aberth's p/p' comes from the recurrence written as banded
-unit lower-triangular systems, solved by LAPACK ``ztbtrs`` for all
-iterates at once.  Both methods run on M scaled to unit size, so their
-roots do not depend on the scale of M.  Neither method shares any code
-with the transfer-matrix theory path, so each validates the other and
-both validate the theory.
+Two unrelated methods.  The first is LAPACK QR: when M is tridiagonal
+and every off-diagonal product is non-negative, root-free implicit QL/QR
+(``dsterf``) on the symmetric tridiagonal with the same characteristic
+polynomial, in O(n^2); otherwise Francis QR with aggressive early
+deflation (``dhseqr`` through ``scipy.linalg.eigvals``) on the dense M,
+in O(n^3).  The second finds the roots of det(zI - M), defined by the
+three-term determinant recurrence along the tridiagonal, without
+expanding it into monomial coefficients: multiple relatively robust
+representations (MRRR, LAPACK ``dstemr``: dqds on a shifted LDL^T
+factorization, not QR) on the symmetrized tridiagonal when every
+off-diagonal product is non-negative, and Aberth-Ehrlich simultaneous
+iteration otherwise.  Aberth's p/p' comes from the recurrence written as
+banded unit lower-triangular systems, solved by LAPACK ``ztbtrs`` for
+all iterates at once.  Both methods run on M scaled to unit size, so
+their roots do not depend on the scale of M.  They share only that
+scaling and the extraction of the diagonal and off-diagonal products
+(_scaled_chain), and neither shares any code with the transfer-matrix
+theory path, so each validates the other and both validate the theory.
 
 scipy is imported inside the functions that use it, so that importing
 the package does not pay for it.
@@ -53,28 +58,45 @@ class ValidationReport:
 
 
 def qr_eigenvalues(M: np.ndarray):
-    """All eigenvalues of a real square matrix by LAPACK's Francis QR
-    (``dgeev``/``dhseqr``: Hessenberg reduction, then multishift QR with
-    aggressive early deflation), on M scaled to unit size (_unit_scale).
+    """All eigenvalues of a real square matrix by LAPACK QR, on M scaled
+    to unit size (_scaled_chain).
+
+    A tridiagonal M whose off-diagonal products w_k = sub_k sup_k are all
+    >= 0 has the characteristic polynomial of the symmetric tridiagonal
+    (d, sqrt(w)), whose eigenvalues root-free implicit QL/QR (``dsterf``)
+    finds in O(n^2).  Any other M (a negative product, or an entry off
+    the three diagonals) goes to Francis QR (``dgeev``/``dhseqr``:
+    Hessenberg reduction, then multishift QR with aggressive early
+    deflation) on the dense M, in O(n^3).
 
     Raises DimensionMismatch for a non-square input, DomainError for a
     non-finite one, and NoConvergence if LAPACK fails to converge.
     """
-    A, s1, s2 = _unit_scale(M)
+    A, d, w, s1, s2 = _scaled_chain(M)
     if not np.isfinite(A).all():
         raise DomainError("matrix has non-finite entries")
-    from scipy.linalg import LinAlgError, eigvals
+    if not len(d):
+        return []
+    from scipy.linalg import LinAlgError, eigh_tridiagonal, eigvals
+    symmetric = (w >= 0).all() and np.count_nonzero(A) == sum(
+        np.count_nonzero(np.diag(A, k)) for k in (-1, 0, 1))
     try:
-        eigs = eigvals(A / s1 / s2, check_finite=False)
+        if symmetric:
+            eigs = eigh_tridiagonal(d, np.sqrt(w), eigvals_only=True,
+                                    lapack_driver="sterf", check_finite=False)
+        else:
+            eigs = eigvals(A / s1 / s2, check_finite=False)
     except LinAlgError as ex:
         raise NoConvergence(f"LAPACK QR failed: {ex}") from ex
     return (eigs.astype(complex) * s1 * s2).tolist()
 
 
-def _unit_scale(M):
-    """(A, s1, s2): M as a square float array and two powers of two whose
-    product s, perhaps 2^1024, is the power of two just above the largest
-    |d_k|, sqrt|sub_k sup_k| of A.  Both oracles run on the exact A/s: QR
+def _scaled_chain(M):
+    """(A, d, w, s1, s2): M as a square float array A, two powers of two
+    whose product s, perhaps 2^1024, is the power of two just above the
+    largest |d_k|, sqrt|sub_k sup_k| of A, and the diagonal d and
+    off-diagonal products w_k = sub_k sup_k of the exact A/s (empty for
+    a 0 x 0 M; w is empty for a 1 x 1 one).  Both oracles run on A/s: QR
     on A is wrong past about 1e+-137, and sub_k sup_k overflows past
     1e+-154.
     """
@@ -87,7 +109,8 @@ def _unit_scale(M):
     e = math.frexp(max(
         np.abs(d).max(initial=0.0),
         (np.sqrt(np.abs(sub)) * np.sqrt(np.abs(sup))).max(initial=0.0)))[1]
-    return A, math.ldexp(1.0, e // 2), math.ldexp(1.0, e - e // 2)
+    s1, s2 = math.ldexp(1.0, e // 2), math.ldexp(1.0, e - e // 2)
+    return A, d / s1 / s2, (sub / s1 / s2) * (sup / s1 / s2), s1, s2
 
 
 def matrix_for_kind(p: SystemParams, kind: str) -> np.ndarray:
@@ -215,16 +238,16 @@ def tridiag_polynomial_eigenvalues(M: np.ndarray):
     (dqds on a shifted LDL^T factorization, not QR).  Otherwise the roots
     are complex and Aberth-Ehrlich iteration finds them, with p/p'
     from the recurrence and its derivative as banded triangular solves.
-    Both routes run on M divided by the power of two of _unit_scale, so
+    Both routes run on M divided by the power of two of _scaled_chain, so
     the roots are found to the same relative accuracy at any scale of M,
     and w never leaves the float range.  No route expands the polynomial
     into monomial coefficients, which destroys the roots in double
     precision past degree ~50.  Entries off the three diagonals are not
     read.
     """
-    A, s1, s2 = _unit_scale(M)
-    d = np.diag(A) / s1 / s2
-    w = (np.diag(A, -1) / s1 / s2) * (np.diag(A, 1) / s1 / s2)
+    _, d, w, s1, s2 = _scaled_chain(M)
+    if not len(d):
+        return []
     if (w >= 0).all():
         from scipy.linalg import LinAlgError, eigh_tridiagonal
         try:
@@ -259,6 +282,8 @@ def pairing_distance(u, v) -> float:
     """
     if len(u) != len(v):
         raise DimensionMismatch(f"multisets have sizes {len(u)} and {len(v)}")
+    if not len(u):
+        return 0.0
     u = [complex(z) for z in u]
     v = [complex(z) for z in v]
     r = max(map(abs, u + v)) or 1.0

@@ -367,7 +367,9 @@ def compute_spectrum(p: SystemParams, kind: str = "full") -> Spectrum:
     L = D - A): it is the full matrix of the decentralized twin (b, d) =
     (a+c, c-e) minus (a+c) I.  When the closed-form assembly fails (e.g.
     c+e=0) the Laplacian falls back to the QR oracle on the tau-balanced
-    -L, since -L itself is far from normal when tau^n is far from 1.
+    -L, since -L itself is far from normal when tau^n is far from 1: QR
+    on the symmetric tridiagonal of the same chain when a+e >= 0, dense
+    Francis QR when a+e < 0 (oracle.qr_eigenvalues).
     """
     if kind not in ("full", "reduced", "laplacian"):
         raise DomainError(f"unknown matrix kind {kind!r}")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flockspectra import (DimensionMismatch, DomainError, NoConvergence,
@@ -15,7 +15,8 @@ from flockspectra import (DimensionMismatch, DomainError, NoConvergence,
                           cross_validate, make_params, pairing_distance,
                           qr_eigenvalues, tridiag_polynomial_eigenvalues)
 from flockspectra import oracle
-from flockspectra.oracle import _newton_correction, _tau_balance
+from flockspectra.oracle import (_newton_correction, _tau_balance,
+                                 matrix_for_kind)
 
 
 def _sorted_real(vals):
@@ -42,6 +43,26 @@ def _reference_correction(z, d, w):
     return cur[0] / cur[1]
 
 
+def _spy_routes(monkeypatch):
+    """The list that records, call by call, which LAPACK routine
+    qr_eigenvalues hands its matrix: "eigvals" (dense Francis QR) or the
+    eigh_tridiagonal driver ("sterf" for QR on the symmetric twin)."""
+    routes = []
+    eigvals, eigh = scipy.linalg.eigvals, scipy.linalg.eigh_tridiagonal
+
+    def spy_eigvals(*args, **kwargs):
+        routes.append("eigvals")
+        return eigvals(*args, **kwargs)
+
+    def spy_eigh(*args, **kwargs):
+        routes.append(kwargs.get("lapack_driver"))
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigvals", spy_eigvals)
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy_eigh)
+    return routes
+
+
 class TestQrEigenvalues:
     def test_hand_expanded_3x3(self):
         eigs = qr_eigenvalues(np.array([[2., 0, 0], [1, 0, 1], [0, 1, 0]]))
@@ -62,12 +83,15 @@ class TestQrEigenvalues:
         assert sorted(z.imag for z in eigs) == pytest.approx([-1, 1])
 
     @pytest.mark.parametrize("s", [1e-160, 1e-140, 1e140, 1e160, 1e300])
-    @pytest.mark.parametrize("e", [-2.25, 0.4])
-    def test_eigenvalues_do_not_depend_on_scale(self, e, s):
+    @pytest.mark.parametrize("e", [-2.25, 0.4])  # dense QR, symmetric QR
+    def test_eigenvalues_do_not_depend_on_scale(self, e, s, monkeypatch):
         # LAPACK QR on s M itself is off by up to 8e21 of the scale here
+        routes = _spy_routes(monkeypatch)
         M = build_reduced_matrix(make_params(1, 1, 2, 2.95, e, 60))
         assert pairing_distance([z / s for z in qr_eigenvalues(s * M)],
                                 qr_eigenvalues(M)) < 1e-13
+        # a+e < 0 gives one negative off-diagonal product
+        assert routes == 2 * ["eigvals" if e < 0 else "sterf"]
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -78,11 +102,34 @@ class TestQrEigenvalues:
             qr_eigenvalues(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
     def test_lapack_failure_is_no_convergence(self, monkeypatch):
+        # a negative off-diagonal product: the dense route
         def fail(*args, **kwargs):
             raise scipy.linalg.LinAlgError("eigenvalue iteration failed")
         monkeypatch.setattr(scipy.linalg, "eigvals", fail)
         with pytest.raises(NoConvergence):
+            qr_eigenvalues(np.array([[0., -1], [1, 0]]))
+
+    def test_symmetric_lapack_failure_is_no_convergence(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("eigenvalue iteration failed")
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
+        with pytest.raises(NoConvergence):
             qr_eigenvalues(np.eye(3))
+
+    @pytest.mark.parametrize("M", [
+        # one entry off the band of an otherwise symmetric chain
+        np.array([[2., 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [1e-3, 0, 1, 1]]),
+        # tridiagonal, one negative off-diagonal product
+        np.array([[2., 1, 0], [1, 0, -1], [0, 1, 0]])])
+    def test_dense_route_when_the_chain_does_not_symmetrize(self, M,
+                                                           monkeypatch):
+        routes = _spy_routes(monkeypatch)
+        eigs = qr_eigenvalues(M)
+        assert routes == ["eigvals"]
+        assert pairing_distance(eigs, np.linalg.eigvals(M)) < 1e-13
+
+    def test_empty(self):
+        assert qr_eigenvalues(np.zeros((0, 0))) == []
 
 
 class TestPolynomialEigenvalues:
@@ -186,6 +233,12 @@ class TestPolynomialEigenvalues:
         with pytest.raises(DimensionMismatch):
             tridiag_polynomial_eigenvalues(np.zeros((3, 2)))
 
+    def test_empty(self):
+        assert tridiag_polynomial_eigenvalues(np.zeros((0, 0))) == []
+
+    def test_one_by_one(self):
+        assert tridiag_polynomial_eigenvalues(np.array([[-7.0]])) == [-7]
+
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 700), m=st.integers(1, 60),
@@ -230,7 +283,40 @@ class TestTauBalance:
         assert np.diag(B)[-1] == 0.9
 
 
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(0.2, 5), c=st.floats(0.2, 5), b=st.floats(-6, 6),
+       d=st.floats(-6, 6), t=st.one_of(st.just(0.0), st.floats(0, 3)),
+       n=st.integers(2, 130),
+       kind=st.sampled_from(["full", "reduced", "laplacian"]))
+@example(a=1.3, c=0.7, b=2.0, d=0.9, t=0.0, n=40, kind="full")
+def test_symmetric_route_matches_dense_qr(a, c, b, d, t, n, kind):
+    # e = a t - a >= -a, so c(a+e) >= 0 and every off-diagonal product of
+    # the tau-balanced matrix is >= 0; t = 0 puts e on a+e = 0 exactly,
+    # and the full kind's leader product is always 0.  The dense QR
+    # reference is the less accurate side: on 8000 random draws it was
+    # at worst 2.1e-13 of the row-sum norm off, on the full kind just
+    # above a+e = 0; on one such draw a 40-digit reference put dense QR
+    # 1.7e-13 and the symmetric route 8e-16 off.  1e-12 leaves 5x room
+    p = make_params(a, c, b, d, a * t - a, n)
+    B = _tau_balance(p, matrix_for_kind(p, kind))
+    with pytest.MonkeyPatch.context() as mp:
+        routes = _spy_routes(mp)
+        got = qr_eigenvalues(B)
+    assert routes == ["sterf"]
+    norm = np.abs(B).sum(axis=1).max()
+    assert pairing_distance(got, scipy.linalg.eigvals(B)) <= 1e-12 * norm
+
+
 class TestCrossValidate:
+    @pytest.mark.parametrize("kind", ["full", "reduced", "laplacian"])
+    @pytest.mark.parametrize("n", [30, 60, 120])
+    @pytest.mark.parametrize("e", [0.4, -1.3])  # a+e > 0, a+e = 0
+    def test_oracles_never_coincide(self, e, n, kind):
+        # a distance of exactly 0 means both sides ran the same code
+        rep = cross_validate(make_params(1.3, 0.7, 2.0, 0.9, e, n), kind)
+        for dist in (rep.max_pairing_error, rep.method_agreement):
+            assert math.isfinite(dist) and dist > 0
+
     def test_symmetric_chain(self):
         rep = cross_validate(make_params(1, 1, 2, 0, 0, 50), "full")
         assert rep.max_pairing_error < 1e-8
@@ -267,6 +353,9 @@ class TestMultisetInvariants:
         eigs = qr_eigenvalues(build_reduced_matrix(p))
         assert sum(eigs).real == pytest.approx(3.7, abs=1e-9)
         assert sum(eigs).imag == pytest.approx(0, abs=1e-9)
+
+    def test_pairing_distance_of_empty_multisets(self):
+        assert pairing_distance([], []) == 0.0
 
     def test_pairing_distance_zero_on_permutation(self):
         vals = [1 + 1j, 1 - 1j, -2.0, 0.5]
