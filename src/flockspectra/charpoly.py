@@ -14,7 +14,9 @@ and are located branch by branch: every branch is a bracket of the
 pole-free H(phi) = a sin((n+1) phi) - d tau sin(n phi) - e sin((n-1)
 phi), whose end signs are known in closed form, polished by Newton's
 method (see find_branch_roots).  Roots off the circle are tracked by
-Newton iteration from the quadratic seeds y+- of a y^2 - d tau y - e.
+Newton iteration from the quadratic seeds y+- of a y^2 - d tau y - e,
+by one loop that runs in floats here and in mpmath in perturb.  On the
+line a + e = 0 the one special eigenvalue is exactly d.
 """
 from __future__ import annotations
 
@@ -92,17 +94,6 @@ def eval_polynomial(p: SystemParams, y: complex) -> complex:
     head = a * y * y - d * tau * y - e
     tail = e * y * y + d * tau * y - a
     return head * y ** (2 * n) + tail
-
-
-def _scaled_poly_and_deriv(a, d, e, tau, n: int, y):
-    """f(y)/y^(2n) and its derivative; safe for |y| > 1 at large n.
-    Plain arithmetic, so mpmath numbers pass through unchanged."""
-    head = a * y * y - d * tau * y - e
-    tail = e * y * y + d * tau * y - a
-    w = y ** (-2 * n)
-    f = head + tail * w
-    df = (2 * a * y - d * tau) + ((2 * e * y + d * tau) - 2 * n * tail / y) * w
-    return f, df
 
 
 def eval_cotangent_residual(p: SystemParams, phi):
@@ -361,33 +352,58 @@ def _special_seeds(p: SystemParams) -> List[complex]:
     return [y for y in (q.y_plus, q.y_minus) if abs(y) > 1.0 + CIRCLE_EPS]
 
 
-def refine_special_root(p: SystemParams, seed: complex) -> complex:
-    """Newton iteration on f(y)/y^(2n) from an off-circle seed.
+def _off_circle_newton(a, d, e, tau, n: int, y, tol):
+    """Newton's method on f(y)/y^(2n) from y off the unit circle, to a
+    step of tol max(1, |y|).  The division by y^(2n) keeps f finite for
+    |y| > 1 at large n without changing the roots.  Plain arithmetic, so
+    floats and mpmath numbers alike run in their own precision.  Raises
+    UnitCircleCollapse once |y| < 1 + CIRCLE_EPS."""
+    seed = y
+    for _ in range(NEWTON_MAX_ITER):
+        head = a * y * y - d * tau * y - e
+        tail = e * y * y + d * tau * y - a
+        w = y ** (-2 * n)
+        f = head + tail * w
+        df = (2 * a * y - d * tau) + ((2 * e * y + d * tau)
+                                      - 2 * n * tail / y) * w
+        if df == 0:
+            raise NoConvergence("Newton derivative vanished")
+        step = f / df
+        y = y - step
+        if abs(y) < 1.0 + CIRCLE_EPS:
+            raise UnitCircleCollapse("iterate collapsed to the unit circle "
+                                     f"(|y|={float(abs(y)):.6f})")
+        if abs(step) <= tol * max(1.0, abs(y)):
+            return y
+    raise NoConvergence(f"no root near seed {seed} after {NEWTON_MAX_ITER} "
+                        f"iterations")
 
-    The division by y^(2n) keeps the evaluation finite for |y| > 1 at
-    large n without changing the roots.  Fails with UnitCircleCollapse if
-    the iterate's modulus falls to 1 (no off-circle root in this regime)
-    and NoConvergence if the budget runs out.
+
+def refine_special_root(p: SystemParams, seed: complex) -> complex:
+    """Newton iteration on f(y)/y^(2n) from an off-circle seed, in
+    floats to TOL_ROOT (_off_circle_newton, which perturb runs in mpmath).
+
+    Fails with UnitCircleCollapse if the iterate's modulus falls to 1 (no
+    off-circle root in this regime) and NoConvergence if the budget runs
+    out.
     """
     y = complex(seed)
     if abs(y) <= 1.0:
         raise DomainError(f"seed must lie outside the unit circle, got {seed}")
-    for _ in range(NEWTON_MAX_ITER):
-        f, df = _scaled_poly_and_deriv(p.a, p.d, p.e, p.tau, p.n, y)
-        if df == 0:
-            raise NoConvergence("Newton derivative vanished")
-        step = f / df
-        y_new = y - step
-        if abs(y_new) < 1.0 + CIRCLE_EPS:
-            raise UnitCircleCollapse(
-                f"iterate collapsed to the unit circle (|y|={abs(y_new):.6f})")
-        if abs(step) <= TOL_ROOT * max(1.0, abs(y_new)):
-            return y_new
-        y = y_new
-    raise NoConvergence(f"no root near seed {seed} after {NEWTON_MAX_ITER} "
-                        f"iterations")
+    return _off_circle_newton(p.a, p.d, p.e, p.tau, p.n, y, TOL_ROOT)
 
 
 def eigenvalue_from_root(p: SystemParams, y: complex) -> complex:
     """r = sqrt(ac) (y + 1/y)."""
     return math.sqrt(p.a * p.c) * (y + 1.0 / y)
+
+
+def _root_of_eigenvalue(p: SystemParams, r) -> complex:
+    """The root y of y^2 - (r/sqrt(ac)) y + 1 with |y| >= 1, the one with
+    Im y >= 0 where both lie on the unit circle: eigenvalue_from_root's
+    inverse.  Re(conj(w) root) >= 0 picks the larger of (w +- root)/2."""
+    w = r / math.sqrt(p.a * p.c)
+    root = cmath.sqrt(w * w - 4)
+    if (w.conjugate() * root).real < 0:
+        root = -root
+    return (w + root) / 2

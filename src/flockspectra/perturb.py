@@ -7,7 +7,8 @@ g(phi) = cot(n phi) sin(phi) - B cos(phi) decreases on every branch
 whenever B = (e-a)/(e+a) <= 1.
 
 The deviation |y(n) - y0| shrinks like kappa^{-n}, far below double
-precision for moderate n, so root refinement here runs in mpmath with
+precision for moderate n, so the roots are refined by charpoly's Newton
+loop, the one compute_spectrum runs in floats, here run in mpmath with
 working precision scaled to n.
 """
 from __future__ import annotations
@@ -18,9 +19,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .charpoly import (_BLOCK, _on_a_plus_e_line, _scaled_poly_and_deriv,
+from .charpoly import (_BLOCK, _off_circle_newton, _on_a_plus_e_line,
                        _special_seeds, eval_cotangent_residual)
-from .errors import DomainError, NoConvergence, NotApplicable
+from .errors import (DomainError, NoConvergence, NotApplicable,
+                     UnitCircleCollapse)
 from .model import SystemParams
 
 DEVIATION_FLOOR = 1e-14        # double-precision fit floor
@@ -69,7 +71,7 @@ def _mp_seed(p: SystemParams, target: complex):
     (the chosen double-precision seed)."""
     import mpmath as mp
     a, d, e = mp.mpf(p.a), mp.mpf(p.d), mp.mpf(p.e)
-    tau = mp.sqrt(mp.mpf(p.a) / mp.mpf(p.c))
+    tau = mp.sqrt(a / mp.mpf(p.c))
     disc = d * d * tau * tau + 4 * a * e
     root = mp.sqrt(mp.mpc(disc))
     if root.real < 0:
@@ -79,34 +81,15 @@ def _mp_seed(p: SystemParams, target: complex):
     return min((y_plus, y_minus), key=lambda y: abs(y - mp.mpc(target)))
 
 
-def _mp_refine(p: SystemParams, n: int, seed, max_iter: int = 200):
-    """Newton on f(y)/y^(2n) = (a y^2 - d tau y - e)
-    + (e y^2 + d tau y - a) y^(-2n), in the current mpmath precision."""
-    import mpmath as mp
-    a, d, e = mp.mpf(p.a), mp.mpf(p.d), mp.mpf(p.e)
-    tau = mp.sqrt(mp.mpf(p.a) / mp.mpf(p.c))
-    y = mp.mpc(seed)
-    tol = mp.mpf(10) ** (8 - mp.mp.dps)
-    for _ in range(max_iter):
-        g, dg = _scaled_poly_and_deriv(a, d, e, tau, n, y)
-        if dg == 0:
-            raise NoConvergence("Newton derivative vanished")
-        step = g / dg
-        y -= step
-        if abs(y) <= 1:
-            raise NoConvergence(
-                f"iterate fell onto the unit circle at n={n}")
-        if abs(step) <= tol * max(1, abs(y)):
-            return y
-    raise NoConvergence(f"no off-circle root found at n={n}")
-
-
 def _mp_deviation(p: SystemParams, n: int, y0):
     """|y(n) - y0| and sgn(r(n) - r0) (0 for a complex pair), refining
-    from y0 in the current mpmath precision.  r = sqrt(ac) (y + 1/y); the
-    positive factor sqrt(ac) cannot change the sign and is left out."""
+    from y0 by charpoly's Newton loop in the current mpmath precision, to
+    10^(8 - dps).  r = sqrt(ac) (y + 1/y); the positive factor sqrt(ac)
+    cannot change the sign and is left out."""
     import mpmath as mp
-    y1 = _mp_refine(p, n, y0)
+    a, d, e = mp.mpf(p.a), mp.mpf(p.d), mp.mpf(p.e)
+    y1 = _off_circle_newton(a, d, e, mp.sqrt(a / mp.mpf(p.c)), n, y0,
+                            mp.mpf(10) ** (8 - mp.mp.dps))
     diff = (y1 + 1 / y1) - (y0 + 1 / y0)
     sign = (0 if abs(mp.im(diff)) > abs(mp.re(diff))
             else int(mp.sign(mp.re(diff))))
@@ -141,6 +124,7 @@ def track_root_convergence(p: SystemParams, n_values: Sequence[int],
     n_values = sorted(int(n) for n in n_values)
     if not n_values:
         raise DomainError("n_values must not be empty")
+    replace(p, n=n_values[0])  # DimensionTooSmall below 2, as make_params
     seed = _off_circle_seed(p)
     if seed is None:
         return ConvergenceReport(n_values, [math.nan] * len(n_values),
@@ -153,7 +137,7 @@ def track_root_convergence(p: SystemParams, n_values: Sequence[int],
         for n in n_values:
             try:
                 deviation, sign = _mp_deviation(p, n, y0)
-            except NoConvergence:
+            except (NoConvergence, UnitCircleCollapse):
                 deviation, sign = math.nan, 0
             deviations.append(deviation)
             signs.append(sign)
@@ -180,7 +164,8 @@ def perturbation_sign(p: SystemParams, n: int) -> int:
     """sgn(r(n) - r0) for the tracked real off-circle root; the theory
     predicts -sgn(a+e) for n above the regime threshold."""
     import mpmath as mp
-    if p.a + p.e == 0:
+    replace(p, n=n)  # DimensionTooSmall below 2, as make_params
+    if _on_a_plus_e_line(p):
         raise NotApplicable("a+e=0: the deviation sign is undefined")
     seed = _off_circle_seed(p)
     if seed is None:

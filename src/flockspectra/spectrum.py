@@ -7,8 +7,9 @@ into cases by d against the thresholds +-(a - e) sqrt(c/a) (and
 the asymptotic special eigenvalues r+- materialize, and is reported with
 the spectrum; the assembly itself reads only the parameters.  Each root
 y of a y^2 - d tau y - e off the unit circle seeds one special
-eigenvalue, and the remaining eigenvalues are bulk values
-2 sqrt(ac) cos(phi) of the unit-circle roots.  Off the line a + e = 0
+eigenvalue (on the line a + e = 0, exactly d), and the remaining
+eigenvalues are bulk values 2 sqrt(ac) cos(phi) of the unit-circle
+roots.  Off the line a + e = 0
 the branches ((ell-1) pi/n, ell pi/n) are searched without sampling:
 G(phi) = H(phi)/sin(phi), H(phi) = a sin((n+1) phi) - d tau sin(n
 phi) - e sin((n-1) phi), has a sign known in closed form at every
@@ -34,8 +35,8 @@ import numpy as np
 
 from .charpoly import (EPS, BranchRoot, _as_branch_roots,
                        _branch_root_arrays, _on_a_plus_e_line,
-                       _special_seeds, eigenvalue_from_root,
-                       quadratic_roots, refine_special_root)
+                       _root_of_eigenvalue, _special_seeds,
+                       eigenvalue_from_root, refine_special_root)
 from .errors import (DegenerateRoot, DimensionMismatch, DiscriminantCollapse,
                      DomainError, NoConvergence, RootCountAnomaly,
                      UnitCircleCollapse)
@@ -253,24 +254,17 @@ def classify_regime(p: SystemParams) -> RegimeLabel:
     return label("T3", "3")
 
 
-def _p31_special(p: SystemParams) -> SpecialRoot:
-    """The exact extra root for a + e = 0: the polynomial factors and the
-    quadratic a y^2 - d tau y + a contributes exactly one eigenvalue, d."""
-    q = quadratic_roots(replace(p, e=-p.a))
-    y = max(q.y_plus, q.y_minus, key=abs)
-    return SpecialRoot(seed=y, y=y, eigenvalue=eigenvalue_from_root(p, y))
-
-
 def _power_sum_residuals(p: SystemParams, eig, special):
     """|sum r - tr Q| / (n s) and |sum r^2 - tr Q^2| / (n s^2) over the
     bulk eigenvalues eig and the special roots, s the largest of their
     moduli and 2 sqrt(ac).  tr Q = d and tr Q^2 = d^2 + 2c((n-2) a +
-    (a+e)) come from the three diagonals of the reduced matrix Q."""
+    (a+e)) come from the three diagonals of the reduced matrix Q.  Both
+    are formed on r, a, c, d and e over s, so no square overflows."""
     r = np.r_[eig, [x.eigenvalue for x in special]]
     s = max(2 * math.sqrt(p.a * p.c), float(np.abs(r).max(initial=0)))
-    t2 = p.d * p.d + 2 * p.c * ((p.n - 2) * p.a + (p.a + p.e))
-    return (abs(r.sum() - p.d) / (p.n * s),
-            abs((r * r).sum() - t2) / (p.n * s * s))
+    r, a, c, d, e = r / s, p.a / s, p.c / s, p.d / s, p.e / s
+    t2 = d * d + 2 * c * ((p.n - 2) * a + (a + e))
+    return abs(r.sum() - d) / p.n, abs((r * r).sum() - t2) / p.n
 
 
 def _power_sum_tol(n: int) -> float:
@@ -287,10 +281,10 @@ def _certify_count(p: SystemParams, bulk, special):
     At a finite-n threshold a root merges with y = +-1, and its end
     branch leaves it out; at a double root of a y^2 - d tau y - e both
     seeds converge to one root.  So one missing root is recovered from
-    the trace, r = d - sum(found), with y from y + 1/y = r/sqrt(ac) and
-    |y| >= 1, and one extra is the bulk root nearest sum(found) - d,
-    which is dropped.  Either correction must leave both power-sum
-    residuals within _power_sum_tol."""
+    the trace, r = d - sum(found), with y = _root_of_eigenvalue(p, r),
+    and one extra is the bulk root nearest sum(found) - d, which is
+    dropped.  Either correction must leave both power-sum residuals
+    within _power_sum_tol; a NaN residual fails."""
     eig, nspecial = bulk[2], len(special)
     msg = f"found {len(eig)} bulk + {nspecial} special roots, expected {p.n}"
     short = p.n - len(eig) - nspecial
@@ -301,9 +295,7 @@ def _certify_count(p: SystemParams, bulk, special):
         extra = float(total.real) - p.d
         if short == 1:
             kind, r = "recovered", -extra
-            w = r / math.sqrt(p.a * p.c)
-            root = cmath.sqrt(w * w - 4)
-            y = (w + root) / 2 if w >= 0 else (w - root) / 2
+            y = _root_of_eigenvalue(p, r)
             special = special + [SpecialRoot(seed=y, y=y,
                                              eigenvalue=complex(r))]
         else:
@@ -313,7 +305,7 @@ def _certify_count(p: SystemParams, bulk, special):
         res = _power_sum_residuals(p, bulk[2], special)
         _log.info("trace correction: %s root %r; power-sum residuals %.3g, "
                   "%.3g", kind, r, *res)
-        if max(res) <= _power_sum_tol(p.n):
+        if all(x <= _power_sum_tol(p.n) for x in res):  # fails on NaN
             return bulk, special
         msg += (f"; the {kind} root {r!r} leaves power-sum residuals "
                 f"{res[0]:.3g}, {res[1]:.3g}")
@@ -326,7 +318,9 @@ def _assemble_reduced(p: SystemParams):
     reduced matrix."""
     bulk = _branch_root_arrays(p)
     if _on_a_plus_e_line(p):
-        return bulk, [_p31_special(p)]
+        # f has the factor a y^2 - d tau y + a, whose root gives r = d
+        y = _root_of_eigenvalue(p, p.d)
+        return bulk, [SpecialRoot(seed=y, y=y, eigenvalue=complex(p.d))]
     special = []
     for seed in _special_seeds(p):
         try:

@@ -15,7 +15,8 @@ from flockspectra import (BranchPole, BranchRoot, DomainError,
                           eval_polynomial, find_branch_roots, make_params,
                           pairing_distance, quadratic_roots,
                           refine_special_root, special_eigen_estimates)
-from flockspectra.charpoly import POLE_TOL, _stationary_angles
+from flockspectra.charpoly import (POLE_TOL, _root_of_eigenvalue,
+                                   _stationary_angles)
 from flockspectra.model import tridiagonal
 from flockspectra.oracle import _tau_balance
 
@@ -521,6 +522,19 @@ class TestRefineSpecialRoot:
     def test_seed_on_circle_rejected(self):
         with pytest.raises(DomainError):
             refine_special_root(make_params(1, 1, 2, 1, 1, 10), 0.5)
+
+
+@pytest.mark.parametrize("r", [3.0, -3.0, 2.0, -2.0, 1.2, -1.2, 0.0,
+                               2 + 1j, -0.5 - 3j])
+def test_root_of_eigenvalue_inverts_eigenvalue_from_root(r):
+    # 2 sqrt(ac) = 1.908: the real r inside it have both roots on the
+    # circle, and the one with Im y >= 0 is returned
+    p = make_params(1.3, 0.7, None, 0.9, 0.4, 12)
+    y = _root_of_eigenvalue(p, r)
+    assert abs(y) >= 1 - 1e-15
+    assert abs(eigenvalue_from_root(p, y) - r) <= 1e-14
+    if abs(r.imag) == 0 and abs(r) < 2 * math.sqrt(1.3 * 0.7):
+        assert y.imag > 0
 
 
 @settings(max_examples=30, deadline=None)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from flockspectra import (NotApplicable, make_params, perturbation_sign,
+from flockspectra import (DimensionTooSmall, NotApplicable,
+                          UnitCircleCollapse, make_params, perturbation_sign,
                           track_root_convergence,
                           verify_branch_monotonicity)
 
@@ -59,12 +60,40 @@ class TestPerturbationSign:
         with pytest.raises(NotApplicable):
             perturbation_sign(make_params(1, 1, 2, 3, -1, 20), 100)
 
+    def test_near_line_not_applicable_as_on_line(self):
+        # inside the dispatch band the line's special root y = (3+sqrt 5)/2
+        # lies off the circle; the sign is undefined as on the line
+        p = make_params(1, 1, 2, 3, -1 + 1e-14, 20)
+        with pytest.raises(NotApplicable, match="a\\+e=0"):
+            perturbation_sign(p, 100)
+
+    def test_dimension_below_two_rejected(self):
+        p = make_params(1, 2, 3, 1, 1, 20)
+        with pytest.raises(DimensionTooSmall):
+            perturbation_sign(p, 1)
+        with pytest.raises(DimensionTooSmall):
+            track_root_convergence(p, [1, 20])
+
     def test_eigenvalue_sign_equals_root_sign(self):
         # monotonicity of sqrt(ac)(y + 1/y) in y for y > 1 lifts the
         # root-level sign to the eigenvalue level
         p = make_params(1, 2, 3, 1, 1, 20)
         rep = track_root_convergence(p, [30, 60], deviation_floor=1e-250)
         assert all(s == -1 for s in rep.sign_pattern)
+
+
+def test_collapse_onto_the_circle_is_nan_or_typed():
+    # d = 0.52 lies above the case threshold (a-e)/tau = 0.5, so y+ =
+    # 1.0134 seeds the root, but below the finite-n threshold
+    # ((a-e) + (a+e)/n)/tau = 0.5 + 1.5/n for n < 75: there the root of f
+    # lies on the circle and the mpmath Newton iterate falls onto it
+    p = make_params(1, 1, 2, 0.52, 0.5, 20)
+    rep = track_root_convergence(p, [20, 40, 400])
+    assert [math.isnan(x) for x in rep.deviations] == [True, True, False]
+    assert rep.sign_pattern == [0, 0, -1]
+    with pytest.raises(UnitCircleCollapse):
+        perturbation_sign(p, 20)
+    assert perturbation_sign(p, 400) == -1
 
 
 class TestBranchMonotonicity:

@@ -15,7 +15,8 @@ from flockspectra import (DegenerateRoot, DiscriminantCollapse,
                           DimensionMismatch, FlockSpectraError,
                           RootCountAnomaly, build_full_matrix,
                           build_laplacian, build_reduced_matrix,
-                          classify_regime, compute_spectrum, eigenvector_for,
+                          classify_regime, compute_spectrum,
+                          eigenvalue_from_root, eigenvector_for,
                           find_branch_roots, is_decentralized,
                           leader_eigenvector, make_params, pairing_distance,
                           quadratic_roots, residual)
@@ -24,6 +25,7 @@ from flockspectra.charpoly import (CIRCLE_EPS, EPLUSA_THRESHOLD,
 from flockspectra.oracle import _tau_balance
 from flockspectra.spectrum import (_branch_root_arrays, _certify_count,
                                    _power_sum_residuals, _power_sum_tol)
+from kappa_bound import assert_within_kappa_bound
 
 
 class TestClassifyRegime:
@@ -241,12 +243,21 @@ class TestResidual:
        d=st.floats(-5, 5), e=st.floats(-5, 5), n=st.integers(2, 300))
 @example(a=0.2858832926857671, c=2.7511380816242483, b=-2.3353740956122038,
          d=-4.526070497573619, e=-4.06527463184767, n=2)
+@example(a=0.5, c=4.0, b=0.0, d=1.0, e=-4.0, n=16)
+@example(a=2.0, c=5.0, b=0.0, d=1.0, e=-5.0, n=36)
+@example(a=0.203125, c=1.1, b=0.0, d=1.0, e=-1.1, n=19)
 def test_laplacian_matches_lapack_for_any_boundary(a, c, b, d, e, n):
+    # c + e = 0 gives the twin's quadratic a double root, where both
+    # sides are good only to about sqrt(eps): on the first two c + e = 0
+    # examples a 40-digit reference puts LAPACK 1.8e-9 and 7.2e-9 off,
+    # the theory path 4.4e-9 and 9.2e-10, at kappa 1.8e7 and 2.0e7.  So
+    # the flat 1e-9 (a+c) grows by the condition number of each eigenvalue
     p = make_params(a, c, b, d, e, n)
     assume(not is_decentralized(p))
-    want = [-z for z in eigvals(_tau_balance(p, build_laplacian(p)))]
+    B = -_tau_balance(p, build_laplacian(p))
     got = compute_spectrum(p, "laplacian").eigenvalues()
-    assert pairing_distance(got, want) <= 1e-9 * (a + c)
+    assert_within_kappa_bound(got, B, 1e-9 * (a + c),
+                              np.abs(B).sum(axis=1).max())
 
 
 # The quadratic roots each theorem case of the paper lists as special
@@ -550,6 +561,42 @@ def test_trace_correction_failing_the_power_sums_raises():
     bad = tuple(np.delete(x, 20) for x in (ell, phi, eig))
     with pytest.raises(RootCountAnomaly):
         _certify_count(p, bad, [])
+
+
+def test_power_sums_of_a_huge_d_are_scale_free():
+    # d^2 tau^2 overflows in quadratic_roots, so both seeds are +-inf and
+    # dropped, and the trace recovers r = d = 1e160; the power sums are
+    # formed over s = |d|, so no square overflows to inf - inf = NaN
+    p = make_params(1, 1, 2, 1e160, 1, 10)
+    s = compute_spectrum(p, "reduced")
+    res = _power_sum_residuals(p, s.bulk_eigenvalue, s.special)
+    assert all(math.isfinite(x) and x <= _power_sum_tol(p.n) for x in res)
+
+
+def test_nan_power_sum_residual_fails_the_count(monkeypatch):
+    # max((0.0, nan)) is 0.0: the check must not let a NaN pass
+    monkeypatch.setattr("flockspectra.spectrum._power_sum_residuals",
+                        lambda *args: (0.0, math.nan))
+    with pytest.raises(RootCountAnomaly):
+        compute_spectrum(make_params(1, 1, 2, 1e160, 1, 10), "reduced")
+
+
+@pytest.mark.parametrize("kind", ["full", "reduced"])
+@pytest.mark.parametrize("args", [
+    (1.3, 0.7, None, 0.9, -1.3, 12),
+    (0.7, 1.9, None, -0.4, -0.7, 12),
+    (1.0, 1.0, None, 3.0, -1.0, 12),
+])
+def test_line_special_eigenvalue_is_exactly_d(args, kind):
+    # on a + e = 0 the factor a y^2 - d tau y + a of f gives one special
+    # root, whose eigenvalue is d; y is the root with |y| >= 1, and the
+    # one with Im y >= 0 where both lie on the circle (the first two)
+    p = make_params(*args)
+    [special] = compute_spectrum(p, kind).special
+    assert special.eigenvalue == p.d and special.eigenvalue.imag == 0
+    assert special.seed == special.y
+    assert abs(special.y) >= 1 - 1e-15 and special.y.imag >= 0
+    assert abs(eigenvalue_from_root(p, special.y) - p.d) <= 4e-15
 
 
 def test_trace_corrections_and_fallbacks_are_logged(caplog):
