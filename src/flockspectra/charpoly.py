@@ -63,11 +63,7 @@ class BranchRoot:
 
 @dataclass(frozen=True)
 class QuadraticRoots:
-    """The two roots y+- of a y^2 - d tau y - e = 0.
-
-    The square root is taken with non-negative real part, so for real
-    discriminants y_plus carries the + branch.
-    """
+    """The two roots y+- of a y^2 - d tau y - e = 0 (see quadratic_roots)."""
 
     y_plus: complex
     y_minus: complex
@@ -123,41 +119,44 @@ def eval_cotangent_residual(p: SystemParams, phi):
     return float(res) if res.ndim == 0 else res
 
 
+def _monic_roots(b, c, sqrt):
+    """The roots x+- = -b +- s of x^2 + 2b x + c, s the principal
+    sqrt(b^2 - c); A y^2 + B y + C takes this form in x = 2A y, b = B, c =
+    4AC.  s is formed on b and c over m, the power of two just above
+    max(|b|, sqrt|c|): the unscaled s wherever that is finite, and finite
+    wherever b and c are.  The root that -b +- s forms by cancellation is
+    c over the other (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed. 2002, sec. 1.8).  `sqrt` is cmath.sqrt for floats
+    or mpmath's; adding 0.0 clears a quotient's -0.0 imaginary part."""
+    m = 2.0 ** math.frexp(max(abs(b), abs(c) ** 0.5))[1]
+    s = m * sqrt((b / m) ** 2 - c / m / m)
+    x_plus, x_minus = -b + s, -b - s
+    dot = (b.conjugate() * s).real  # > 0 where -b + s cancels
+    if dot > 0:
+        x_plus = c / x_minus
+    elif dot < 0:
+        x_minus = c / x_plus
+    return x_plus + 0.0, x_minus + 0.0
+
+
 def quadratic_roots(p: SystemParams) -> QuadraticRoots:
-    """Roots y+- = (d tau +- sqrt(d^2 tau^2 + 4 a e)) / (2a)."""
-    a, d, e, tau = p.a, p.d, p.e, p.tau
-    disc = d * d * tau * tau + 4 * a * e
-    root = cmath.sqrt(complex(disc))  # non-negative real part for real disc
-    y_plus = (d * tau + root) / (2 * a)
-    y_minus = (d * tau - root) / (2 * a)
-    if disc >= 0:
-        y_plus, y_minus = complex(y_plus.real), complex(y_minus.real)
-    return QuadraticRoots(y_plus=y_plus, y_minus=y_minus)
+    """Roots y+- = (d tau +- sqrt(d^2 tau^2 + 4 a e)) / (2a) of a y^2 -
+    d tau y - e, by _monic_roots: finite also where (d tau)^2 overflows,
+    and accurate also where |ae| is far below it."""
+    return QuadraticRoots(*(x / (2 * p.a) for x in _monic_roots(
+        -p.d * p.tau, -4 * p.a * p.e, cmath.sqrt)))
 
 
 def special_eigen_estimates(p: SystemParams) -> SpecialEigenEstimate:
-    """Asymptotic special eigenvalues.
-
-    For e != 0:  r+- = ((1 - a/e) d +- (1 + a/e) sqrt(d^2 + 4ce)) / 2.
-    For e = 0 the e -> 0 limits survive only on one side: r- = d + ac/d
-    when d < 0, r+ = d + ac/d when d > 0, and neither when d = 0.
-    """
-    a, c, d, e = p.a, p.c, p.d, p.e
-    if e == 0.0:
-        if d > 0:
-            return SpecialEigenEstimate(r_plus=complex(d + a * c / d),
-                                        r_minus=None)
-        if d < 0:
-            return SpecialEigenEstimate(r_plus=None,
-                                        r_minus=complex(d + a * c / d))
-        return SpecialEigenEstimate(r_plus=None, r_minus=None)
-    root = cmath.sqrt(complex(d * d + 4 * c * e))
-    r_plus = 0.5 * ((1 - a / e) * d + (1 + a / e) * root)
-    r_minus = 0.5 * ((1 - a / e) * d - (1 + a / e) * root)
-    if d * d + 4 * c * e >= 0:
-        r_plus, r_minus = complex(r_plus.real), complex(r_minus.real)
-        if r_plus.real < r_minus.real:
-            r_plus, r_minus = r_minus, r_plus
+    """Asymptotic special eigenvalues r+- = sqrt(ac) (y+- + 1/y+-) over
+    the roots of quadratic_roots: ((1 - a/e) d +- (1 + a/e) sqrt(d^2 +
+    4ce)) / 2, and None at a root y = 0, the e = 0 limit of y_minus if d
+    >= 0 and of y_plus if d <= 0.  A real pair has r_plus >= r_minus."""
+    q = quadratic_roots(p)
+    r_plus, r_minus = (None if y == 0 else eigenvalue_from_root(p, y)
+                       for y in (q.y_plus, q.y_minus))
+    if None not in (r_plus, r_minus) and r_plus.imag == r_minus.imag == 0:
+        r_plus, r_minus = sorted((r_plus, r_minus), key=lambda r: -r.real)
     return SpecialEigenEstimate(r_plus=r_plus, r_minus=r_minus)
 
 
@@ -400,10 +399,7 @@ def eigenvalue_from_root(p: SystemParams, y: complex) -> complex:
 
 def _root_of_eigenvalue(p: SystemParams, r) -> complex:
     """The root y of y^2 - (r/sqrt(ac)) y + 1 with |y| >= 1, the one with
-    Im y >= 0 where both lie on the unit circle: eigenvalue_from_root's
-    inverse.  Re(conj(w) root) >= 0 picks the larger of (w +- root)/2."""
-    w = r / math.sqrt(p.a * p.c)
-    root = cmath.sqrt(w * w - 4)
-    if (w.conjugate() * root).real < 0:
-        root = -root
-    return (w + root) / 2
+    Im y >= 0 where both lie on the unit circle (as conjugates of one
+    modulus): eigenvalue_from_root's inverse, by _monic_roots."""
+    x = _monic_roots(-r / math.sqrt(p.a * p.c), 4.0, cmath.sqrt)
+    return max(x, key=lambda z: (abs(z), z.imag)) / 2

@@ -182,7 +182,11 @@ def _write(text: str, merged: dict):
 
 def _emit(subcommand: str, merged: dict, result: dict, csv_rows=None):
     fmt = merged.get("format", "json")
-    if fmt == "csv" and csv_rows is not None:
+    if fmt == "csv":
+        if csv_rows is None:  # dict-shaped reports flatten to (key, value)
+            csv_rows = [("key", "value")] + [
+                (k, json.dumps(v, default=_json_default))
+                for k, v in result.items()]
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         for row in csv_rows:
@@ -193,15 +197,6 @@ def _emit(subcommand: str, merged: dict, result: dict, csv_rows=None):
     doc = {"command": subcommand, "inputs": {
         k: v for k, v in merged.items() if k not in ("format", "output")},
         "result": result}
-    if fmt == "csv":
-        # dict-shaped reports flatten to (key, value) rows
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["key", "value"])
-        for k, v in result.items():
-            writer.writerow([k, json.dumps(v, default=_json_default)])
-        _write(buf.getvalue(), merged)
-        return
     _write(json.dumps(doc, indent=2, default=_json_default,
                       allow_nan=True) + "\n", merged)
 

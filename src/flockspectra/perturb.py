@@ -19,8 +19,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .charpoly import (_BLOCK, _off_circle_newton, _on_a_plus_e_line,
-                       _special_seeds, eval_cotangent_residual)
+from .charpoly import (_BLOCK, _monic_roots, _off_circle_newton,
+                       _on_a_plus_e_line, _special_seeds,
+                       eval_cotangent_residual)
 from .errors import (DomainError, NoConvergence, NotApplicable,
                      UnitCircleCollapse)
 from .model import SystemParams
@@ -68,17 +69,12 @@ class MonotonicityReport:
 
 def _mp_seed(p: SystemParams, target: complex):
     """The quadratic root y_pm, in working precision, nearest `target`
-    (the chosen double-precision seed)."""
+    (the chosen double-precision seed), by charpoly's _monic_roots."""
     import mpmath as mp
     a, d, e = mp.mpf(p.a), mp.mpf(p.d), mp.mpf(p.e)
     tau = mp.sqrt(a / mp.mpf(p.c))
-    disc = d * d * tau * tau + 4 * a * e
-    root = mp.sqrt(mp.mpc(disc))
-    if root.real < 0:
-        root = -root
-    y_plus = (d * tau + root) / (2 * a)
-    y_minus = (d * tau - root) / (2 * a)
-    return min((y_plus, y_minus), key=lambda y: abs(y - mp.mpc(target)))
+    y = (x / (2 * a) for x in _monic_roots(-d * tau, -4 * a * e, mp.sqrt))
+    return min(y, key=lambda y: abs(y - mp.mpc(target)))
 
 
 def _mp_deviation(p: SystemParams, n: int, y0):
@@ -96,7 +92,7 @@ def _mp_deviation(p: SystemParams, n: int, y0):
     return float(abs(y1 - y0)), sign
 
 
-def _working_dps(p: SystemParams, n_max: int, seed_modulus: float) -> int:
+def _working_dps(n_max: int, seed_modulus: float) -> int:
     growth = 2 * n_max * math.log10(max(seed_modulus, 1.0 + 1e-9))
     return max(50, int(growth) + 40)
 
@@ -132,7 +128,7 @@ def track_root_convergence(p: SystemParams, n_values: Sequence[int],
                                  [0] * len(n_values))
     deviations: List[float] = []
     signs: List[int] = []
-    with mp.workdps(_working_dps(p, n_values[-1], abs(seed))):
+    with mp.workdps(_working_dps(n_values[-1], abs(seed))):
         y0 = _mp_seed(p, seed)
         for n in n_values:
             try:
@@ -172,7 +168,7 @@ def perturbation_sign(p: SystemParams, n: int) -> int:
         raise NotApplicable("regime has no off-circle root")
     if abs(seed.imag) > REAL_SEED_TOL * abs(seed):
         raise NotApplicable("off-circle pair is complex; no real ordering")
-    with mp.workdps(_working_dps(p, n, abs(seed))):
+    with mp.workdps(_working_dps(n, abs(seed))):
         return _mp_deviation(p, n, _mp_seed(p, seed))[1]
 
 

@@ -34,9 +34,10 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .charpoly import (EPS, BranchRoot, _as_branch_roots,
-                       _branch_root_arrays, _on_a_plus_e_line,
-                       _root_of_eigenvalue, _special_seeds,
-                       eigenvalue_from_root, refine_special_root)
+                       _branch_root_arrays, _monic_roots,
+                       _on_a_plus_e_line, _root_of_eigenvalue,
+                       _special_seeds, eigenvalue_from_root,
+                       refine_special_root)
 from .errors import (DegenerateRoot, DimensionMismatch, DiscriminantCollapse,
                      DomainError, NoConvergence, RootCountAnomaly,
                      UnitCircleCollapse)
@@ -390,24 +391,32 @@ def compute_spectrum(p: SystemParams, kind: str = "full") -> Spectrum:
 
 
 def eigenvector_for(p: SystemParams, y: complex) -> EigenPair:
-    """Eigenpair of the reduced matrix from a polynomial root y:
-    v_k = (tau y)^k - (tau / y)^k for k = 1..n, r = sqrt(ac)(y + 1/y)."""
+    """Eigenpair of the reduced matrix from a polynomial root y: r =
+    sqrt(ac)(y + 1/y) and, up to a nonzero scale, v_k = (tau y)^k - (tau
+    / y)^k, k = 1..n, formed with |y| >= 1 as (tau y)^(k-K) (1 - y^-2k),
+    K = n if |tau y| >= 1 and 1 otherwise, so no power overflows."""
     y = complex(y)
     if y == 0:
         raise DomainError("y = 0 is outside the domain")
     if abs(y - 1) < 1e-12 or abs(y + 1) < 1e-12:
         raise DegenerateRoot(f"y = {y} yields the zero vector")
-    k = np.arange(1, p.n + 1)
-    v = (p.tau * y) ** k - (p.tau / y) ** k
-    return EigenPair(eigenvalue=eigenvalue_from_root(p, y), vector=v)
+    y = y if abs(y) >= 1 else 1 / y
+    t, k = p.tau * y, np.arange(1, p.n + 1)
+    head = (1 / t) ** (p.n - k) if abs(t) >= 1 else t ** (k - 1)
+    return EigenPair(eigenvalue=eigenvalue_from_root(p, y),
+                     vector=head * (1 - (1 / y) ** (2 * k)))
 
 
 def leader_eigenvector(p: SystemParams) -> EigenPair:
-    """Eigenvector of the full matrix for the eigenvalue b.
+    """Eigenvector of the full matrix for the eigenvalue b, up to a
+    nonzero scale; undefined when b^2 = 4ac (confluent case).
 
     Decentralized parameters give the constant vector exactly.  Otherwise
-    v_k = x_+^k + c_- x_-^k with x_+- the transfer-matrix eigenvalues at
-    r = b; undefined when b^2 = 4ac (confluent case, out of scope).
+    v_k = q(x_-) x_-^(n-1) x_+^k - q(x_+) x_+^(n-1) x_-^k, k = 0..n, x_+-
+    the roots of c x^2 - b x + a and q(x) = (a+e) + (d-b) x, so that the
+    last row (a+e) v_(n-1) + (d-b) v_n vanishes.  Each term's largest
+    entry (k = K = n if |x| >= 1, else 0) is formed in logs, and both
+    terms are divided by the larger one.
     """
     a, b, c, d, e, n = p.a, p.b, p.c, p.d, p.e, p.n
     if is_decentralized(p):
@@ -415,15 +424,16 @@ def leader_eigenvector(p: SystemParams) -> EigenPair:
     disc = b * b - 4 * a * c
     if abs(disc) < DISCRIMINANT_REL_TOL * max(b * b, 4 * a * c):
         raise DiscriminantCollapse("b^2 - 4ac vanishes; no simple eigenvector")
-    root = cmath.sqrt(complex(disc))
-    x_plus = (b + root) / (2 * c)
-    x_minus = (b - root) / (2 * c)
-    num = (a + e) + (d - b) * x_plus
-    den = (c / a) * (a + e) * x_plus + (d - b)
-    c_minus = -((c / a) ** n) * x_plus ** (2 * n - 1) * num / den
-    k = np.arange(0, n + 1)
-    v = x_plus ** k + c_minus * x_minus ** k
-    return EigenPair(eigenvalue=complex(b), vector=v)
+    x = np.array(_monic_roots(-b, 4 * a * c, cmath.sqrt)) / (2 * c)
+    big, s = abs(x) >= 1, max(abs(a + e), abs(d - b))
+    with np.errstate(divide="ignore"):  # q = 0: that term vanishes
+        top = (np.log((a + e) / s + (d - b) / s * x[::-1]) + n * big
+               * np.log(x) + (n - 1) * np.log(x[::-1]))
+    # x^(k-K) as a power of x or 1/x, whichever has modulus at most 1
+    terms = (np.exp(top - top.real.max())[:, None]
+             * np.where(big, 1 / x, x)[:, None]
+             ** np.abs(np.arange(n + 1) - n * big[:, None]))
+    return EigenPair(eigenvalue=complex(b), vector=terms[0] - terms[1])
 
 
 def residual(M: np.ndarray, r: complex, v: np.ndarray) -> float:
@@ -437,5 +447,7 @@ def residual(M: np.ndarray, r: complex, v: np.ndarray) -> float:
             f"vector length {v.shape} does not match order {M.shape[0]}")
     if not np.any(v):
         raise DimensionMismatch("vector must be nonzero")
+    m, w = (2.0 ** np.frexp(np.abs(x).max())[1] for x in (M, v))
+    M, r, v = M / m, r / m, v / w  # exact, and no norm overflows
     return float(np.linalg.norm(M @ v - r * v)
                  / (np.linalg.norm(M) * np.linalg.norm(v)))

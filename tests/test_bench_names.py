@@ -1,6 +1,8 @@
 """The names the benchmark under spectrabench/ reaches into the package
-for, checked here so that removing one from src/ fails a test instead
-of the traced benchmark run."""
+for, checked here so that removing or renaming one in src/ fails a test
+instead of the benchmark run: its tracing targets, the imports of
+baseline.py, and every fs.<name> and fs.<module>.<name> of
+workloads.py (found in the syntax tree; the file is not run)."""
 
 import ast
 import importlib
@@ -28,6 +30,22 @@ def _baseline_imports():
             for alias in node.names]
 
 
+def _workload_names():
+    def dotted(node):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id == "fs":
+            return ".".join(reversed(parts))
+        return None
+
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    return sorted({name for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and (name := dotted(node))})
+
+
 @pytest.mark.parametrize("module, attr", _tracing_targets())
 def test_traced_name_resolves(module, attr):
     assert callable(getattr(importlib.import_module(f"flockspectra.{module}"),
@@ -37,3 +55,10 @@ def test_traced_name_resolves(module, attr):
 @pytest.mark.parametrize("module, name", _baseline_imports())
 def test_baseline_import_resolves(module, name):
     assert hasattr(importlib.import_module(module), name)
+
+
+@pytest.mark.parametrize("name", _workload_names())
+def test_workload_name_resolves(name):
+    obj = importlib.import_module("flockspectra")
+    for attr in name.split("."):
+        obj = getattr(obj, attr)

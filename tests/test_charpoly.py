@@ -151,6 +151,46 @@ class TestSpecialEigenEstimates:
         assert est.r_plus is None and est.r_minus is None
 
 
+def test_special_eigen_estimates_match_a_40_digit_reference():
+    # (1 - a/e) d and (1 + a/e) sqrt(d^2 + 4ce) cancel at small |e|/a: the
+    # closed form the estimates were once computed from is 2.9e-2 off here
+    # at worst, the estimates from the quadratic's roots 2.0e-15
+    import mpmath as mp
+    rng = np.random.default_rng(20)
+    worst = 0.0
+    for _ in range(2000):
+        a, c = rng.uniform(0.2, 5, 2)
+        d = rng.uniform(-6, 6)
+        e = (rng.uniform(-5, 5) if rng.random() < 0.5
+             else rng.choice([-1, 1]) * 10 ** rng.uniform(-14, 0))
+        est = special_eigen_estimates(make_params(a, c, None, d, e, 10))
+        with mp.workdps(40):
+            A, C, D, E = (mp.mpf(float(x)) for x in (a, c, d, e))
+            root = mp.sqrt(D * D + 4 * C * E)
+            ref = [((1 - A / E) * D + s * (1 + A / E) * root) / 2
+                   for s in (1, -1)]
+            if mp.im(root) == 0 and ref[0] < ref[1]:
+                ref.reverse()
+        for r, exact in zip((est.r_plus, est.r_minus), ref):
+            worst = max(worst, float(abs(mp.mpc(r) - exact) / abs(exact)))
+    assert worst <= 1e-13
+
+
+def test_quadratic_at_a_huge_d_is_finite():
+    # d^2 tau^2 = 1e320 leaves the float range; the parent's seeds, their
+    # estimates and the root of r = 1e160 were inf or NaN
+    p = make_params(1, 1, 2, 1e160, 1, 10)
+    q = quadratic_roots(p)
+    est = special_eigen_estimates(p)
+    for z in (q.y_plus, q.y_minus, est.r_plus, est.r_minus,
+              _root_of_eigenvalue(p, 1e160)):
+        assert cmath.isfinite(z)
+    assert q.y_plus == 1e160 and est.r_plus == 1e160
+    [special] = compute_spectrum(p, "reduced").special
+    assert cmath.isfinite(special.seed) and cmath.isfinite(special.y)
+    assert special.eigenvalue == 1e160
+
+
 def _count_calls(monkeypatch, charpoly):
     """Lists that collect the array length of every _h_and_slope call and
     every eval_cotangent_residual call inside charpoly."""

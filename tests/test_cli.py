@@ -218,6 +218,40 @@ class TestVerify:
         assert doc["result"]["method_agreement"] < 1e-8
 
 
+DICT_REPORTS = [
+    ("classify", "--a", "1", "--c", "2", "--d", "1.5", "--e", "0.5",
+     "--n", "10"),
+    ("stability", "--a", "1", "--c", "1", "--d", "0.5", "--e", "0.5",
+     "--n", "8"),
+    ("stability", "--a", "1", "--c", "1", "--d", "0.5", "--e", "0.5",
+     "--n", "8", "--alpha", "1", "--beta", "2"),
+    ("verify", "--a", "1.3", "--c", "0.7", "--d", "0.9", "--e", "0.4",
+     "--n", "6", "--kind", "reduced"),
+]
+
+
+@pytest.mark.parametrize("argv", DICT_REPORTS)
+def test_dict_report_csv_is_key_value_rows(capsys, argv):
+    # a "key,value" header, then one row per result entry with the value
+    # as JSON, byte for byte as the dict reports have always been written
+    result = run_json(capsys, *argv)["result"]
+    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0, err
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["key", "value"])
+    writer.writerows([k, json.dumps(v)] for k, v in result.items())
+    assert out == buf.getvalue()
+
+
+def test_classify_csv_bytes(capsys):
+    code, out, err = run_cli(capsys, *DICT_REPORTS[0], "--format", "csv")
+    assert code == 0, err
+    assert out == ('key,value\ntheorem,"""T1"""\ncase,"""1"""\n'
+                   'decentralized_cell,"[""|e|<=a"", ""c>a""]"\n'
+                   'predicted_specials,[3.0]\n')
+
+
 class TestMonotonicity:
     def test_clean_case(self, capsys, schema):
         doc = run_json(capsys, "monotonicity", "--a", "1", "--c", "1",

@@ -216,6 +216,26 @@ class TestEigenvectors:
         with pytest.raises(DiscriminantCollapse):
             leader_eigenvector(make_params(1, 1, 2, 0, 0, 5))
 
+    def test_special_eigenvector_finite_at_large_n(self):
+        # (tau y)^n with |y| = 2.34 leaves the float range at n = 2000
+        p = make_params(1, 1, 2, 3.3, -2.25, 2000)
+        y = max((s.y for s in compute_spectrum(p, "reduced").special),
+                key=abs)
+        assert abs(abs(y) - 2.337) < 1e-3
+        pair = eigenvector_for(p, y)
+        assert np.isfinite(pair.vector).all()
+        assert residual(build_reduced_matrix(p), pair.eigenvalue,
+                        pair.vector) <= 1e-12
+
+    @pytest.mark.parametrize("args", [(1, 1, 5, 0.3, 0.2, 1000),
+                                      (1, 1, 1e160, 0.3, 0.2, 10)])
+    def test_leader_eigenvector_finite(self, args):
+        # x_+^(2n-1) overflowed at n = 1000, and b^2 at b = 1e160
+        p = make_params(*args)
+        pair = leader_eigenvector(p)
+        assert np.isfinite(pair.vector).all()
+        assert residual(build_full_matrix(p), p.b, pair.vector) <= 1e-12
+
 
 class TestResidual:
     def test_identity(self):
@@ -564,9 +584,10 @@ def test_trace_correction_failing_the_power_sums_raises():
 
 
 def test_power_sums_of_a_huge_d_are_scale_free():
-    # d^2 tau^2 overflows in quadratic_roots, so both seeds are +-inf and
-    # dropped, and the trace recovers r = d = 1e160; the power sums are
-    # formed over s = |d|, so no square overflows to inf - inf = NaN
+    # of the quadratic's roots 1e160 and -1e-160 only the first seeds
+    # Newton, which ends in NoConvergence, so the trace recovers r = d =
+    # 1e160; the power sums are formed over s = |d|, so no square
+    # overflows to inf - inf = NaN
     p = make_params(1, 1, 2, 1e160, 1, 10)
     s = compute_spectrum(p, "reduced")
     res = _power_sum_residuals(p, s.bulk_eigenvalue, s.special)
