@@ -46,7 +46,7 @@ for d in (2.95, 3.05, 3.3):
 
 p = make_params(1.0, 1.0, 2.0, 3.0, -1.0, 60)
 s = compute_spectrum(p, "reduced")
-eig = sorted(z.real for z in s.eigenvalues())
+eig = sorted(s.eigenvalues().real.tolist())
 print("balanced boundary e=-a, d=3:")
 print(f"  largest eigenvalue {eig[-1]:.12f}  (the boundary value d)")
 print(f"  rest sit on 2cos(pi l / n): first three "

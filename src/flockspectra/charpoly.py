@@ -29,14 +29,13 @@ import numpy as np
 
 from .errors import (BranchPole, DomainError, NoConvergence,
                      UnitCircleCollapse, ZeroDenominator)
-from .model import SystemParams
+from .model import EPS, SystemParams
 
 # |e+a| below this times a routes to the closed-form branch layout.
 EPLUSA_THRESHOLD = 1e-12
 TOL_ROOT = 1e-12
 CIRCLE_EPS = 1e-9
 NEWTON_MAX_ITER = 100
-EPS = float(np.finfo(float).eps)
 POLE_TOL = 1e-12
 # Items per slice of array work; every temporary of a slice is O(_BLOCK).
 _BLOCK = 2048
@@ -285,7 +284,7 @@ def _safeguarded_newton(p: SystemParams, ell, lo, hi, neg):
         lo, hi = np.where(left, lo, x), np.where(left, x, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
             new = x - h / dh
-        tol = 4 * np.finfo(float).eps * x
+        tol = 4 * EPS * x
         # A step onto a bracket end evaluates nothing new: where the
         # rounding noise of H exceeds tol, Newton would hop between the
         # two ends for good, so that step bisects instead.

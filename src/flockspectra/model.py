@@ -18,6 +18,8 @@ import numpy as np
 
 from .errors import DegenerateCoupling, DimensionTooSmall, DomainError
 
+EPS = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -71,11 +73,10 @@ def is_decentralized(p: SystemParams) -> bool:
     |b - (a+c)| <= 4 eps (|a| + |c| + |b|), so that parameters written in
     decimal (0.1 + 0.2 for 0.3) still count.
     """
-    ulps = 4 * np.finfo(float).eps
     db = abs(p.b - (p.a + p.c))
     dc = abs(p.c - (p.e + p.d))
-    return (db <= ulps * (abs(p.a) + abs(p.c) + abs(p.b))
-            and dc <= ulps * (abs(p.e) + abs(p.d) + abs(p.c)))
+    return (db <= 4 * EPS * (abs(p.a) + abs(p.c) + abs(p.b))
+            and dc <= 4 * EPS * (abs(p.e) + abs(p.d) + abs(p.c)))
 
 
 def tridiagonal(p: SystemParams, kind: str = "full"):
@@ -86,18 +87,22 @@ def tridiagonal(p: SystemParams, kind: str = "full"):
     laplacian: L = D - A with D the row sums of the full A; in the
     decentralized case (a+c) I - A, which annihilates the constant vector.
     The Laplacian's entries are rounded exactly as np.diag(A.sum(1)) - A
-    rounds them.
+    rounds them: its last diagonal entry is (d + (a+e)) - d, and its zeros
+    are +0.0.
     """
-    sub = np.r_[np.full(p.n - 1, p.a), p.a + p.e]
-    diag = np.r_[p.b, np.zeros(p.n - 1), p.d]
-    sup = np.r_[0.0, np.full(p.n - 1, p.c)]
+    a, c, n = p.a, p.c, p.n
+    if kind == "laplacian":
+        sub, diag, sup = np.full(n, -a), np.full(n + 1, a + c), np.full(n, -c)
+        sub[-1], sup[0] = 0.0 - (a + p.e), 0.0
+        diag[0], diag[-1] = 0.0, (p.d + (a + p.e)) - p.d
+        return sub, diag, sup
+    sub, diag, sup = np.full(n, a), np.zeros(n + 1), np.full(n, c)
+    sub[-1], sup[0] = a + p.e, 0.0
+    diag[0], diag[-1] = p.b, p.d
     if kind == "full":
         return sub, diag, sup
     if kind == "reduced":
         return sub[1:], diag[1:], sup[1:]
-    if kind == "laplacian":
-        rows = diag + np.r_[0.0, sub] + np.r_[sup, 0.0]
-        return 0.0 - sub, rows - diag, 0.0 - sup
     raise DomainError(f"unknown matrix kind {kind!r}")
 
 

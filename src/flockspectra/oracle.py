@@ -18,6 +18,9 @@ their roots do not depend on the scale of M.  They share only that
 scaling and the extraction of the diagonal and off-diagonal products
 (_scaled_chain), and neither shares any code with the transfer-matrix
 theory path, so each validates the other and both validate the theory.
+cross_validate hands both the one scaled chain of the three diagonals;
+a dense matrix is built only for dense Francis QR.  Every eigenvalue
+multiset is returned as a 1-D complex array.
 
 scipy is imported inside the functions that use it, so that importing
 the package does not pay for it.
@@ -57,9 +60,9 @@ class ValidationReport:
         }
 
 
-def qr_eigenvalues(M: np.ndarray):
+def qr_eigenvalues(M: np.ndarray) -> np.ndarray:
     """All eigenvalues of a real square matrix by LAPACK QR, on M scaled
-    to unit size (_scaled_chain).
+    to unit size (_scaled_chain), as a complex array.
 
     A tridiagonal M whose off-diagonal products w_k = sub_k sup_k are all
     >= 0 has the characteristic polynomial of the symmetric tridiagonal
@@ -72,45 +75,56 @@ def qr_eigenvalues(M: np.ndarray):
     Raises DimensionMismatch for a non-square input, DomainError for a
     non-finite one, and NoConvergence if LAPACK fails to converge.
     """
-    A, d, w, s1, s2 = _scaled_chain(M)
+    A, tri = _diagonals(M)
+    chain = _scaled_chain(*tri)
     if not np.isfinite(A).all():
         raise DomainError("matrix has non-finite entries")
+    banded = np.count_nonzero(A) == sum(map(np.count_nonzero, tri))
+    return _chain_qr(chain, lambda: A, banded)
+
+
+def _chain_qr(chain, dense, banded=True):
+    """qr_eigenvalues on a _scaled_chain; dense() gives the square matrix
+    and is called only on the dense route."""
+    d, w, s1, s2 = chain
     if not len(d):
-        return []
+        return np.empty(0, dtype=complex)
     from scipy.linalg import LinAlgError, eigh_tridiagonal, eigvals
-    symmetric = (w >= 0).all() and np.count_nonzero(A) == sum(
-        np.count_nonzero(np.diag(A, k)) for k in (-1, 0, 1))
     try:
-        if symmetric:
+        if banded and (w >= 0).all():
             eigs = eigh_tridiagonal(d, np.sqrt(w), eigvals_only=True,
                                     lapack_driver="sterf", check_finite=False)
         else:
-            eigs = eigvals(A / s1 / s2, check_finite=False)
+            eigs = eigvals(dense() / s1 / s2, check_finite=False)
     except LinAlgError as ex:
         raise NoConvergence(f"LAPACK QR failed: {ex}") from ex
-    return (eigs.astype(complex) * s1 * s2).tolist()
+    return eigs.astype(complex) * s1 * s2
 
 
-def _scaled_chain(M):
-    """(A, d, w, s1, s2): M as a square float array A, two powers of two
-    whose product s, perhaps 2^1024, is the power of two just above the
-    largest |d_k|, sqrt|sub_k sup_k| of A, and the diagonal d and
-    off-diagonal products w_k = sub_k sup_k of the exact A/s (empty for
-    a 0 x 0 M; w is empty for a 1 x 1 one).  Both oracles run on A/s: QR
-    on A is wrong past about 1e+-137, and sub_k sup_k overflows past
-    1e+-154.
-    """
+def _diagonals(M):
+    """M as a square float array, and its (sub, diag, sup)."""
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"matrix must be square, got {A.shape}")
-    d, sub, sup = np.diag(A), np.diag(A, -1), np.diag(A, 1)
-    if not all(np.isfinite(x).all() for x in (d, sub, sup)):
+    return A, (np.diag(A, -1), np.diag(A), np.diag(A, 1))
+
+
+def _scaled_chain(sub, diag, sup):
+    """(d, w, s1, s2) of the tridiagonal (sub, diag, sup): two powers of
+    two whose product s, perhaps 2^1024, is the power of two just above
+    the largest |diag_k|, sqrt|sub_k sup_k|, and the diagonal d and
+    off-diagonal products w_k = sub_k sup_k of the exact chain over s
+    (empty for a 0 x 0 chain; w is empty for a 1 x 1 one).  Both oracles
+    run on the chain over s: QR on the chain itself is wrong past about
+    1e+-137, and sub_k sup_k overflows past 1e+-154.
+    """
+    if not all(np.isfinite(x).all() for x in (diag, sub, sup)):
         raise DomainError("matrix has non-finite entries")
     e = math.frexp(max(
-        np.abs(d).max(initial=0.0),
+        np.abs(diag).max(initial=0.0),
         (np.sqrt(np.abs(sub)) * np.sqrt(np.abs(sup))).max(initial=0.0)))[1]
     s1, s2 = math.ldexp(1.0, e // 2), math.ldexp(1.0, e - e // 2)
-    return A, d / s1 / s2, (sub / s1 / s2) * (sup / s1 / s2), s1, s2
+    return diag / s1 / s2, (sub / s1 / s2) * (sup / s1 / s2), s1, s2
 
 
 def matrix_for_kind(p: SystemParams, kind: str) -> np.ndarray:
@@ -227,9 +241,9 @@ def _aberth(d, w):
         f"{np.max(np.abs(step)):.3g} of the matrix scale")
 
 
-def tridiag_polynomial_eigenvalues(M: np.ndarray):
+def tridiag_polynomial_eigenvalues(M: np.ndarray) -> np.ndarray:
     """Roots of det(zI - M) for a tridiagonal M, from the three-term
-    determinant recurrence.
+    determinant recurrence, as a complex array.
 
     The characteristic polynomial depends only on the diagonal d and the
     off-diagonal products w_k = sub_k * sup_k.  When every w_k >= 0 it is
@@ -245,9 +259,14 @@ def tridiag_polynomial_eigenvalues(M: np.ndarray):
     precision past degree ~50.  Entries off the three diagonals are not
     read.
     """
-    _, d, w, s1, s2 = _scaled_chain(M)
+    return _chain_roots(_scaled_chain(*_diagonals(M)[1]))
+
+
+def _chain_roots(chain):
+    """tridiag_polynomial_eigenvalues on a _scaled_chain."""
+    d, w, s1, s2 = chain
     if not len(d):
-        return []
+        return np.empty(0, dtype=complex)
     if (w >= 0).all():
         from scipy.linalg import LinAlgError, eigh_tridiagonal
         try:
@@ -255,8 +274,8 @@ def tridiag_polynomial_eigenvalues(M: np.ndarray):
                                     lapack_driver="stemr", check_finite=False)
         except LinAlgError as ex:
             raise NoConvergence(f"LAPACK MRRR failed: {ex}") from ex
-        return (eigs * s1 * s2).astype(complex).tolist()
-    return (_aberth(d, w) * s1 * s2).tolist()
+        return (eigs * s1 * s2).astype(complex)
+    return _aberth(d, w) * s1 * s2
 
 
 def _tau_balance(p: SystemParams, M: np.ndarray) -> np.ndarray:
@@ -284,40 +303,54 @@ def pairing_distance(u, v) -> float:
         raise DimensionMismatch(f"multisets have sizes {len(u)} and {len(v)}")
     if not len(u):
         return 0.0
-    u = [complex(z) for z in u]
-    v = [complex(z) for z in v]
-    r = max(map(abs, u + v)) or 1.0
-
-    def key(z):
-        x = z.real / r
-        return (round(x, 9) if abs(z.imag) > 1e-9 * r else x), z.imag
-    u.sort(key=key)
-    v.sort(key=key)
-    d_sorted = max(abs(a - b) for a, b in zip(u, v))
+    u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+    r = float(max(_modulus(u).max(), _modulus(v).max())) or 1.0
+    u, v = u[_pairing_order(u, r)], v[_pairing_order(v, r)]
+    d_sorted = float(_modulus(u - v).max())
     if d_sorted < 1e-9 * r or len(u) > 600:
         return d_sorted
     from scipy.optimize import linear_sum_assignment
-    ua = np.array(u)
-    va = np.array(v)
-    cost = np.abs(ua[:, None] - va[None, :])
+    cost = np.abs(u[:, None] - v[None, :])
     rows, cols = linear_sum_assignment(cost)
     return float(np.max(cost[rows, cols]))
 
 
+def _modulus(z):
+    """|z| by hypot, as abs(complex) forms it (np.abs may differ in the
+    last bit)."""
+    return np.hypot(z.real, z.imag)
+
+
+def _pairing_order(z, r):
+    """The stable sort of z by (x, im), x = re/r, rounded off the real
+    axis to 9 decimals as round(x, 9) rounds it: rint(1e9 x) / 1e9 is
+    that value unless 1e9 x rounded onto a tie."""
+    x = z.real / r
+    y = x * 1e9
+    k = np.rint(y)
+    key = k / 1e9
+    for i in np.flatnonzero(np.abs(y - k) == 0.5):
+        key[i] = round(float(x[i]), 9)
+    return np.lexsort((z.imag, np.where(np.abs(z.imag) > 1e-9 * r, key, x)))
+
+
 def cross_validate(p: SystemParams, kind: str = "reduced") -> ValidationReport:
     """Theory path vs QR, and QR vs the determinant-recurrence roots, on
-    one matrix.  Both oracles run on the tau-balanced similarity."""
+    one matrix.  Both oracles run on one scaled chain of the tau-balanced
+    similarity (_tau_balance, applied to the three diagonals); the dense
+    matrix is built only for dense QR."""
     from .spectrum import compute_spectrum
 
     spec = compute_spectrum(p, kind)
-    theory = spec.eigenvalues()
-    B = _tau_balance(p, matrix_for_kind(p, kind))
-    qr = qr_eigenvalues(B)
-    roots = tridiag_polynomial_eigenvalues(B)
+    sub, diag, sup = tridiagonal(p, kind)
+    tri = sub / p.tau, diag, sup * p.tau
+    chain = _scaled_chain(*tri)
+    qr = _chain_qr(chain, lambda: _dense(*tri))
+    roots = _chain_roots(chain)
     if kind == "laplacian":
         # the theory path reports the spectrum of -L
-        qr = [-z for z in qr]
-        roots = [-z for z in roots]
-    return ValidationReport(max_pairing_error=pairing_distance(theory, qr),
-                            method_agreement=pairing_distance(qr, roots),
-                            n=p.n, regime=spec.regime)
+        qr, roots = -qr, -roots
+    return ValidationReport(
+        max_pairing_error=pairing_distance(spec.eigenvalues(), qr),
+        method_agreement=pairing_distance(qr, roots), n=p.n,
+        regime=spec.regime)

@@ -99,7 +99,7 @@ class Spectrum:
     -L (the system matrix of the consensus ODE): shift = -(a+c) is added
     to every labeled value, params and regime describe the decentralized
     twin, and only a failed assembly leaves the oracle's values, stored
-    unlabeled.
+    unlabeled as a complex array.
     """
 
     leader: Optional[float]
@@ -111,7 +111,7 @@ class Spectrum:
     matrix_kind: str
     params: SystemParams
     shift: float = 0.0
-    unlabeled: Optional[List[complex]] = None
+    unlabeled: Optional[np.ndarray] = None
 
     def __eq__(self, other):
         if not isinstance(other, Spectrum):
@@ -119,7 +119,7 @@ class Spectrum:
         pairs = ((getattr(self, f.name), getattr(other, f.name))
                  for f in fields(self))
         return all(np.array_equal(x, y) if isinstance(x, np.ndarray)
-                   else x == y for x, y in pairs)
+                   or isinstance(y, np.ndarray) else x == y for x, y in pairs)
 
     @property
     def bulk(self) -> List[BranchRoot]:
@@ -127,15 +127,17 @@ class Spectrum:
         return _as_branch_roots(self.bulk_ell, self.bulk_phi,
                                 self.bulk_eigenvalue)
 
-    def eigenvalues(self) -> List[complex]:
+    def eigenvalues(self) -> np.ndarray:
+        """Every eigenvalue as a new 1-D complex array: the leader, the
+        bulk by angle, then the special roots, each plus the shift (or a
+        copy of the unlabeled oracle values)."""
         if self.unlabeled is not None:
-            return list(self.unlabeled)
-        out = []
-        if self.leader is not None:
-            out.append(complex(self.leader + self.shift))
-        out += (self.bulk_eigenvalue + self.shift).astype(complex).tolist()
-        out.extend(s.eigenvalue + self.shift for s in self.special)
-        return out
+            return self.unlabeled.copy()
+        lead = [] if self.leader is None else [self.leader + self.shift]
+        return np.concatenate((
+            np.array(lead, dtype=complex), self.bulk_eigenvalue + self.shift,
+            np.array([s.eigenvalue for s in self.special], dtype=complex)
+            + self.shift))
 
     def as_dict(self):
         return {
@@ -155,7 +157,7 @@ class Spectrum:
                                (s.eigenvalue + self.shift).imag]}
                         for s in self.special],
             "unlabeled": None if self.unlabeled is None else
-                [[z.real, z.imag] for z in self.unlabeled],
+                [[z.real, z.imag] for z in self.unlabeled.tolist()],
         }
 
     def csv_rows(self):
@@ -167,7 +169,7 @@ class Spectrum:
                       + [f"bulk:{ell}" for ell in self.bulk_ell.tolist()]
                       + ["special"] * len(self.special))
         return [(z.real, z.imag, label)
-                for z, label in zip(self.eigenvalues(), labels)]
+                for z, label in zip(self.eigenvalues().tolist(), labels)]
 
 
 def _decentralized_cell(p: SystemParams):

@@ -252,6 +252,215 @@ def test_classify_csv_bytes(capsys):
                    'predicted_specials,[3.0]\n')
 
 
+# Literal outputs, recorded when spectra were still Python lists, pin the
+# bytes of the labeled and the oracle-fallback spectrum, both verdicts
+# and both oracle routes of verify.  The 17-digit values come from numpy
+# and LAPACK on x86-64; another CPU or BLAS may change their last bits.
+CLI_BYTES = [
+    (('spectrum', '--a', '1', '--c', '1', '--d', '2.95', '--e', '-2.25',
+      '--n', '5', '--format', 'csv'),
+     're,im,label\n'
+     '2,0,leader\n'
+     '0.85035328944645172,0,bulk:2\n'
+     '-0.49841624563092124,0,bulk:3\n'
+     '-1.585205115226036,0,bulk:4\n'
+     '2.091634035705253,0.12601707575027313,special\n'
+     '2.091634035705253,-0.12601707575027313,special\n'),
+    (('spectrum', '--a', '0.25', '--c', '16', '--d', '32', '--e', '-16',
+      '--n', '6', '--kind', 'laplacian', '--format', 'csv'),
+     're,im,label\n'
+     '0.00047307103902327619,0,oracle\n'
+     '-0.00047321227185603831,0,oracle\n'
+     '-19.54532712150667,0,oracle\n'
+     '-17.654677555706886,0,oracle\n'
+     '-13.095795515363815,0,oracle\n'
+     '-15.204199666189774,0,oracle\n'
+     '0,0,oracle\n'),
+    (('spectrum', '--a', '0.25', '--c', '16', '--d', '32', '--e', '-16',
+      '--n', '6', '--kind', 'laplacian'),
+     '{\n'
+     '  "command": "spectrum",\n'
+     '  "inputs": {\n'
+     '    "a": 0.25,\n'
+     '    "c": 16.0,\n'
+     '    "d": 32.0,\n'
+     '    "e": -16.0,\n'
+     '    "n": 6,\n'
+     '    "kind": "laplacian"\n'
+     '  },\n'
+     '  "result": {\n'
+     '    "matrix_kind": "laplacian",\n'
+     '    "n": 6,\n'
+     '    "params": {\n'
+     '      "a": 0.25,\n'
+     '      "c": 16.0,\n'
+     '      "b": 16.25,\n'
+     '      "d": 32.0,\n'
+     '      "e": -16.0,\n'
+     '      "n": 6\n'
+     '    },\n'
+     '    "regime": {\n'
+     '      "theorem": "T3",\n'
+     '      "case": "2c",\n'
+     '      "decentralized_cell": [\n'
+     '        "e<-a",\n'
+     '        "c>a"\n'
+     '      ],\n'
+     '      "predicted_specials": [\n'
+     '        16.25,\n'
+     '        16.25\n'
+     '      ]\n'
+     '    },\n'
+     '    "leader": null,\n'
+     '    "bulk": [],\n'
+     '    "special": [],\n'
+     '    "unlabeled": [\n'
+     '      [\n'
+     '        0.0004730710390232762,\n'
+     '        0.0\n'
+     '      ],\n'
+     '      [\n'
+     '        -0.0004732122718560383,\n'
+     '        0.0\n'
+     '      ],\n'
+     '      [\n'
+     '        -19.54532712150667,\n'
+     '        0.0\n'
+     '      ],\n'
+     '      [\n'
+     '        -17.654677555706886,\n'
+     '        0.0\n'
+     '      ],\n'
+     '      [\n'
+     '        -13.095795515363815,\n'
+     '        0.0\n'
+     '      ],\n'
+     '      [\n'
+     '        -15.204199666189774,\n'
+     '        0.0\n'
+     '      ],\n'
+     '      [\n'
+     '        0.0,\n'
+     '        0.0\n'
+     '      ]\n'
+     '    ]\n'
+     '  }\n'
+     '}\n'),
+    (('stability', '--a', '1', '--c', '3', '--d', '5', '--e', '-2', '--n',
+      '8'),
+     '{\n'
+     '  "command": "stability",\n'
+     '  "inputs": {\n'
+     '    "a": 1.0,\n'
+     '    "c": 3.0,\n'
+     '    "d": 5.0,\n'
+     '    "e": -2.0,\n'
+     '    "n": 8\n'
+     '  },\n'
+     '  "result": {\n'
+     '    "stable": "unstable",\n'
+     '    "rule": "first-order: a+e<0, c+e!=0 => unstable",\n'
+     '    "witness": [\n'
+     '      0.0006068953615159245,\n'
+     '      0.0\n'
+     '    ],\n'
+     '    "zero_multiplicity": 1,\n'
+     '    "spectral_abscissa": 0.0006068953615159245,\n'
+     '    "predicted_marginal": -0.5,\n'
+     '    "order": 1\n'
+     '  }\n'
+     '}\n'),
+    (('stability', '--a', '1', '--c', '3', '--d', '5', '--e', '-2', '--n',
+      '8', '--alpha', '1', '--beta', '2'),
+     '{\n'
+     '  "command": "stability",\n'
+     '  "inputs": {\n'
+     '    "a": 1.0,\n'
+     '    "c": 3.0,\n'
+     '    "d": 5.0,\n'
+     '    "e": -2.0,\n'
+     '    "n": 8,\n'
+     '    "alpha": 1.0,\n'
+     '    "beta": 2.0\n'
+     '  },\n'
+     '  "result": {\n'
+     '    "stable": "unstable",\n'
+     '    "rule": "second-order (alpha,beta>0): first-order: a+e<0, '
+     'c+e!=0 => unstable",\n'
+     '    "witness": [\n'
+     '      0.025249616061466123,\n'
+     '      0.0\n'
+     '    ],\n'
+     '    "zero_multiplicity": 2,\n'
+     '    "spectral_abscissa": 0.025249616061466123,\n'
+     '    "predicted_marginal": -0.5,\n'
+     '    "order": 2\n'
+     '  }\n'
+     '}\n'),
+    (('verify', '--a', '1', '--c', '1', '--d', '2.95', '--e', '-2.25',
+      '--n', '12'),
+     '{\n'
+     '  "command": "verify",\n'
+     '  "inputs": {\n'
+     '    "a": 1.0,\n'
+     '    "c": 1.0,\n'
+     '    "d": 2.95,\n'
+     '    "e": -2.25,\n'
+     '    "n": 12\n'
+     '  },\n'
+     '  "result": {\n'
+     '    "max_pairing_error": 2.975418419039454e-15,\n'
+     '    "method_agreement": 2.448161348223004e-15,\n'
+     '    "n": 12,\n'
+     '    "regime": {\n'
+     '      "theorem": "T3",\n'
+     '      "case": "2b"\n'
+     '    }\n'
+     '  }\n'
+     '}\n'),
+    (('verify', '--a', '1', '--c', '3', '--d', '5', '--e', '-2', '--n',
+      '8', '--kind', 'laplacian'),
+     '{\n'
+     '  "command": "verify",\n'
+     '  "inputs": {\n'
+     '    "a": 1.0,\n'
+     '    "c": 3.0,\n'
+     '    "d": 5.0,\n'
+     '    "e": -2.0,\n'
+     '    "n": 8,\n'
+     '    "kind": "laplacian"\n'
+     '  },\n'
+     '  "result": {\n'
+     '    "max_pairing_error": 4.440892098500626e-15,\n'
+     '    "method_agreement": 3.9968028886505635e-15,\n'
+     '    "n": 8,\n'
+     '    "regime": {\n'
+     '      "theorem": "T3",\n'
+     '      "case": "2c",\n'
+     '      "decentralized_cell": [\n'
+     '        "e<-a",\n'
+     '        "c>a"\n'
+     '      ],\n'
+     '      "predicted_specials": [\n'
+     '        4.0,\n'
+     '        3.5\n'
+     '      ]\n'
+     '    }\n'
+     '  }\n'
+     '}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, want", CLI_BYTES, ids=[
+    "spectrum-csv", "spectrum-csv-unlabeled", "spectrum-json-unlabeled",
+    "stability-first", "stability-second", "verify-full",
+    "verify-laplacian"])
+def test_output_bytes(capsys, argv, want):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert out == want
+
+
 class TestMonotonicity:
     def test_clean_case(self, capsys, schema):
         doc = run_json(capsys, "monotonicity", "--a", "1", "--c", "1",

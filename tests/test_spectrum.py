@@ -19,7 +19,7 @@ from flockspectra import (DegenerateRoot, DiscriminantCollapse,
                           eigenvalue_from_root, eigenvector_for,
                           find_branch_roots, is_decentralized,
                           leader_eigenvector, make_params, pairing_distance,
-                          quadratic_roots, residual)
+                          qr_eigenvalues, quadratic_roots, residual)
 from flockspectra.charpoly import (CIRCLE_EPS, EPLUSA_THRESHOLD,
                                    _special_seeds)
 from flockspectra.oracle import _tau_balance
@@ -449,8 +449,8 @@ def test_bulk_views_agree_bit_for_bit(kind, args):
     lead = 0 if s.leader is None else 1
     r = [b.eigenvalue + s.shift for b in roots]
     bulk = s.eigenvalues()[lead:lead + len(roots)]
-    assert bulk == [complex(x) for x in r]
-    assert all(type(z) is complex for z in bulk)
+    assert bulk.dtype == complex
+    assert bulk.tobytes() == np.array(r, dtype=complex).tobytes()
     assert s.as_dict()["bulk"] == [{"ell": b.ell, "phi": b.phi, "r": x}
                                    for b, x in zip(roots, r)]
     assert s.csv_rows()[lead:lead + len(roots)] == [
@@ -465,6 +465,50 @@ def test_spectrum_equality_and_repr():
     assert s != compute_spectrum(make_params(1.3, 0.7, 2.0, 0.9, 0.41, 40),
                                  "full")
     assert repr(s).startswith("Spectrum(leader=2.0, bulk_ell=array([")
+
+
+def _eigenvalue_list(s):
+    """The eigenvalues as a list of Python complex, assembled from the
+    Spectrum's fields the way the list-returning eigenvalues() did."""
+    out = [] if s.leader is None else [complex(s.leader + s.shift)]
+    out += (s.bulk_eigenvalue + s.shift).astype(complex).tolist()
+    out.extend(x.eigenvalue + s.shift for x in s.special)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["full", "reduced", "laplacian"])
+@pytest.mark.parametrize("args", [
+    (1.3, 0.7, 2.0, 0.9, 0.4, 40),         # bulk only
+    (1.0, 1.0, 2.0, 2.95, -2.25, 40),      # a complex special pair
+    (1.0, 1.0, 2.0, 3.0, -1.0, 60)],       # a+e = 0, the special root d
+    ids=["bulk", "complex-pair", "a+e=0"])
+def test_eigenvalues_is_a_fresh_complex_array(args, kind):
+    p = make_params(*args)
+    s = compute_spectrum(p, kind)
+    got = s.eigenvalues()
+    assert type(got) is np.ndarray
+    assert got.dtype == np.complex128 and got.ndim == 1
+    # same values, bit for bit, in the same order
+    assert got.tobytes() == np.array(_eigenvalue_list(s), complex).tobytes()
+    got[:] = np.nan
+    assert s.eigenvalues().tobytes() == np.array(_eigenvalue_list(s),
+                                                complex).tobytes()
+    assert s == compute_spectrum(p, kind)
+
+
+def test_unlabeled_eigenvalues_are_a_fresh_copy():
+    # the oracle fallback: its values are those of QR on the balanced -L
+    p = make_params(1, 3, 4, 6, -3, 30)
+    s = compute_spectrum(p, "laplacian")
+    assert isinstance(s.unlabeled, np.ndarray)
+    want = qr_eigenvalues(_tau_balance(p, -build_laplacian(p))).tobytes()
+    got = s.eigenvalues()
+    assert got.dtype == np.complex128 and got.ndim == 1
+    assert got.tobytes() == want
+    got[:] = np.nan
+    assert s.eigenvalues().tobytes() == want
+    assert s.unlabeled.tobytes() == want
+    assert s == compute_spectrum(p, "laplacian")
 
 
 @functools.lru_cache(maxsize=None)

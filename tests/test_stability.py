@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flockspectra import (DomainError, NotDecentralized, SecondOrderParams,
                           build_laplacian, compute_spectrum,
@@ -74,7 +76,7 @@ class TestSecondOrderEigenvalues:
 
     def test_zero_mode_doubles(self):
         nus = second_order_eigenvalues([0.0], SecondOrderParams(2, 3))
-        assert nus == [0, 0]
+        assert nus.tolist() == [0, 0]
 
     def test_overdamped_mode(self):
         nus = second_order_eigenvalues([-2.0], SecondOrderParams(1, 2))
@@ -89,6 +91,32 @@ class TestSecondOrderEigenvalues:
             for nu in (nu1, nu2):
                 res = nu * nu - so.beta * lam * nu - so.alpha * lam
                 assert abs(res) < 1e-12 * max(1.0, abs(lam) ** 2)
+
+
+def _second_order_loop(lambdas, so):
+    """second_order_eigenvalues one lambda at a time in Python complex
+    arithmetic, with cmath.sqrt."""
+    out = []
+    for lam in map(complex, lambdas):
+        root = cmath.sqrt(so.beta ** 2 * lam * lam + 4 * so.alpha * lam)
+        out += [0.5 * (so.beta * lam + root), 0.5 * (so.beta * lam - root)]
+    return out
+
+
+_coord = st.one_of(st.floats(-1e100, 1e100),
+                   st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 2.0 ** -1022]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lambdas=st.lists(st.builds(complex, _coord, _coord), max_size=12),
+       alpha=st.floats(-10, 10), beta=st.floats(-10, 10))
+def test_second_order_eigenvalues_match_the_loop_bit_for_bit(lambdas, alpha,
+                                                             beta):
+    so = SecondOrderParams(alpha, beta)
+    got = second_order_eigenvalues(lambdas, so)
+    assert got.dtype == complex and got.shape == (2 * len(lambdas),)
+    want = np.array(_second_order_loop(lambdas, so), dtype=complex)
+    assert got.tobytes() == want.tobytes()
 
 
 class TestSecondOrderVerdict:
@@ -153,3 +181,187 @@ def test_perturbed_zero_mode_sign_at_large_n():
 def test_non_finite_gains_rejected(alpha, beta):
     with pytest.raises(DomainError):
         SecondOrderParams(alpha, beta)
+
+
+# Both verdicts, field by field, as recorded when spectra were Python
+# lists, for one decentralized set per cell of the special-eigenvalue
+# table (and one set whose unstable second-order witness is the nu
+# nearest the first-order one), at n = 24, 96 and 480.  Each row holds
+# (a, c, e, n), then the first-order verdict and the second-order one at
+# (alpha, beta) = (1, 0.5), each as (stable, rule index into RULES,
+# witness, zero_multiplicity, spectral_abscissa, predicted_marginal).
+RULES = (
+    'first-order: a+e<0, c+e!=0 => unstable',
+    'second-order (alpha,beta>0): first-order: a+e<0, c+e!=0 => unstable',
+    'first-order: a+e>0 => stable',
+    'second-order (alpha,beta>0): first-order: a+e>0 => stable',
+    'first-order: a+e>0 => stable (finite-n spectrum disagrees)',
+    'second-order (alpha,beta>0): first-order: a+e>0 => stable '
+    '(finite-n spectrum disagrees)',
+)
+VERDICTS = [
+    ((0.8525390625, 0.34375, -1.623046875, 24),
+     ('unstable', 0, complex(0.607319635604693, 0.0),
+      1, 0.607319635604693, 0.6073196356046932),
+     ('unstable', 1, complex(0.9457895784320831, 0.0),
+      2, 0.9457895784320831, 0.6073196356046932)),
+    ((0.8525390625, 0.34375, -1.623046875, 96),
+     ('unstable', 0, complex(0.607319635604693, 0.0),
+      1, 0.607319635604693, 0.6073196356046932),
+     ('unstable', 1, complex(0.9457895784320831, 0.0),
+      2, 0.9457895784320831, 0.6073196356046932)),
+    ((0.8525390625, 0.34375, -1.623046875, 480),
+     ('unstable', 0, complex(0.607319635604693, 0.0),
+      1, 0.607319635604693, 0.6073196356046932),
+     ('unstable', 1, complex(0.9457895784320831, 0.0),
+      2, 0.9457895784320831, 0.6073196356046932)),
+    ((1.1435546875, 1.1435546875, -3.4033203125, 24),
+     ('unstable', 0, complex(1.50045843794835, 0.0),
+      1, 1.50045843794835, 1.50045843794835),
+     ('unstable', 1, complex(1.656195952805692, 0.0),
+      2, 1.656195952805692, 1.50045843794835)),
+    ((1.1435546875, 1.1435546875, -3.4033203125, 96),
+     ('unstable', 0, complex(1.50045843794835, 0.0),
+      1, 1.50045843794835, 1.50045843794835),
+     ('unstable', 1, complex(1.656195952805692, 0.0),
+      2, 1.656195952805692, 1.50045843794835)),
+    ((1.1435546875, 1.1435546875, -3.4033203125, 480),
+     ('unstable', 0, complex(1.50045843794835, 0.0),
+      1, 1.50045843794835, 1.50045843794835),
+     ('unstable', 1, complex(1.656195952805692, 0.0),
+      2, 1.656195952805692, 1.50045843794835)),
+    ((0.9072265625, 1.4541015625, -2.5458984375, 24),
+     ('unstable', 0, complex(0.7027369222286164, 0.0),
+      1, 0.7027369222286164, 0.7027369222286153),
+     ('unstable', 1, complex(1.0321898470565882, 0.0),
+      2, 1.0321898470565882, 0.7027369222286153)),
+    ((0.9072265625, 1.4541015625, -2.5458984375, 96),
+     ('unstable', 0, complex(0.702736922228616, 0.0),
+      2, 0.702736922228616, 0.7027369222286153),
+     ('unstable', 1, complex(1.0321898470565878, 0.0),
+      4, 1.0321898470565878, 0.7027369222286153)),
+    ((0.9072265625, 1.4541015625, -2.5458984375, 480),
+     ('unstable', 0, complex(0.702736922228616, 0.0),
+      2, 0.702736922228616, 0.7027369222286153),
+     ('unstable', 1, complex(1.0321898470565878, 0.0),
+      4, 1.0321898470565878, 0.7027369222286153)),
+    ((0.953125, 0.68359375, -0.2314453125, 24),
+     ('stable', 2, complex(-0.03101871668507905, 0.0),
+      1, -0.03101871668507905, 1.4098636933016877),
+     ('stable', 3, complex(-0.007754679171269763, 0.1759505090530565),
+      2, -0.007754679171269763, 1.4098636933016877)),
+    ((0.953125, 0.68359375, -0.2314453125, 96),
+     ('stable', 2, complex(-0.02309826596301212, 0.0),
+      1, -0.02309826596301212, 1.4098636933016877),
+     ('stable', 3, complex(-0.00577456649075303, 0.15187139409663689),
+      2, -0.00577456649075303, 1.4098636933016877)),
+    ((0.953125, 0.68359375, -0.2314453125, 480),
+     ('stable', 2, complex(-0.022379043760508477, 0.0),
+      1, -0.022379043760508477, 1.4098636933016877),
+     ('stable', 3, complex(-0.005594760940127119, 0.1494916131779014),
+      2, -0.005594760940127119, 1.4098636933016877)),
+    ((1.662109375, 1.662109375, -0.689453125, 24),
+     ('stable', 2, complex(-0.0064523565315322, 0.0),
+      1, -0.0064523565315322, 1.3721892705382437),
+     ('stable', 3, complex(-0.00161308913288305, 0.08031036343450063),
+      2, -0.00161308913288305, 1.3721892705382437)),
+    ((1.662109375, 1.662109375, -0.689453125, 96),
+     ('stable', 2, complex(-0.00043398983939502145, 0.0),
+      1, -0.00043398983939502145, 1.3721892705382437),
+     ('stable', 3, complex(-0.00010849745984875536, 0.020832140257213798),
+      2, -0.00010849745984875536, 1.3721892705382437)),
+    ((1.662109375, 1.662109375, -0.689453125, 480),
+     ('stable', 2, complex(-1.7710539524706803e-05, 0.0),
+      1, -1.7710539524706803e-05, 1.3721892705382437),
+     ('stable', 3, complex(-4.427634881176701e-06, 0.0042083868549310155),
+      2, -4.427634881176701e-06, 1.3721892705382437)),
+    ((1.091796875, 2.1953125, 0.744140625, 24),
+     ('stable', 2, complex(-3.651733271325952e-08, 0.0),
+      1, -3.651733271325952e-08, -7.25219406167979),
+     ('stable', 3, complex(-9.12933317831488e-09, 0.00019109508792722747),
+      2, -9.12933317831488e-09, -7.25219406167979)),
+    ((1.091796875, 2.1953125, 0.744140625, 96),
+     ('inconclusive', 4, complex(-0.19252161578884452, 0.0),
+      2, -0.19252161578884452, -7.25219406167979),
+     ('inconclusive', 5, complex(-0.04813040394721113, 0.43612507380879034),
+      4, -0.04813040394721113, -7.25219406167979)),
+    ((1.091796875, 2.1953125, 0.744140625, 480),
+     ('inconclusive', 4, complex(-0.19083323504271466, 0.0),
+      2, -0.19083323504271466, -7.25219406167979),
+     ('inconclusive', 5, complex(-0.047708308760678664, 0.43423168046321814),
+      4, -0.047708308760678664, -7.25219406167979)),
+    ((0.81640625, 0.640625, 1.1025390625, 24),
+     ('stable', 2, complex(-0.018178953954687493, 0.0),
+      1, -0.018178953954687493, -3.033939223040301),
+     ('stable', 3, complex(-0.004544738488671873, 0.13475273394910056),
+      2, -0.004544738488671873, -3.033939223040301)),
+    ((0.81640625, 0.640625, 1.1025390625, 96),
+     ('stable', 2, complex(-0.011302283740442176, 0.0),
+      1, -0.011302283740442176, -3.033939223040301),
+     ('stable', 3, complex(-0.002825570935110544, 0.10627464368010289),
+      2, -0.002825570935110544, -3.033939223040301)),
+    ((0.81640625, 0.640625, 1.1025390625, 480),
+     ('stable', 2, complex(-0.010672246573004696, 0.0),
+      1, -0.010672246573004696, -3.033939223040301),
+     ('stable', 3, complex(-0.002668061643251174, 0.10327210668942756),
+      2, -0.002668061643251174, -3.033939223040301)),
+    ((1.4794921875, 1.4794921875, 2.1923828125, 24),
+     ('stable', 2, complex(-0.006386975290203267, 0.0),
+      1, -0.006386975290203267, -6.1497772828507795),
+     ('stable', 3, complex(-0.0015967438225508168, 0.07990260133042236),
+      2, -0.0015967438225508168, -6.1497772828507795)),
+    ((1.4794921875, 1.4794921875, 2.1923828125, 96),
+     ('stable', 2, complex(-0.000396898108212973, 0.0),
+      1, -0.000396898108212973, -6.1497772828507795),
+     ('stable', 3, complex(-9.922452705324325e-05, 0.01992205468083561),
+      2, -9.922452705324325e-05, -6.1497772828507795)),
+    ((1.4794921875, 1.4794921875, 2.1923828125, 480),
+     ('stable', 2, complex(-1.585058326192268e-05, 0.0),
+      1, -1.585058326192268e-05, -6.1497772828507795),
+     ('stable', 3, complex(-3.96264581548067e-06, 0.003981277126671895),
+      2, -3.96264581548067e-06, -6.1497772828507795)),
+    ((1.5673828125, 2.744140625, 2.4384765625, 24),
+     ('stable', 2, complex(-9.926841491036953e-07, 0.0),
+      1, -9.926841491036953e-07, -8.513854907138565),
+     ('stable', 3, complex(-2.481710372759238e-07, 0.0009963353288500972),
+      2, -2.481710372759238e-07, -8.513854907138565)),
+    ((1.5673828125, 2.744140625, 2.4384765625, 96),
+     ('inconclusive', 4, complex(-0.16609374673464838, 0.0),
+      2, -0.16609374673464838, -8.513854907138565),
+     ('inconclusive', 5, complex(-0.041523436683662096, 0.4054251483820735),
+      4, -0.041523436683662096, -8.513854907138565)),
+    ((1.5673828125, 2.744140625, 2.4384765625, 480),
+     ('inconclusive', 4, complex(-0.16378584441099875, 0.0),
+      2, -0.16378584441099875, -8.513854907138565),
+     ('inconclusive', 5, complex(-0.04094646110274969, 0.4026279072967493),
+      4, -0.04094646110274969, -8.513854907138565)),
+    ((1.0, 3.0, -2.0, 24),
+     ('unstable', 0, complex(-0.5002556465038626, 0.0),
+      2, -0.5002556465038626, -0.5),
+     ('unstable', 1, complex(3.7633654792764483e-06, 0.0),
+      2, 3.7633654792764483e-06, -0.5)),
+    ((1.0, 3.0, -2.0, 96),
+     ('unstable', 0, complex(-0.500000000000254, 0.0),
+      2, -0.500000000000254, -0.5),
+     ('unstable', 1, complex(-2.9802322165650708e-08, 0.0),
+      4, -0.1250000000000635, -0.5)),
+    ((1.0, 3.0, -2.0, 480),
+     ('unstable', 0, complex(-0.5000000000000009, 0.0),
+      2, -0.5000000000000009, -0.5),
+     ('unstable', 1, complex(-2.9802322165650708e-08, 0.0),
+      4, -0.12500000000000022, -0.5)),
+]
+
+
+@pytest.mark.parametrize("row", VERDICTS, ids=lambda row: str(row[0]))
+def test_verdict_fields_pinned(row):
+    (a, c, e, n), first, second = row
+    p = make_params(a, c, None, c - e, e, n)
+    got = [first_order_verdict(p),
+           second_order_verdict(p, SecondOrderParams(1.0, 0.5))]
+    for v, want in zip(got, (first, second)):
+        fields = (v.stable, RULES.index(v.rule), v.witness,
+                  v.zero_multiplicity, v.spectral_abscissa,
+                  v.predicted_marginal)
+        # repr pins the bits and the Python type of every field
+        assert repr(fields) == repr(want)
