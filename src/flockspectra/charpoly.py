@@ -13,14 +13,19 @@ the cotangent equation
 and are located branch by branch: every branch is a bracket of the
 pole-free H(phi) = a sin((n+1) phi) - d tau sin(n phi) - e sin((n-1)
 phi), whose end signs are known in closed form, polished by Newton's
-method (see find_branch_roots).  Roots off the circle are tracked by
+method from a Newton step on the branch function (see
+find_branch_roots); most roots cost one evaluation of H.  Roots off the
+circle are tracked by
 Newton iteration from the quadratic seeds y+- of a y^2 - d tau y - e,
 by one loop that runs in floats here and in mpmath in perturb.  On the
-line a + e = 0 the one special eigenvalue is exactly d.
+line a + e = 0 the one special eigenvalue is exactly d.  sqrt(ac) and
+the quadratic are formed on power-of-two scalings of the parameters, so
+scaling a, c, d and e by 2^k scales every eigenvalue by exactly 2^k.
 """
 from __future__ import annotations
 
 import cmath
+import logging
 import math
 from dataclasses import dataclass
 from typing import List, Optional
@@ -39,6 +44,23 @@ NEWTON_MAX_ITER = 100
 POLE_TOL = 1e-12
 # Items per slice of array work; every temporary of a slice is O(_BLOCK).
 _BLOCK = 2048
+
+_log = logging.getLogger("flockspectra")
+
+
+def _product_4k(a: float, c: float):
+    """(x, k) with a c = x 4^k exactly and x in [1/4, 4), for a, c > 0:
+    a product that neither overflows nor underflows."""
+    i, j = math.frexp(a)[1] // 2, math.frexp(c)[1] // 2
+    return math.ldexp(a, -2 * i) * math.ldexp(c, -2 * j), i + j
+
+
+def _sqrt_product(a: float, c: float) -> float:
+    """sqrt(a c) for a, c > 0, finite and exact in scale wherever the
+    result is a normal float; bit for bit math.sqrt(a * c) wherever a c
+    is."""
+    x, k = _product_4k(a, c)
+    return math.ldexp(math.sqrt(x), k)
 
 
 def _on_a_plus_e_line(p: SystemParams) -> bool:
@@ -141,9 +163,14 @@ def _monic_roots(b, c, sqrt):
 def quadratic_roots(p: SystemParams) -> QuadraticRoots:
     """Roots y+- = (d tau +- sqrt(d^2 tau^2 + 4 a e)) / (2a) of a y^2 -
     d tau y - e, by _monic_roots: finite also where (d tau)^2 overflows,
-    and accurate also where |ae| is far below it."""
-    return QuadraticRoots(*(x / (2 * p.a) for x in _monic_roots(
-        -p.d * p.tau, -4 * p.a * p.e, cmath.sqrt)))
+    and accurate also where |ae| is far below it.  a, e and d tau are
+    first divided by the power of two just above max(a, |e|), so that 4ae
+    neither overflows nor underflows and the roots do not depend on the
+    scale of the parameters."""
+    k = math.frexp(max(p.a, abs(p.e)))[1]
+    a, e, dt = (math.ldexp(x, -k) for x in (p.a, p.e, p.d * p.tau))
+    return QuadraticRoots(*(x / (2 * a) for x in _monic_roots(
+        -dt, -4 * a * e, cmath.sqrt)))
 
 
 def special_eigen_estimates(p: SystemParams) -> SpecialEigenEstimate:
@@ -173,7 +200,7 @@ def _as_branch_roots(ell, phi, eigenvalue) -> List[BranchRoot]:
 def _closed_form_arrays(p: SystemParams):
     ell = np.arange(1, p.n)
     phi = math.pi * ell / p.n
-    return ell, phi, 2 * math.sqrt(p.a * p.c) * np.cos(phi)
+    return ell, phi, 2 * _sqrt_product(p.a, p.c) * np.cos(phi)
 
 
 def closed_form_branch_roots(p: SystemParams) -> List[BranchRoot]:
@@ -256,63 +283,89 @@ def _brackets(p: SystemParams):
     return ell[change], edges[change], edges[change + 1], neg[change]
 
 
-def _safeguarded_newton(p: SystemParams, ell, lo, hi, neg):
+def _safeguarded_newton(p: SystemParams, ell, lo, hi, neg, stats=None):
     """The root in each bracket [lo, hi] of branch ell, by Newton steps
-    on H from one fixed-point step of F = (ell-1) pi at the midpoint (or
-    from the midpoint, where that step leaves the bracket).
+    on H from one Newton step on F = n phi - theta = (ell-1) pi at the
+    midpoint m (or from m, where that step leaves the bracket); theta =
+    arccot(R) = atan2(sin(phi), C + B cos(phi)), as sin(phi) > 0, and
+    theta' = (C cos(phi) + B) / r^2, r = hypot(sin(phi), C + B cos(phi)).
 
     neg says whether H is negative at lo; its sign at each iterate moves
     one end of the bracket there.  A step that lands inside the bracket,
     or one at the rounding floor, is taken; any other bisects.  An
-    iterate is done once its step is at the rounding floor, which also
-    holds once its bracket is two adjacent doubles.
+    iterate is done once its step s = H/H' is at the rounding floor
+    (which also holds once its bracket is two adjacent doubles), or,
+    without evaluating H again, once the step lands inside the bracket
+    and 1024 M2 s^2 <= 4 eps x |H'(x)|, M2 = |a|(n+1)^2 + |d tau| n^2 +
+    |e|(n-1)^2 >= |H''|: the error left after that step, at most M2 s^2
+    / (2 |H'|), is then below eps x / 512.  Most roots take one H
+    evaluation.  stats, if given, is an integer array that gains the
+    H-evaluated points, the Newton sweeps and the bisection steps.
     """
-    B = (p.e - p.a) / (p.e + p.a)
-    C = p.d * p.tau / (p.e + p.a)
-    mid = 0.5 * (lo + hi)
-    # arccot(R) = atan2(sin(phi), C + B cos(phi)), as sin(phi) > 0
-    x = ((ell - 1) * math.pi
-         + np.arctan2(np.sin(mid), C + B * np.cos(mid))) / p.n
-    x = np.where((lo < x) & (x < hi), x, mid)
-    phi = np.empty_like(x)
-    todo = np.arange(len(x))
-    for _ in range(NEWTON_MAX_ITER):
-        if not len(todo):
-            break
-        h, dh = _h_and_slope(p, x)
-        left = (h < 0) != neg  # the root lies in [lo, x]
-        lo, hi = np.where(left, lo, x), np.where(left, x, hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            new = x - h / dh
-        tol = 4 * EPS * x
-        # A step onto a bracket end evaluates nothing new: where the
-        # rounding noise of H exceeds tol, Newton would hop between the
-        # two ends for good, so that step bisects instead.
-        newton = ((lo < new) & (new < hi)) | (np.abs(new - x) <= tol)
-        new = np.where(newton, new, 0.5 * (lo + hi))
-        done = np.abs(new - x) <= tol
-        phi[todo[done]] = new[done]
-        more = ~done
-        x, lo, hi, neg, todo = new[more], lo[more], hi[more], neg[more], \
-            todo[more]
-    else:
-        phi[todo] = x
+    a, e, dt, n = p.a, p.e, p.d * p.tau, p.n
+    B = (e - a) / (e + a)
+    C = dt / (e + a)
+    m2 = abs(a) * (n + 1) ** 2 + abs(dt) * n * n + abs(e) * (n - 1) ** 2
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        mid = 0.5 * (lo + hi)
+        s1, c1 = np.sin(mid), np.cos(mid)
+        q = C + B * c1
+        r = np.hypot(s1, q)
+        slope = (C * c1 + B) / r / r  # theta'(m), finite for huge |C|
+        x = (((ell - 1) * math.pi + np.arctan2(s1, q) - slope * mid)
+             / (n - slope))
+        x = np.where((lo < x) & (x < hi), x, mid)
+        phi = np.empty_like(x)
+        todo = np.arange(len(x))
+        for _ in range(NEWTON_MAX_ITER):
+            if not len(todo):
+                break
+            h, dh = _h_and_slope(p, x)
+            left = (h < 0) != neg  # the root lies in [lo, x]
+            lo, hi = np.where(left, lo, x), np.where(left, x, hi)
+            step = h / dh
+            new = x - step
+            tol = 4 * EPS * x
+            # A step onto a bracket end evaluates nothing new: where the
+            # rounding noise of H exceeds tol, Newton would hop between
+            # the two ends for good, so that step bisects instead.
+            inside = (lo < new) & (new < hi)
+            newton = inside | (np.abs(new - x) <= tol)
+            new = np.where(newton, new, 0.5 * (lo + hi))
+            done = ((np.abs(new - x) <= tol)
+                    | (inside & (1024 * m2 * step * step <= tol * np.abs(dh))))
+            if stats is not None:
+                stats += (len(x), 1, len(x) - np.count_nonzero(newton))
+            phi[todo[done]] = new[done]
+            more = ~done
+            x, lo, hi, neg, todo = new[more], lo[more], hi[more], \
+                neg[more], todo[more]
+        else:
+            phi[todo] = x
     return phi
 
 
 def _branch_root_arrays(p: SystemParams):
     """(ell, phi, eigenvalue) arrays of every unit-circle root, sorted by
     phi: the brackets of _brackets, polished _BLOCK at a time, so that
-    the Newton temporaries stay small enough for the cache."""
+    the Newton temporaries stay small enough for the cache.  With DEBUG
+    logging on, one record gives n, the brackets, the points at which
+    Newton evaluated H, its sweeps and its bisection steps."""
     if _on_a_plus_e_line(p):
         return _closed_form_arrays(p)
     ell, lo, hi, neg = _brackets(p)
+    stats = np.zeros(3, dtype=int) if _log.isEnabledFor(logging.DEBUG) \
+        else None
     phi = np.empty(len(ell))
     for i in range(0, len(ell), _BLOCK):
         part = slice(i, i + _BLOCK)
         phi[part] = _safeguarded_newton(p, ell[part], lo[part], hi[part],
-                                        neg[part])
-    return ell, phi, 2 * math.sqrt(p.a * p.c) * np.cos(phi)
+                                        neg[part], stats)
+    if stats is not None:
+        _log.debug("branch scan: n=%d, %d brackets, H evaluated at %d "
+                   "points in %d Newton sweeps, %d bisection steps", p.n,
+                   len(ell), *stats.tolist())
+    return ell, phi, 2 * _sqrt_product(p.a, p.c) * np.cos(phi)
 
 
 def find_branch_roots(p: SystemParams) -> List[BranchRoot]:
@@ -330,7 +383,10 @@ def find_branch_roots(p: SystemParams) -> List[BranchRoot]:
     a stationary angle is cut there, H is evaluated at the cut, and each
     piece holds at most one root.  The brackets of all n branches are
     built at once and polished by safeguarded Newton on H, _BLOCK
-    brackets at a time.
+    brackets at a time, from one Newton step on F at the midpoint; a
+    step whose quadratic error bound is below the rounding floor is
+    taken without evaluating H again, so most roots cost one H
+    evaluation (see _safeguarded_newton).
 
     Where G(0) or G(pi) is zero to within its rounding error (a finite-n
     threshold), a root of an end branch merges with y = +-1; that end
@@ -393,12 +449,12 @@ def refine_special_root(p: SystemParams, seed: complex) -> complex:
 
 def eigenvalue_from_root(p: SystemParams, y: complex) -> complex:
     """r = sqrt(ac) (y + 1/y)."""
-    return math.sqrt(p.a * p.c) * (y + 1.0 / y)
+    return _sqrt_product(p.a, p.c) * (y + 1.0 / y)
 
 
 def _root_of_eigenvalue(p: SystemParams, r) -> complex:
     """The root y of y^2 - (r/sqrt(ac)) y + 1 with |y| >= 1, the one with
     Im y >= 0 where both lie on the unit circle (as conjugates of one
     modulus): eigenvalue_from_root's inverse, by _monic_roots."""
-    x = _monic_roots(-r / math.sqrt(p.a * p.c), 4.0, cmath.sqrt)
+    x = _monic_roots(-r / _sqrt_product(p.a, p.c), 4.0, cmath.sqrt)
     return max(x, key=lambda z: (abs(z), z.imag)) / 2

@@ -35,8 +35,8 @@ import numpy as np
 
 from .charpoly import (EPS, BranchRoot, _as_branch_roots,
                        _branch_root_arrays, _monic_roots,
-                       _on_a_plus_e_line, _root_of_eigenvalue,
-                       _special_seeds, eigenvalue_from_root,
+                       _on_a_plus_e_line, _product_4k, _root_of_eigenvalue,
+                       _special_seeds, _sqrt_product, eigenvalue_from_root,
                        refine_special_root)
 from .errors import (DegenerateRoot, DimensionMismatch, DiscriminantCollapse,
                      DomainError, NoConvergence, RootCountAnomaly,
@@ -177,10 +177,11 @@ def _decentralized_cell(p: SystemParams):
     a, c, e = p.a, p.c, p.e
     row = "e<-a" if e < -a else ("e>a" if e > a else "|e|<=a")
     col = "c<a" if c < a else ("c>a" if c > a else "c=a")
-    sac = math.sqrt(a * c)
+    sac = _sqrt_product(a, c)
 
-    def mirror():
-        return -(a * c / e + e)
+    def mirror():  # a c / e cannot overflow where a cell reads it
+        x, k = _product_4k(a, c)
+        return -(math.ldexp(x / e, 2 * k) + e)
 
     if row == "e<-a":
         if col in ("c<a", "c=a"):
@@ -248,7 +249,7 @@ def classify_regime(p: SystemParams) -> RegimeLabel:
     if d <= -t:
         return label("T3", "1")
     if d < t:
-        s = 2 * math.sqrt(c * abs(e))
+        s = 2 * _sqrt_product(c, abs(e))
         if d <= -s:
             return label("T3", "2a")
         if d < s:
@@ -264,7 +265,7 @@ def _power_sum_residuals(p: SystemParams, eig, special):
     (a+e)) come from the three diagonals of the reduced matrix Q.  Both
     are formed on r, a, c, d and e over s, so no square overflows."""
     r = np.r_[eig, [x.eigenvalue for x in special]]
-    s = max(2 * math.sqrt(p.a * p.c), float(np.abs(r).max(initial=0)))
+    s = max(2 * _sqrt_product(p.a, p.c), float(np.abs(r).max(initial=0)))
     r, a, c, d, e = r / s, p.a / s, p.c / s, p.d / s, p.e / s
     t2 = d * d + 2 * c * ((p.n - 2) * a + (a + e))
     return abs(r.sum() - d) / p.n, abs((r * r).sum() - t2) / p.n
@@ -344,7 +345,7 @@ def _assemble_reduced(p: SystemParams):
     if len(bulk[0]) + len(special) > p.n:
         # a special root at a regime boundary may duplicate a bulk root
         # that converged to a branch endpoint (y near +-1)
-        tol = DEDUPE_TOL * 2 * math.sqrt(p.a * p.c)
+        tol = DEDUPE_TOL * 2 * _sqrt_product(p.a, p.c)
         for s in list(special):
             near = np.flatnonzero(np.abs(s.eigenvalue - bulk[2]) < tol)
             if len(near):

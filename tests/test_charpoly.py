@@ -1,5 +1,6 @@
 import cmath
 import collections
+import logging
 import math
 import tracemalloc
 
@@ -15,9 +16,11 @@ from flockspectra import (BranchPole, BranchRoot, DomainError,
                           eval_polynomial, find_branch_roots, make_params,
                           pairing_distance, quadratic_roots,
                           refine_special_root, special_eigen_estimates)
-from flockspectra.charpoly import (POLE_TOL, _root_of_eigenvalue,
+from flockspectra.charpoly import (POLE_TOL, _brackets, _branch_root_arrays,
+                                   _h_and_slope, _on_a_plus_e_line,
+                                   _root_of_eigenvalue, _sqrt_product,
                                    _stationary_angles)
-from flockspectra.model import tridiagonal
+from flockspectra.model import EPS, tridiagonal
 from flockspectra.oracle import _tau_balance
 
 
@@ -341,6 +344,128 @@ class TestFindBranchRoots:
     def test_no_stationary_angles_when_c_overflows(self, e):
         # C = d tau/(e+a) squared overflows: the quadratic is not formed
         assert _stationary_angles(make_params(1, 1, 2, 1e200, e, 20)) == []
+
+    def test_bulk_roots_take_one_h_evaluation_each(self, monkeypatch):
+        # The five rows of spectrabench `scaling` (seed 1): the Newton
+        # step on F seeds every bracket close enough that the quadratic
+        # stop takes the first Newton step on H without evaluating H
+        # again.  A fixed-point seed with a confirming evaluation needs
+        # 2.04 points per root here.
+        import flockspectra.charpoly as charpoly
+        calls, _ = _count_calls(monkeypatch, charpoly)
+        rows = [((1.2275390625, 1.203125, -0.48046875, 2.7880859375,
+                  -0.19921875, 1920), "reduced"),
+                ((0.669921875, 0.73046875, 2.25, -0.26171875,
+                  1.3798828125, 3840), "full"),
+                ((1.328125, 1.9833984375, 2.3251953125, -3.5888671875,
+                  -0.1123046875, 7680), "reduced"),
+                ((0.83203125, 1.19140625, 2.4521484375, -0.0224609375,
+                  -1.6611328125, 15360), "full"),
+                ((1.5146484375, 1.328125, -2.296875, 6.9326171875,
+                  -4.3154296875, 30720), "reduced")]
+        for args, kind in rows:
+            compute_spectrum(make_params(*args), kind)
+        assert sum(calls) <= 1.1 * sum(args[-1] for args, _ in rows)
+
+    def test_debug_record_counts_the_newton_work(self, monkeypatch, caplog):
+        import flockspectra.charpoly as charpoly
+        calls, _ = _count_calls(monkeypatch, charpoly)
+        p = make_params(1, 1, 2, 0.5, -1 - 1e-3, 500)
+        with caplog.at_level(logging.DEBUG, logger="flockspectra"):
+            ell, _, _ = charpoly._branch_root_arrays(p)
+        [record] = [r for r in caplog.records if r.levelno == logging.DEBUG]
+        n, brackets, points, sweeps, bisections = record.args
+        assert (n, brackets) == (500, len(ell))
+        # H is also evaluated at the (here two) stationary cuts
+        assert points == sum(calls) - len(_stationary_angles(p))
+        assert 1 <= sweeps <= len(calls) and 0 <= bisections < points
+
+    def test_no_debug_counts_without_debug_logging(self, monkeypatch,
+                                                   caplog):
+        import flockspectra.charpoly as charpoly
+        seen = []
+        newton = charpoly._safeguarded_newton
+
+        def spy(p, ell, lo, hi, neg, stats=None):
+            seen.append(stats)
+            return newton(p, ell, lo, hi, neg, stats)
+
+        monkeypatch.setattr(charpoly, "_safeguarded_newton", spy)
+        with caplog.at_level(logging.INFO, logger="flockspectra"):
+            charpoly._branch_root_arrays(make_params(1.3, 0.7, 2, 0.9, 0.4,
+                                                     5000))
+        assert seen == [None] * 3 and not caplog.records
+
+
+def _h_rounding(p, phi):
+    """A bound on the rounding error of _h_and_slope's H at phi: the
+    product n x (x = min(phi, pi - phi), the angle H is evaluated at) is
+    rounded by eps/2 n x, and each sine, product and sum adds an ulp."""
+    coef = abs(p.a - p.e) + abs(p.a + p.e) + abs(p.d * p.tau)
+    return 4 * EPS * coef * (p.n * np.minimum(phi, np.pi - phi) + 1)
+
+
+@st.composite
+def newton_params(draw):
+    """(a, c, b, d, e, n): three roots on one branch (e < -a, |d| <
+    2 sqrt(c|e|)), or |a+e|/a in [1e-12, 1e-3], or |d| up to 1e154."""
+    a, c = draw(st.floats(0.2, 5)), draw(st.floats(0.2, 5))
+    kind = draw(st.sampled_from(["three roots", "near the line", "huge d"]))
+    u, v = draw(st.floats(0, 1)), draw(st.floats(-1, 1))
+    if kind == "three roots":
+        e = -a * (1 + 2 * u)
+        d = v * 2 * math.sqrt(c * -e)
+    elif kind == "near the line":
+        e = -a * (1 + math.copysign(10 ** (-12 + 9 * u), v))
+        d = 6 * v
+    else:
+        e = 3 * a * v
+        d = math.copysign(10 ** (-3 + 157 * u), v)
+    return a, c, None, d, e, draw(st.integers(2, 400))
+
+
+@settings(max_examples=60, deadline=None)
+@given(newton_params())
+@example((1.9622768212420452, 4.179999553518589, None, 4.650296370269988,
+          -1.9791010244640208, 26))  # three roots on branch 6
+@example((1.7383866669485428, 0.8479622883363869, None, 2.4268924360175177,
+          -1.7383866669519814, 312))  # three roots, H' small at the middle
+@example((4.815954529586176, 3.6789917157129617, None, 1.6686504799056398e22,
+          -6.446890898809286, 118))  # a root just past its bracket's end
+def test_one_more_guarded_newton_step_stays_at_the_rounding_floor(args):
+    # Each returned angle is where a further Newton step on H, kept in
+    # its bracket, moves it by no more than the stop rule's 4 eps phi
+    # (plus one spacing, as a bisection midpoint rounds to a double) and
+    # the rounding noise of H over |H'|.  The quadratic stop's early
+    # exits leave an error below eps phi / 512, so they pass as well.
+    p = make_params(*args)
+    assume(not _on_a_plus_e_line(p))
+    _, lo, hi, _ = _brackets(p)
+    _, phi, _ = _branch_root_arrays(p)
+    h, dh = _h_and_slope(p, phi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        moved = np.abs(np.clip(phi - h / dh, lo, hi) - phi)
+        floor = (4 * EPS * phi + np.spacing(phi)
+                 + _h_rounding(p, phi) / np.abs(dh))
+    assert np.all(moved <= floor)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.floats(1e-150, 1e150), c=st.floats(1e-150, 1e150))
+def test_sqrt_product_is_math_sqrt_wherever_the_product_is_normal(a, c):
+    assume(2.3e-308 <= a * c <= 1.7e308)
+    assert _sqrt_product(a, c) == math.sqrt(a * c)
+
+
+@pytest.mark.parametrize("k", [530, -530, 600, -600])
+def test_quadratic_roots_do_not_depend_on_the_scale(k):
+    # 4ae, formed plainly, leaves the float range at 2^+-530: it
+    # overflows to -inf or underflows to 0
+    for a, c, d, e, n in [(1, 2, 0.75, 0.5, 20), (1, 1, 3.3, -2.25, 25),
+                          (1.3, 0.7, 0.9, 0.4, 30), (1, 1, 0, 1e-3, 12)]:
+        sa, sc, sd, se = (math.ldexp(x, k) for x in (a, c, d, e))
+        assert (quadratic_roots(make_params(sa, sc, None, sd, se, n))
+                == quadratic_roots(make_params(a, c, None, d, e, n)))
 
 
 def _scalar_residual(p, phi):

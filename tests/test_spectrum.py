@@ -727,3 +727,34 @@ def test_logging_adds_no_output_by_default():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout == out.stderr == ""
+
+
+SCALE_SETS = [(1, 2, None, 0.75, 0.5, 20), (1.3, 0.7, 2.0, 0.9, 0.4, 30),
+              (1, 1, None, 3.3, -2.25, 25), (2, 0.5, 1.0, -1.5, 3.0, 24),
+              (0.75, 1.5, None, 2.5, -1.25, 40)]
+
+
+@pytest.mark.parametrize("k", [530, -530, 600, -600])
+@pytest.mark.parametrize("kind", ["full", "reduced", "laplacian"])
+def test_spectrum_scales_exactly_by_powers_of_two(kind, k):
+    # a c and 4 a e leave the float range here; sqrt(ac) and the
+    # quadratic are formed on power-of-two scalings, so every eigenvalue
+    # scales by 2^k bit for bit.  Formed plainly, sqrt(ac) underflows to
+    # 0 at 2^-600 and 4 a e overflows from 2^530 up.
+    for *args, n in SCALE_SETS:
+        scaled = [None if x is None else math.ldexp(x, k) for x in args]
+        got = compute_spectrum(make_params(*scaled, n), kind).eigenvalues()
+        want = compute_spectrum(make_params(*args, n), kind).eigenvalues()
+        assert got.tobytes() == (np.ldexp(want.real, k)
+                                 + 1j * np.ldexp(want.imag, k)).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["full", "reduced", "laplacian"])
+def test_spectrum_at_1e160_is_finite(kind):
+    # 4 a e = 1e320 leaves the float range
+    p = make_params(1e160, 1e160, None, 0.5e160, 0.5e160, 20)
+    got = compute_spectrum(p, kind).eigenvalues()
+    want = compute_spectrum(make_params(1, 1, None, 0.5, 0.5, 20),
+                            kind).eigenvalues()
+    assert np.all(np.isfinite(got))
+    assert np.abs(got / 1e160 - want).max() <= 1e-15 * 2
