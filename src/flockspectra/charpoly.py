@@ -166,9 +166,12 @@ def quadratic_roots(p: SystemParams) -> QuadraticRoots:
     and accurate also where |ae| is far below it.  a, e and d tau are
     first divided by the power of two just above max(a, |e|), so that 4ae
     neither overflows nor underflows and the roots do not depend on the
-    scale of the parameters."""
+    scale of the parameters; DomainError where y+ leaves the float range."""
     k = math.frexp(max(p.a, abs(p.e)))[1]
-    a, e, dt = (math.ldexp(x, -k) for x in (p.a, p.e, p.d * p.tau))
+    try:
+        a, e, dt = (math.ldexp(x, -k) for x in (p.a, p.e, p.d * p.tau))
+    except OverflowError:  # d tau over max(a, |e|), and so y+
+        raise DomainError("y+ ~ d tau / a leaves the float range") from None
     return QuadraticRoots(*(x / (2 * a) for x in _monic_roots(
         -dt, -4 * a * e, cmath.sqrt)))
 

@@ -4,11 +4,11 @@ First order: x' = -L (x - h).  Second order: x'' = -alpha L (x - h)
 - beta L x'.  Both are linear with constant coefficients in z = x - h
 (and v = x'), so one RK4 step is the fixed matrix S = P(dt G), with G
 the generator and P(w) = 1 + w + w^2/2 + w^3/6 + w^4/24.  L is
-tridiagonal, so S is banded; its band is built once, from four
-applications of G to a small block of probe columns, and each step is
-then one O(n) windowed product.  The full (n+1)-dimensional Laplacian
-includes the leader's zero row, so the leader coordinate is constant
-automatically.
+tridiagonal, so S is banded; the band of S - I is built once, from
+four applications of G to a small block of probe columns, and each step
+adds to y one O(n) windowed product of it.  The full (n+1)-dimensional
+Laplacian includes the leader's zero row, so the leader coordinate is
+constant automatically.
 """
 from __future__ import annotations
 
@@ -112,14 +112,16 @@ def _rk4(f, y0: np.ndarray, dt: float, steps: int, stride: int,
     size, width = len(y0), 2 * half + 1
     # probe column c sums the unit vectors e_j with j = c (mod width); at
     # most one such j lies within `half` of any row, so S @ probe holds
-    # every band entry of S once.  Horner: S = I + dtG(I + dtG/2(...)).
+    # every band entry of S once.  Horner: S - I = dtG(I + dtG/2(...)),
+    # held apart from I so that a step rounds against its increment.
     probe = (np.arange(size)[:, None] % width == np.arange(width))
     probe = probe.astype(float)
-    block = probe.copy()
+    block = probe
     for k in (4, 3, 2, 1):
         block = f(block)
         block *= dt / k
-        block += probe
+        if k > 1:
+            block += probe
     cols = np.arange(size)[:, None] + np.arange(-half, half + 1)
     band = np.take_along_axis(block, cols % width, axis=1)
     band[(cols < 0) | (cols >= size)] = 0.0
@@ -134,10 +136,10 @@ def _rk4(f, y0: np.ndarray, dt: float, steps: int, stride: int,
     row = 0
     for i in range(1, steps + 1):
         np.einsum("ij,ij->i", window, band, out=step)
-        y[:] = step
+        y += step
         if i % stride == 0 or i == steps:
             row += 1
-            states[row] = step
+            states[row] = y
     return saved * dt, states
 
 

@@ -9,19 +9,17 @@ the spectrum; the assembly itself reads only the parameters.  Each root
 y of a y^2 - d tau y - e off the unit circle seeds one special
 eigenvalue (on the line a + e = 0, exactly d), and the remaining
 eigenvalues are bulk values 2 sqrt(ac) cos(phi) of the unit-circle
-roots.  Off the line a + e = 0
-the branches ((ell-1) pi/n, ell pi/n) are searched without sampling:
-G(phi) = H(phi)/sin(phi), H(phi) = a sin((n+1) phi) - d tau sin(n
-phi) - e sin((n-1) phi), has a sign known in closed form at every
-branch end, so each branch, cut at the at most two stationary angles
-of the branch function, brackets its roots one by one, and Newton's
-method on H polishes them.  The root count is certified by the power
+roots.  Off the line a + e = 0 the branches ((ell-1) pi/n, ell pi/n) are
+searched without sampling: G(phi) = H(phi)/sin(phi), H(phi) = a
+sin((n+1) phi) - d tau sin(n phi) - e sin((n-1) phi), has a sign known
+in closed form at every branch end, so each branch, cut at the at most
+two stationary angles of the branch function, brackets its roots one by
+one, and Newton's method on H polishes them.  At most n - len(bulk)
+roots then lie off the circle, which caps the special roots; one missing
+root is recovered from the trace, and every spectrum must pass the power
 sums sum r = d and sum r^2 = d^2 + 2c((n-2) a + (a+e)) of the reduced
-matrix: where a root merges with y = +-1 or both seeds find one double
-root, one missing root is recovered from the trace, or one extra bulk
-root dropped, and the sum of squares must agree.  The bulk stays in
-arrays of branch index, angle and eigenvalue from the scan to the
-Spectrum.
+matrix.  The bulk stays in arrays of branch index, angle and eigenvalue
+from the scan to the Spectrum.
 """
 from __future__ import annotations
 
@@ -260,15 +258,18 @@ def classify_regime(p: SystemParams) -> RegimeLabel:
 
 def _power_sum_residuals(p: SystemParams, eig, special):
     """|sum r - tr Q| / (n s) and |sum r^2 - tr Q^2| / (n s^2) over the
-    bulk eigenvalues eig and the special roots, s the largest of their
-    moduli and 2 sqrt(ac).  tr Q = d and tr Q^2 = d^2 + 2c((n-2) a +
-    (a+e)) come from the three diagonals of the reduced matrix Q.  Both
-    are formed on r, a, c, d and e over s, so no square overflows."""
-    r = np.r_[eig, [x.eigenvalue for x in special]]
-    s = max(2 * _sqrt_product(p.a, p.c), float(np.abs(r).max(initial=0)))
-    r, a, c, d, e = r / s, p.a / s, p.c / s, p.d / s, p.e / s
+    real bulk eigenvalues eig and the special roots, s the larger of 2
+    sqrt(ac), which bounds every bulk value, and the special moduli.  tr
+    Q = d and tr Q^2 = d^2 + 2c((n-2) a + (a+e)) come from the three
+    diagonals of the reduced matrix Q.  Both are formed on r, a, c, d and
+    e over s, so no square overflows."""
+    z = [x.eigenvalue for x in special]
+    s = max([2 * _sqrt_product(p.a, p.c), *map(abs, z)])
+    z = [x / s for x in z]
+    r, a, c, d, e = eig / s, p.a / s, p.c / s, p.d / s, p.e / s
     t2 = d * d + 2 * c * ((p.n - 2) * a + (a + e))
-    return abs(r.sum() - d) / p.n, abs((r * r).sum() - t2) / p.n
+    return (abs(float(r.sum()) + sum(z) - d) / p.n,
+            abs(float(r @ r) + sum(x * x for x in z) - t2) / p.n)
 
 
 def _power_sum_tol(n: int) -> float:
@@ -285,48 +286,43 @@ def _certify_count(p: SystemParams, bulk, special):
     At a finite-n threshold a root merges with y = +-1, and its end
     branch leaves it out; at a double root of a y^2 - d tau y - e both
     seeds converge to one root.  So one missing root is recovered from
-    the trace, r = d - sum(found), with y = _root_of_eigenvalue(p, r),
-    and one extra is the bulk root nearest sum(found) - d, which is
-    dropped.  Either correction must leave both power-sum residuals
-    within _power_sum_tol; a NaN residual fails."""
+    the trace, r = d - sum(found), with y = _root_of_eigenvalue(p, r).
+    Every spectrum, corrected or not, must leave both power-sum
+    residuals within _power_sum_tol; a NaN residual fails."""
     eig, nspecial = bulk[2], len(special)
     msg = f"found {len(eig)} bulk + {nspecial} special roots, expected {p.n}"
     short = p.n - len(eig) - nspecial
-    if short == 0:
-        return bulk, special
-    if abs(short) == 1:
+    if short == 1:
         total = np.sum(eig) + sum(s.eigenvalue for s in special)
-        extra = float(total.real) - p.d
-        if short == 1:
-            kind, r = "recovered", -extra
-            y = _root_of_eigenvalue(p, r)
-            special = special + [SpecialRoot(seed=y, y=y,
-                                             eigenvalue=complex(r))]
-        else:
-            k = int(np.argmin(np.abs(eig - extra)))
-            kind, r = "dropped", float(eig[k])
-            bulk = tuple(np.delete(x, k) for x in bulk)
-        res = _power_sum_residuals(p, bulk[2], special)
-        _log.info("trace correction: %s root %r; power-sum residuals %.3g, "
-                  "%.3g", kind, r, *res)
+        r = p.d - float(total.real)
+        y = _root_of_eigenvalue(p, r)
+        special = special + [SpecialRoot(seed=y, y=y, eigenvalue=complex(r))]
+    if short in (0, 1):
+        res = _power_sum_residuals(p, eig, special)
+        if short:
+            _log.info("trace correction: recovered root %r; power-sum "
+                      "residuals %.3g, %.3g", r, *res)
         if all(x <= _power_sum_tol(p.n) for x in res):  # fails on NaN
             return bulk, special
-        msg += (f"; the {kind} root {r!r} leaves power-sum residuals "
-                f"{res[0]:.3g}, {res[1]:.3g}")
+        msg += f"; power-sum residuals {res[0]:.3g}, {res[1]:.3g}"
     raise RootCountAnomaly(msg, expected=p.n, bulk_count=len(eig),
                            special_count=nspecial, params=p)
 
 
 def _assemble_reduced(p: SystemParams):
     """Bulk (ell, phi, eigenvalue) arrays and special roots of the n x n
-    reduced matrix."""
+    reduced matrix, by _certify_count.  Each bracket of the branch scan
+    holds one root, so room = n - len(bulk) roots are left unbracketed:
+    the seeds are refined only where room > 0, and of more special roots
+    than room the one nearest the circle is a bulk root found twice."""
     bulk = _branch_root_arrays(p)
     if _on_a_plus_e_line(p):
         # f has the factor a y^2 - d tau y + a, whose root gives r = d
         y = _root_of_eigenvalue(p, p.d)
-        return bulk, [SpecialRoot(seed=y, y=y, eigenvalue=complex(p.d))]
-    special = []
-    for seed in _special_seeds(p):
+        return _certify_count(
+            p, bulk, [SpecialRoot(seed=y, y=y, eigenvalue=complex(p.d))])
+    room, special = p.n - len(bulk[0]), []
+    for seed in _special_seeds(p) if room > 0 else ():
         try:
             y = refine_special_root(p, seed)
         except (NoConvergence, UnitCircleCollapse) as ex:
@@ -342,18 +338,13 @@ def _assemble_reduced(p: SystemParams):
             continue
         special.append(SpecialRoot(seed=seed, y=y,
                                    eigenvalue=eigenvalue_from_root(p, y)))
-    if len(bulk[0]) + len(special) > p.n:
-        # a special root at a regime boundary may duplicate a bulk root
-        # that converged to a branch endpoint (y near +-1)
-        tol = DEDUPE_TOL * 2 * _sqrt_product(p.a, p.c)
-        for s in list(special):
-            near = np.flatnonzero(np.abs(s.eigenvalue - bulk[2]) < tol)
-            if len(near):
-                special.remove(s)
-                _log.info("special root %r dropped: its eigenvalue %r is "
-                          "the kept bulk root %r of branch %d", s.y,
-                          s.eigenvalue, float(bulk[2][near[0]]),
-                          bulk[0][near[0]])
+    if len(special) > room:  # one surplus at most: there are two seeds
+        s = min(special, key=lambda s: abs(s.y))
+        special.remove(s)
+        _log.info("special root %r dropped: %d special roots converged and "
+                  "the brackets leave room for %d; the one nearest the "
+                  "unit circle is a bulk root found twice", s.y,
+                  len(special) + 1, room)
     return _certify_count(p, bulk, special)
 
 

@@ -93,7 +93,10 @@ def _first_order_rule(p: SystemParams, lambdas) -> StabilityVerdict:
     """The first-order verdict from the eigenvalue array lambdas of -L."""
     a, c, e = p.a, p.c, p.e
     nzero, abscissa, witness_pos = _modes(lambdas, a + c)
-    marginal = None if e == 0 else -(a + e) * (c + e) / e
+    # -(a+e)(c+e)/e on its factors' fractions: finite where the mode is
+    (x, i), (y, j), (z, k) = map(math.frexp, (a + e, c + e, e))
+    with np.errstate(over="ignore"):
+        marginal = None if e == 0 else -float(np.ldexp(x * y / z, i + j - k))
 
     if a + e > 0:
         rule = "first-order: a+e>0 => stable"

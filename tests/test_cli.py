@@ -560,6 +560,13 @@ class TestConfigAndErrors:
         assert code == 1
         assert json.loads(err)["error"] == "DomainError"
 
+    def test_quadratic_root_beyond_the_float_range_exit_one(self, capsys):
+        code, _, err = run_cli(capsys, "spectrum", "--a", "0.25", "--c",
+                               "0.25", "--d", "1e308", "--e", "0.25",
+                               "--n", "10")
+        assert code == 1
+        assert json.loads(err)["error"] == "DomainError"
+
     def test_extreme_coupling_ratio_classifies(self, capsys):
         # a/c underflows; tau = sqrt(a)/sqrt(c) does not
         doc = run_json(capsys, "classify", "--a", "1e-300", "--c", "1e300",

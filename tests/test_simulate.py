@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flockspectra import (DomainError, SimConfig, StepSizeTooLarge,
@@ -207,6 +207,10 @@ def _stage_trajectory(p, h, x0, dt, steps, stride, v0=None):
        n=st.integers(2, 80), t_end=st.floats(0.05, 20),
        stride=st.integers(1, 40), order=st.sampled_from([1, 2]),
        seed=st.integers(0, 2 ** 32 - 1))
+# 572 steps: a band of S = P(dt G) rounded each step against |y| and
+# drifted 1.76e-11 off the stage form; the band of S - I does not
+@example(a=2.875, c=3.125, gap=-1.15625, n=6, t_end=11.0, stride=1,
+         order=2, seed=2966)
 def test_step_matrix_matches_stage_form(a, c, gap, n, t_end, stride, order,
                                         seed):
     # e on both sides of the line a+e = 0.  With alpha = beta = 1 the

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigvals
 
 from flockspectra import (DegenerateRoot, DiscriminantCollapse,
-                          DimensionMismatch, FlockSpectraError,
+                          DimensionMismatch, DomainError, FlockSpectraError,
                           RootCountAnomaly, build_full_matrix,
                           build_laplacian, build_reduced_matrix,
                           classify_regime, compute_spectrum,
@@ -605,13 +605,26 @@ def test_assembled_spectra_pass_the_power_sums(params):
     assert max(res) <= _power_sum_tol(n)
 
 
-def test_one_root_too_many_drops_the_bulk_root_the_trace_names():
+def test_one_root_too_many_raises():
+    # the brackets certify every bulk root once, so a count above n is
+    # never corrected: a bulk root found twice is a fault upstream
     p = make_params(1.3, 0.7, None, 0.3, 0.4, 40)   # T1 case 2: no special
     bulk = _branch_root_arrays(p)
     doubled = tuple(np.insert(x, 17, x[17]) for x in bulk)
-    got, special = _certify_count(p, doubled, [])
-    assert special == []
-    assert all(np.array_equal(x, y) for x, y in zip(got, bulk))
+    with pytest.raises(RootCountAnomaly, match="found 41 bulk"):
+        _certify_count(p, doubled, [])
+
+
+def test_right_count_with_a_moved_root_raises(monkeypatch):
+    # the power sums check every spectrum, not only a corrected one
+    p = make_params(1.3, 0.7, None, 0.3, 0.4, 40)
+    ell, phi, eig = _branch_root_arrays(p)
+    eig = eig.copy()
+    eig[5] += 0.1
+    monkeypatch.setattr("flockspectra.spectrum._branch_root_arrays",
+                        lambda q: (ell, phi, eig))
+    with pytest.raises(RootCountAnomaly, match="; power-sum residuals"):
+        compute_spectrum(p, "reduced")
 
 
 def test_trace_correction_failing_the_power_sums_raises():
@@ -684,18 +697,22 @@ def test_trace_corrections_and_fallbacks_are_logged(caplog):
     assert "QR" in fallback
 
 
-@pytest.mark.parametrize("args,parts", [
+@pytest.mark.parametrize("args,parts,kept", [
     ((1, 1, 2, 3.0, -2.25, 20),
-     ("special root (1.50037", "found the kept special root (1.50037")),
+     ("special root (1.50037", "found the kept special root (1.50037"),
+     ("special", "(1.50037")),
     ((1.3273146042545625, 4.433832387831716, None, -0.39815380295728325,
       1.5907547244900506, 64),
-     ("special root (1.00000000413", "its eigenvalue (4.85184108609",
-      "is the kept bulk root 4.85184108608", "of branch 1")),
+     ("special root (1.00000000413", "2 special roots converged",
+      "the brackets leave room for 1", "a bulk root found twice"),
+     ("bulk", "4.85184108608")),
 ], ids=["special-special", "special-bulk"])
-def test_dropped_duplicate_root_is_logged(caplog, args, parts):
+def test_dropped_duplicate_root_is_logged(caplog, args, parts, kept):
     # the double root d = 2 sqrt(c|e|), where both seeds reach one root;
     # and G(0) = 1.4e-8, where the bulk root at phi = 1.9e-6 and the
-    # special root y = 1.0000000041 are one eigenvalue found twice
+    # special root y = 1.0000000041 are one eigenvalue found twice: the
+    # brackets leave room for one special root, and the one nearer the
+    # unit circle goes
     with caplog.at_level(logging.INFO, logger="flockspectra"):
         spec = compute_spectrum(make_params(*args), "reduced")
     assert len(spec.eigenvalues()) == spec.params.n
@@ -704,19 +721,37 @@ def test_dropped_duplicate_root_is_logged(caplog, args, parts):
                and r.getMessage().startswith("special root"))
     assert msg.startswith(parts[0])
     assert all(part in msg for part in parts[1:])
+    where, prefix = kept
+    values = (spec.bulk_eigenvalue.tolist() if where == "bulk"
+              else [s.y for s in spec.special])
+    assert any(repr(v).startswith(prefix) for v in values)
 
 
 def test_dropped_special_seed_is_logged(caplog):
-    # T1/1 just past d = (a-e) sqrt(c/a): at n=5 the root of f is still
-    # on the unit circle, so Newton from the quadratic's seed collapses
-    p = make_params(1, 1, None, 0.6, 0.5, 5)
+    # T2 at n=5: y_plus is off the circle, but the root of f near y_minus
+    # is still on it, so Newton from that seed collapses
+    p = make_params(1, 1, None, 0.25, 1.5, 5)
     with caplog.at_level(logging.INFO, logger="flockspectra"):
         spec = compute_spectrum(p, "reduced")
-    assert spec.special == []
+    assert len(spec.bulk_eigenvalue) == 4 and len(spec.special) == 1
     (msg,) = [r.getMessage() for r in caplog.records
               if r.name == "flockspectra"]
-    assert msg.startswith("special seed (1.06811")
+    assert msg.startswith("special seed (-1.10610")
     assert "dropped: UnitCircleCollapse: iterate collapsed" in msg
+
+
+def test_no_special_refinement_when_the_brackets_hold_every_root(
+        monkeypatch, caplog):
+    # T1/1 just past d = (a-e) sqrt(c/a): at n=5 the quadratic's seed lies
+    # off the circle, but all five roots of f are on it and bracketed
+    calls = []
+    monkeypatch.setattr("flockspectra.spectrum.refine_special_root",
+                        lambda *args: calls.append(args))
+    with caplog.at_level(logging.INFO, logger="flockspectra"):
+        spec = compute_spectrum(make_params(1, 1, None, 0.6, 0.5, 5),
+                                "reduced")
+    assert len(spec.bulk_eigenvalue) == 5 and spec.special == []
+    assert calls == [] and not caplog.records
 
 
 def test_logging_adds_no_output_by_default():
@@ -758,3 +793,11 @@ def test_spectrum_at_1e160_is_finite(kind):
                             kind).eigenvalues()
     assert np.all(np.isfinite(got))
     assert np.abs(got / 1e160 - want).max() <= 1e-15 * 2
+
+
+@pytest.mark.parametrize("kind", ["full", "reduced"])
+def test_quadratic_root_beyond_the_float_range_is_a_domain_error(kind):
+    # y+ = d tau / a = 4e308: a typed error, not math's OverflowError
+    with pytest.raises(DomainError, match="leaves the float range"):
+        compute_spectrum(make_params(0.25, 0.25, None, 1e308, 0.25, 10),
+                         kind)

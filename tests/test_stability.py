@@ -66,6 +66,12 @@ class TestFirstOrderVerdict:
         with pytest.raises(NotDecentralized):
             first_order_verdict(make_params(1, 1, 2, 0, 0, 20))
 
+    def test_marginal_mode_at_1e160_is_finite(self):
+        # (a+e)(c+e) = 2.25e320 leaves the float range; the mode does not
+        v = first_order_verdict(make_params(1e160, 1e160, None, 0.5e160,
+                                            0.5e160, 20))
+        assert v.predicted_marginal == -4.5e160
+
 
 class TestSecondOrderEigenvalues:
     def test_unit_damped_mode(self):
