@@ -18,9 +18,9 @@ find_branch_roots); most roots cost one evaluation of H.  Roots off the
 circle are tracked by
 Newton iteration from the quadratic seeds y+- of a y^2 - d tau y - e,
 by one loop that runs in floats here and in mpmath in perturb.  On the
-line a + e = 0 the one special eigenvalue is exactly d.  sqrt(ac) and
-the quadratic are formed on power-of-two scalings of the parameters, so
-scaling a, c, d and e by 2^k scales every eigenvalue by exactly 2^k.
+line a + e = 0 the one special eigenvalue is exactly d.  sqrt(ac), the
+quadratic and H are formed on power-of-two scalings of the parameters,
+so scaling a, c, d and e by 2^k scales every eigenvalue by exactly 2^k.
 """
 from __future__ import annotations
 
@@ -230,6 +230,16 @@ def _stationary_angles(p: SystemParams) -> List[float]:
     return sorted(math.acos(x) for x in u if -1 < x < 1)
 
 
+def _unit_coefficients(p: SystemParams):
+    """(a, e, d tau) over the power of two just above the largest of
+    them: H, H', G at the branch ends and their rounding floors formed on
+    these stay finite at any scale, and scaling a, c, d and e by 2^k
+    leaves them bit for bit the same."""
+    dt = p.d * p.tau
+    k = -math.frexp(max(p.a, abs(p.e), abs(dt)))[1]
+    return math.ldexp(p.a, k), math.ldexp(p.e, k), math.ldexp(dt, k)
+
+
 def _h_and_slope(p: SystemParams, phi):
     """H(phi) = a sin((n+1) phi) - d tau sin(n phi) - e sin((n-1) phi)
     and H'(phi), from sin and cos of n phi and phi.  On the unit circle
@@ -238,8 +248,9 @@ def _h_and_slope(p: SystemParams, phi):
     the sines and cosines come from the exact psi = pi - phi, so that
     sin(n phi) keeps its relative digits near phi = pi: sin(n phi) =
     (-1)^(n+1) sin(n psi), cos(n phi) = (-1)^n cos(n psi), cos(phi) =
-    -cos(psi)."""
-    a, e, dt, n = p.a, p.e, p.d * p.tau, p.n
+    -cos(psi).  Both are formed on _unit_coefficients, so they are H and
+    H' over one power of two."""
+    (a, e, dt), n = _unit_coefficients(p), p.n
     far = phi > math.pi / 2
     x = np.where(far, math.pi - phi, phi)
     flip = np.where(far, -1.0, 1.0)
@@ -256,7 +267,7 @@ def _brackets(p: SystemParams):
     """(ell, lo, hi, neg) of every bracket on the branches 1..n: one per
     branch, or per piece of a branch cut at a stationary angle (see
     find_branch_roots), with neg the sign of H at lo."""
-    a, e, dt, n = p.a, p.e, p.d * p.tau, p.n
+    (a, e, dt), n = _unit_coefficients(p), p.n
     # The sign of G = H/sin(phi) at the branch ends m pi/n is known
     # without evaluating H: (-1)^m (a+e) inside, and, as U_k(+-1) =
     # (+-1)^k (k+1), G(0) = a(n+1) - d tau n - e(n-1) and G(pi) = (-1)^n
@@ -289,7 +300,8 @@ def _brackets(p: SystemParams):
 def _safeguarded_newton(p: SystemParams, ell, lo, hi, neg, stats=None):
     """The root in each bracket [lo, hi] of branch ell, by Newton steps
     on H from one Newton step on F = n phi - theta = (ell-1) pi at the
-    midpoint m (or from m, where that step leaves the bracket); theta =
+    midpoint m (from eps hi inside the end that step reaches or passes,
+    or inside lo where it is NaN); theta =
     arccot(R) = atan2(sin(phi), C + B cos(phi)), as sin(phi) > 0, and
     theta' = (C cos(phi) + B) / r^2, r = hypot(sin(phi), C + B cos(phi)).
 
@@ -305,7 +317,7 @@ def _safeguarded_newton(p: SystemParams, ell, lo, hi, neg, stats=None):
     evaluation.  stats, if given, is an integer array that gains the
     H-evaluated points, the Newton sweeps and the bisection steps.
     """
-    a, e, dt, n = p.a, p.e, p.d * p.tau, p.n
+    (a, e, dt), n = _unit_coefficients(p), p.n
     B = (e - a) / (e + a)
     C = dt / (e + a)
     m2 = abs(a) * (n + 1) ** 2 + abs(dt) * n * n + abs(e) * (n - 1) ** 2
@@ -317,7 +329,11 @@ def _safeguarded_newton(p: SystemParams, ell, lo, hi, neg, stats=None):
         slope = (C * c1 + B) / r / r  # theta'(m), finite for huge |C|
         x = (((ell - 1) * math.pi + np.arctan2(s1, q) - slope * mid)
              / (n - slope))
-        x = np.where((lo < x) & (x < hi), x, mid)
+        # a seed at or past an end (or NaN) restarts eps hi inside it:
+        # there the root lies within rounding of that end, which
+        # bisecting from the midpoint would reach after ~50 halvings
+        nudge = EPS * hi
+        x = np.fmin(np.fmax(x, lo + nudge), hi - nudge)
         phi = np.empty_like(x)
         todo = np.arange(len(x))
         for _ in range(NEWTON_MAX_ITER):

@@ -5,10 +5,16 @@ First order: x' = -L (x - h).  Second order: x'' = -alpha L (x - h)
 (and v = x'), so one RK4 step is the fixed matrix S = P(dt G), with G
 the generator and P(w) = 1 + w + w^2/2 + w^3/6 + w^4/24.  L is
 tridiagonal, so S is banded; the band of S - I is built once, from
-four applications of G to a small block of probe columns, and each step
-adds to y one O(n) windowed product of it.  The full (n+1)-dimensional
-Laplacian includes the leader's zero row, so the leader coordinate is
-constant automatically.
+four applications of G to a small block of probe columns.  L is
+Toeplitz away from the leader row and the boundary row, so the band
+rows away from the two ends repeat one pattern (period 1 in first
+order, 2 for the interleaved second-order state).  Each step is then
+one BLAS product of the overlapping tiles of the state with a fixed
+Toeplitz tile matrix, plus a small dense product for each end, added
+to y: O(n) work and memory.  The full (n+1)-dimensional Laplacian
+includes the leader's zero row, so the leader coordinate is constant
+automatically.  A trajectory that leaves the float range raises
+DomainError.
 """
 from __future__ import annotations
 
@@ -23,6 +29,8 @@ from .model import SystemParams, tridiagonal
 
 DT_MAX_FACTOR = 1.8      # explicit RK4 stability-region heuristic
 DT_DEFAULT_FACTOR = 0.5
+# Entries per block of the coherence: its scratch buffer stays in cache.
+_COHERENCE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -100,16 +108,12 @@ def _check_vec(name: str, v, m: int) -> np.ndarray:
     return arr
 
 
-def _rk4(f, y0: np.ndarray, dt: float, steps: int, stride: int,
-         half: int):
-    """RK4 for y' = G y, where f applies G to a block of columns and
-    P(dt G) has at most `half` diagonals on either side of the main one.
-    Times and states at step 0, every stride-th step and the last one;
-    the states fill one array allocated up front."""
-    if stride < 1:
-        raise DomainError(f"save_stride must be at least 1, got {stride}")
-    saved = np.r_[0:steps:stride, steps]
-    size, width = len(y0), 2 * half + 1
+def _step_band(f, size: int, dt: float, half: int) -> np.ndarray:
+    """The band of S - I, S = P(dt G): row i holds S[i, i - half .. i +
+    half] - I, zero where a column falls outside the matrix.  f applies
+    G to a block of columns; it runs four times, on one block of probe
+    columns."""
+    width = 2 * half + 1
     # probe column c sums the unit vectors e_j with j = c (mod width); at
     # most one such j lies within `half` of any row, so S @ probe holds
     # every band entry of S once.  Horner: S - I = dtG(I + dtG/2(...)),
@@ -125,53 +129,158 @@ def _rk4(f, y0: np.ndarray, dt: float, steps: int, stride: int,
     cols = np.arange(size)[:, None] + np.arange(-half, half + 1)
     band = np.take_along_axis(block, cols % width, axis=1)
     band[(cols < 0) | (cols >= size)] = 0.0
+    return band
 
-    padded = np.zeros(size + 2 * half)
+
+def _dense(rows: np.ndarray) -> np.ndarray:
+    """Band rows as a dense matrix D with row r holding rows[r] in
+    columns r .. r + 2 half: D @ padded[a:] gives the step at rows a ..
+    a + len(rows) - 1."""
+    r = np.arange(len(rows))[:, None]
+    dense = np.zeros((len(rows), len(rows) + rows.shape[1] - 1))
+    dense[r, r + np.arange(rows.shape[1])] = rows
+    return dense
+
+
+def _runs(mask: np.ndarray):
+    """Starts and ends of the runs of True in mask."""
+    edges = np.flatnonzero(np.diff(np.r_[0, mask, 0]))
+    return edges[0::2], edges[1::2]
+
+
+def _tiling(band: np.ndarray, period: int):
+    """(lo, count, matrix, ends) for a step over the padded state: rows
+    lo .. lo + count T - 1 are the product of the count overlapping
+    tiles padded[lo + qT : lo + (q+1)T + 2 half] with one (T + 2 half) x
+    T Toeplitz matrix, T the power of two above the band width; every
+    other row is exact, taken from its own band row by the pieces (a,
+    D) of `ends`, D the _dense rows a .. a + len(D) - 1, at most 2T:
+    one for each end of the state where the band is periodic.
+
+    Away from the leader and the boundary rows of L the band repeats
+    with the given period.  The pattern is the first `period` rows of
+    the longest run of rows that equal, bit for bit, the row `period`
+    below them.  The tiles run from the first to the last run of at
+    least T rows that equal the pattern bit for bit.  A row that does
+    not, wherever it sits, is exact, and so is every row outside the
+    tiles: all of them where n is small."""
+    size, width = band.shape
+    tile = 1 << width.bit_length()
+    bits = (band + 0.0).view(np.int64)  # + 0.0 clears the sign of zeros
+    first, last = _runs((bits[period:] == bits[:-period]).all(axis=1))
+    start = first[np.argmax(last - first)] if len(first) else 0
+    phase = start + (np.arange(size + tile) - start) % period
+    match = (bits == bits[phase[:size]]).all(axis=1)
+    first, last = _runs(match)
+    full = last - first >= tile
+    lo, hi = (first[full][0], last[full][-1]) if full.any() else (0, 0)
+    count = (hi - lo) // tile
+    matrix = _dense(band[phase[lo:lo + tile]]).T
+    match[:lo] = match[lo + count * tile:] = False
+    pieces = []
+    for i in np.flatnonzero(~match).tolist():
+        if pieces and pieces[-1][1] == i and i - pieces[-1][0] < 2 * tile:
+            pieces[-1][1] += 1
+        else:
+            pieces.append([i, i + 1])
+    return lo, count, matrix, [(a, _dense(band[a:b])) for a, b in pieces]
+
+
+def _rk4(f, y0: np.ndarray, dt: float, steps: int, stride: int,
+         half: int, period: int = 1):
+    """RK4 for y' = G y, where f applies G to a block of columns and
+    P(dt G) has at most `half` diagonals on either side of the main one,
+    repeating with `period` away from the two ends.  Each step is one
+    matrix product over the Toeplitz tiles of _tiling and a small one
+    per piece of exact rows, added to y at once.  Times and states at
+    step 0, every stride-th step and the last one; the states fill one
+    array allocated up front.  DomainError if the states leave the float
+    range."""
+    if stride < 1:
+        raise DomainError(f"save_stride must be at least 1, got {stride}")
+    saved = np.r_[0:steps:stride, steps]
+    size = len(y0)
+    lo, count, matrix, pieces = _tiling(_step_band(f, size, dt, half),
+                                        period)
+    tile = matrix.shape[1]
+    hi = lo + count * tile
+    # at least one tile long, so that the tile view exists with none
+    padded = np.zeros(max(size, tile) + 2 * half)
     y = padded[half:half + size]
     y[:] = y0
-    window = sliding_window_view(padded, width)
+    tiles = sliding_window_view(padded, len(matrix))[lo:hi:tile]
+    step = np.empty(size)
+    body = step[lo:hi].reshape(count, tile)
+    ends = [(dense, padded[a:a + dense.shape[1]], step[a:a + len(dense)])
+            for a, dense in pieces]
     states = np.empty((len(saved), size))
     states[0] = y0
-    step = np.empty(size)
     row = 0
-    for i in range(1, steps + 1):
-        np.einsum("ij,ij->i", window, band, out=step)
-        y += step
-        if i % stride == 0 or i == steps:
-            row += 1
-            states[row] = y
+    # overflow leaves inf, and 0 inf in a tile NaN: both reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, steps + 1):
+            # np.dot copies the overlapping tiles into one block for BLAS
+            np.dot(tiles, matrix, out=body)
+            for dense, x, out in ends:
+                np.dot(dense, x, out=out)
+            y += step
+            if i % stride == 0 or i == steps:
+                row += 1
+                states[row] = y
+    # a non-finite entry stays non-finite under the band product
+    if not np.isfinite(states[-1]).all():
+        raise DomainError(f"the state left the float range within {steps} "
+                          f"RK4 steps to t_end={saved[-1] * dt:g}")
     return saved * dt, states
+
+
+def _offset_blocks(positions: np.ndarray, h: np.ndarray):
+    """(rows, positions[rows] - h) for consecutive slices of rows of
+    about _COHERENCE_BLOCK entries, all in one reused buffer."""
+    m = positions.shape[1]
+    size = max(1, _COHERENCE_BLOCK // m)
+    buf = np.empty((min(size, len(positions)), m))
+    for i in range(0, len(positions), size):
+        rows = slice(i, i + size)
+        off = buf[:len(positions[rows])]
+        np.subtract(positions[rows], h, out=off)
+        yield rows, off
 
 
 def _coherence_first(positions: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Distance of each row of positions - h to the span of the constant
-    vector, with one scratch array the size of positions."""
-    off = positions - h
-    off -= off.mean(axis=1, keepdims=True)
-    np.multiply(off, off, out=off)
-    return np.sqrt(off.sum(axis=1))
+    vector, a block of rows at a time."""
+    out = np.empty(len(positions))
+    for rows, off in _offset_blocks(positions, h):
+        off -= off.mean(axis=1, keepdims=True)
+        np.multiply(off, off, out=off)
+        off.sum(axis=1, out=out[rows])
+    return np.sqrt(out, out=out)
 
 
 def _coherence_second(positions: np.ndarray, h: np.ndarray,
                       vels: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Distance of (x - h, v) to the family (vbar*t + xbar, vbar) at each
-    snapshot: least squares over (xbar, vbar), all rows at once, with one
-    scratch array the size of positions."""
+    snapshot: least squares over (xbar, vbar), a block of rows at a
+    time."""
     # minimize |off - xbar - vbar*t|^2 + |vel - vbar|^2; the normal
     # equations in (xbar, vbar) have matrix [[1, t], [t, t^2 + 1]]
-    t = times
-    off = positions - h
-    mo, mv = off.mean(axis=1), vels.mean(axis=1)
-    a22 = t * t + 1.0
-    b2 = t * mo + mv
-    det = a22 - t * t
-    xbar = (mo * a22 - b2 * t) / det
-    vbar = (b2 - mo * t) / det
-    off -= xbar[:, None]
-    off -= (vbar * t)[:, None]
-    res = np.einsum("ij,ij->i", off, off)
-    np.subtract(vels, vbar[:, None], out=off)
-    return np.sqrt(res + np.einsum("ij,ij->i", off, off))
+    mv = vels.mean(axis=1)
+    out = np.empty(len(positions))
+    for rows, off in _offset_blocks(positions, h):
+        t = times[rows]
+        mo = off.mean(axis=1)
+        a22 = t * t + 1.0
+        b2 = t * mo + mv[rows]
+        det = a22 - t * t
+        xbar = (mo * a22 - b2 * t) / det
+        vbar = (b2 - mo * t) / det
+        off -= xbar[:, None]
+        off -= (vbar * t)[:, None]
+        res = np.einsum("ij,ij->i", off, off)
+        np.subtract(vels[rows], vbar[:, None], out=off)
+        out[rows] = res + np.einsum("ij,ij->i", off, off)
+    return np.sqrt(out, out=out)
 
 
 def coherence_error(traj: Trajectory, h: Sequence[float]) -> np.ndarray:
@@ -226,7 +335,7 @@ def simulate_second_order(cfg: SimConfig) -> Trajectory:
     y0 = np.empty(2 * m)
     y0[0::2] = x0 - h
     y0[1::2] = v0
-    times, states = _rk4(generator, y0, dt, steps, cfg.save_stride, 9)
+    times, states = _rk4(generator, y0, dt, steps, cfg.save_stride, 9, 2)
     pos, vel = states[:, 0::2], states[:, 1::2]
     pos += h
     return Trajectory(times, pos, vel,

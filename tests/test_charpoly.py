@@ -18,8 +18,8 @@ from flockspectra import (BranchPole, BranchRoot, DomainError,
                           refine_special_root, special_eigen_estimates)
 from flockspectra.charpoly import (POLE_TOL, _brackets, _branch_root_arrays,
                                    _h_and_slope, _on_a_plus_e_line,
-                                   _root_of_eigenvalue, _sqrt_product,
-                                   _stationary_angles)
+                                   _root_of_eigenvalue, _safeguarded_newton,
+                                   _sqrt_product, _stationary_angles)
 from flockspectra.model import EPS, tridiagonal
 from flockspectra.oracle import _tau_balance
 
@@ -395,6 +395,33 @@ class TestFindBranchRoots:
             charpoly._branch_root_arrays(make_params(1.3, 0.7, 2, 0.9, 0.4,
                                                      5000))
         assert seen == [None] * 3 and not caplog.records
+
+    def test_huge_d_roots_take_one_h_evaluation_each(self):
+        # |d tau| ~ 2e22 puts every root within rounding of a branch end,
+        # where the Newton step on F lands at or past it; restarting at
+        # the midpoint took 3806 H points and 3746 bisection steps here
+        p = make_params(4.815954529586176, 3.6789917157129617, None,
+                        1.6686504799056398e22, -6.446890898809286, 118)
+        ell, lo, hi, neg = _brackets(p)
+        stats = np.zeros(3, dtype=int)
+        phi = _safeguarded_newton(p, ell, lo, hi, neg, stats)
+        # a Newton step at the rounding floor may pass an end by an ulp
+        assert len(phi) == 117
+        assert np.all(np.abs(phi - np.clip(phi, lo, hi)) <= np.spacing(hi))
+        assert stats[0] <= 1.2 * len(phi)
+
+
+def test_huge_d_tau_n_assembles_exactly_in_scale():
+    # d tau n = 8e308 left the float range in G(0), G(pi) and their
+    # rounding floor: two bulk roots were lost
+    p = make_params(1e10, 2.5e9, None, 4e307, 1e10, 10)
+    small = make_params(*(math.ldexp(x, -34) for x in (1e10, 2.5e9)), None,
+                        *(math.ldexp(x, -34) for x in (4e307, 1e10)), 10)
+    got = compute_spectrum(p, "reduced").eigenvalues()
+    assert len(got) == 10
+    assert np.array_equal(got,
+                          compute_spectrum(small, "reduced").eigenvalues()
+                          * 2.0 ** 34)
 
 
 def _h_rounding(p, phi):

@@ -193,6 +193,16 @@ class TestSimulate:
         assert json.loads(err)["error"] == "DomainError"
 
 
+    def test_trajectory_leaving_the_float_range_exit_one(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--a", "1", "--c", "1",
+                                 "--d", "4", "--e", "-3", "--n", "20",
+                                 "--t-end", "5000")
+        assert code == 1 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "DomainError"
+        assert "float range" in doc["message"]
+
+
 class TestConvergence:
     def test_csv(self, capsys):
         code, out, _ = run_cli(

@@ -13,8 +13,9 @@ from flockspectra import (DomainError, SimConfig, StepSizeTooLarge,
                           simulate_first_order, simulate_second_order,
                           spectral_radius_estimate)
 from flockspectra import simulate
+from flockspectra.model import tridiagonal
 from flockspectra.simulate import (_coherence_first, _coherence_second,
-                                   _rk4)
+                                   _rk4, _step_band, _tiling)
 
 
 def _stable_params(n=20):
@@ -182,6 +183,98 @@ def test_step_matrix_takes_four_generator_applications(monkeypatch, order):
     assert len(run(cfg).times) > 5
     # 21 states and half-width 4, or 42 interleaved and half-width 9
     assert calls == [(21, 9) if order == 1 else (42, 19)] * 4
+
+
+def _generator(n, order):
+    """f applying the generator of first order, -L, or of the interleaved
+    (z, v) state of second order with alpha = beta = 1, as the simulate
+    functions do; the state size; the half-width and period of the RK4
+    step band."""
+    L = tridiagonal(_stable_params(n), "laplacian")
+    if order == 1:
+        return (lambda z: -simulate._matvec(L, z)), n + 1, 4, 1
+
+    def f(y):
+        out = np.empty_like(y)
+        out[0::2] = y[1::2]
+        out[1::2] = -simulate._matvec(L, y[0::2] + y[1::2])
+        return out
+    return f, 2 * (n + 1), 9, 2
+
+
+def _band_loop(band, y0, steps, stride):
+    """The states of y += (band row i) . y[i - half .. i + half], one
+    windowed dot product per row and step."""
+    half = band.shape[1] // 2
+    padded = np.zeros(len(y0) + 2 * half)
+    y = padded[half:half + len(y0)]
+    y[:] = y0
+    window = np.lib.stride_tricks.sliding_window_view(padded, band.shape[1])
+    states = [y0.copy()]
+    for i in range(1, steps + 1):
+        y += np.einsum("ij,ij->i", window, band)
+        if i % stride == 0 or i == steps:
+            states.append(y.copy())
+    return np.array(states)
+
+
+@pytest.mark.parametrize("stride", [1, 3, 7])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("n", [2, 5, 300])
+def test_tiled_steps_match_the_band_loop(n, order, stride):
+    # n = 2 and 5: every row is exact; n = 300: all but ~2 tiles' worth
+    # of rows are in the tiles
+    f, size, half, period = _generator(n, order)
+    y0 = np.random.default_rng(n).normal(size=size)
+    band = _step_band(f, size, 0.02, half)
+    lo, count, matrix, pieces = _tiling(band, period)
+    tile = matrix.shape[1]
+    if n < 10:
+        assert count == 0
+    else:
+        assert count * tile >= size - 2 * tile
+    assert sum(len(dense) for _, dense in pieces) == size - count * tile
+    times, states = _rk4(f, y0, 0.02, 25, stride, half, period)
+    want = _band_loop(band, y0, 25, stride)
+    assert states.shape == want.shape
+    assert np.abs(states - want).max() <= 1e-14 * np.abs(want).max()
+    leader = 0 if order == 1 else 1  # its position, or its velocity
+    assert np.all(states[:, leader] == y0[leader])
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_a_row_off_the_pattern_takes_the_exact_path(monkeypatch, order):
+    # one ulp on the diagonal of the middle row: that row no longer
+    # equals the Toeplitz pattern, so no tile may step it
+    bands = []
+
+    def altered(*args):
+        band = _step_band(*args)
+        mid, half = len(band) // 2, band.shape[1] // 2
+        band[mid, half] = np.nextafter(band[mid, half], np.inf)
+        bands.append(band)
+        return band
+
+    monkeypatch.setattr(simulate, "_step_band", altered)
+    f, size, half, period = _generator(200, order)
+    y0 = np.random.default_rng(order).normal(size=size)
+    _, states = _rk4(f, y0, 0.02, 25, 1, half, period)
+    [band] = bands
+    mid = len(band) // 2
+    lo, count, matrix, pieces = _tiling(band, period)
+    assert lo < mid < lo + count * matrix.shape[1]
+    assert [a for a, dense in pieces if a <= mid < a + len(dense)] == [mid]
+    want = _band_loop(band, y0, 25, 1)
+    assert np.abs(states - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_leaving_the_float_range_raises_domain_error():
+    # a+e < 0 with c+e < 0: the unstable modes grow past 1.8e308 long
+    # before t_end; the overflow and the NaN it leaves stay silent
+    p = make_params(1, 1, None, 4, -3, 20)
+    cfg = SimConfig(p, np.zeros(21), np.linspace(0, 1, 21), 5000.0)
+    with pytest.raises(DomainError, match="40000 RK4 steps.*t_end=5000"):
+        simulate_first_order(cfg)
 
 
 def _stage_trajectory(p, h, x0, dt, steps, stride, v0=None):
