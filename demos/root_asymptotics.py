@@ -18,9 +18,10 @@ from flockspectra.perturb import (
 )
 
 # ----------------------------------------------------------------------
-# Geometric convergence: deviations fall like kappa^{-n}.  Double
-# precision bottoms out around 1e-16, so we drop the floor and let the
-# extended-precision refiner follow the root much further.
+# Geometric convergence: deviations fall like kappa^{-n}.  The root
+# itself is resolved only to about 1e-16, but the refiner solves for the
+# deviation y(n) - y0 directly, so we drop the floor and follow it much
+# further.
 
 p = make_params(1.0, 2.0, 3.0, 1.0, 1.0, 20)
 rep = track_root_convergence(p, [20, 40, 80, 160], deviation_floor=1e-250)
@@ -32,8 +33,8 @@ print(f"fitted rate kappa = {rep.fitted_rate:.4f}  "
 
 # ----------------------------------------------------------------------
 # The deviation has a predictable sign: -sgn(a+e).  At n=200 the
-# deviation is around kappa^{-200}, far below double precision, yet the
-# sign is still resolvable with enough working digits.
+# deviation is around kappa^{-200}, far below the rounding of y0, yet
+# its sign is resolved all the same.
 
 for (a, c, b, d, e) in [(1.0, 2.0, 3.0, 1.5, 0.5),
                         (1.0, 3.0, 4.0, 5.0, -2.0)]:

@@ -15,12 +15,12 @@ pole-free H(phi) = a sin((n+1) phi) - d tau sin(n phi) - e sin((n-1)
 phi), whose end signs are known in closed form, polished by Newton's
 method from a Newton step on the branch function (see
 find_branch_roots); most roots cost one evaluation of H.  Roots off the
-circle are tracked by
-Newton iteration from the quadratic seeds y+- of a y^2 - d tau y - e,
-by one loop that runs in floats here and in mpmath in perturb.  On the
-line a + e = 0 the one special eigenvalue is exactly d.  sqrt(ac), the
-quadratic and H are formed on power-of-two scalings of the parameters,
-so scaling a, c, d and e by 2^k scales every eigenvalue by exactly 2^k.
+circle are tracked by Newton iteration on their deviation from the
+quadratic seeds y+- of a y^2 - d tau y - e, in one float loop that
+perturb runs too.  On the line a + e = 0 the one special eigenvalue is
+exactly d.  sqrt(ac), the quadratic and H are formed on power-of-two
+scalings of the parameters, so scaling a, c, d and e by 2^k scales
+every eigenvalue by exactly 2^k.
 """
 from __future__ import annotations
 
@@ -140,17 +140,17 @@ def eval_cotangent_residual(p: SystemParams, phi):
     return float(res) if res.ndim == 0 else res
 
 
-def _monic_roots(b, c, sqrt):
+def _monic_roots(b, c):
     """The roots x+- = -b +- s of x^2 + 2b x + c, s the principal
     sqrt(b^2 - c); A y^2 + B y + C takes this form in x = 2A y, b = B, c =
     4AC.  s is formed on b and c over m, the power of two just above
     max(|b|, sqrt|c|): the unscaled s wherever that is finite, and finite
     wherever b and c are.  The root that -b +- s forms by cancellation is
     c over the other (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed. 2002, sec. 1.8).  `sqrt` is cmath.sqrt for floats
-    or mpmath's; adding 0.0 clears a quotient's -0.0 imaginary part."""
+    Algorithms, 2nd ed. 2002, sec. 1.8).  Adding 0.0 clears a quotient's
+    -0.0 imaginary part."""
     m = 2.0 ** math.frexp(max(abs(b), abs(c) ** 0.5))[1]
-    s = m * sqrt((b / m) ** 2 - c / m / m)
+    s = m * cmath.sqrt((b / m) ** 2 - c / m / m)
     x_plus, x_minus = -b + s, -b - s
     dot = (b.conjugate() * s).real  # > 0 where -b + s cancels
     if dot > 0:
@@ -173,7 +173,7 @@ def quadratic_roots(p: SystemParams) -> QuadraticRoots:
     except OverflowError:  # d tau over max(a, |e|), and so y+
         raise DomainError("y+ ~ d tau / a leaves the float range") from None
     return QuadraticRoots(*(x / (2 * a) for x in _monic_roots(
-        -dt, -4 * a * e, cmath.sqrt)))
+        -dt, -4 * a * e)))
 
 
 def special_eigen_estimates(p: SystemParams) -> SpecialEigenEstimate:
@@ -425,36 +425,52 @@ def _special_seeds(p: SystemParams) -> List[complex]:
     return [y for y in (q.y_plus, q.y_minus) if abs(y) > 1.0 + CIRCLE_EPS]
 
 
-def _off_circle_newton(a, d, e, tau, n: int, y, tol):
-    """Newton's method on f(y)/y^(2n) from y off the unit circle, to a
-    step of tol max(1, |y|).  The division by y^(2n) keeps f finite for
-    |y| > 1 at large n without changing the roots.  Plain arithmetic, so
-    floats and mpmath numbers alike run in their own precision.  Raises
-    UnitCircleCollapse once |y| < 1 + CIRCLE_EPS."""
-    seed = y
+def _log1p(z: complex) -> complex:
+    """log(1 + z) to a few ulps also at tiny |z|, by Kahan's trick
+    (Higham, Accuracy and Stability, 2nd ed. 2002, sec. 1.14.1)."""
+    u = 1 + z
+    return z if u == 1 else cmath.log(u) * z / (u - 1)
+
+
+def _off_circle_newton(p: SystemParams, n: int, y0: complex,
+                       delta: complex) -> complex:
+    """delta = y - y0 at a root y of f(y)/y^(2n) = head(y) + tail(y)
+    y^(-2n), by Newton's method from delta to a step of TOL_ROOT max(1,
+    |y|), for y0 != 0 a float root of head = a y^2 - d tau y - e, taken
+    as exact.  f is formed about y0, never on y0 + delta: head = delta
+    (h1 + a delta), h1 = 2 a y0 - d tau, exactly; tail = tail(y0) + delta
+    (t1 + e delta); y^(-2n) = exp(-n log y0^2 - 2n log1p(delta/y0)).  So
+    delta keeps its relative digits at any size, and next to a double
+    root the rounding of y no longer holds the steps above the stop
+    (Higham, secs. 1.8 and 5.1).  Raises UnitCircleCollapse once |y| < 1
+    + CIRCLE_EPS."""
+    a, e, dt = p.a, p.e, p.d * p.tau
+    h1, t1 = 2 * a * y0 - dt, 2 * e * y0 + dt
+    tail0, log_w0 = e * y0 * y0 + dt * y0 - a, -n * cmath.log(y0 * y0)
     for _ in range(NEWTON_MAX_ITER):
-        head = a * y * y - d * tau * y - e
-        tail = e * y * y + d * tau * y - a
-        w = y ** (-2 * n)
-        f = head + tail * w
-        df = (2 * a * y - d * tau) + ((2 * e * y + d * tau)
-                                      - 2 * n * tail / y) * w
+        tail = tail0 + delta * (t1 + e * delta)
+        w = cmath.exp(log_w0 - 2 * n * _log1p(delta / y0))
+        f = delta * (h1 + a * delta) + tail * w
+        df = (h1 + 2 * a * delta
+              + (t1 + 2 * e * delta - 2 * n * tail / (y0 + delta)) * w)
         if df == 0:
             raise NoConvergence("Newton derivative vanished")
         step = f / df
-        y = y - step
+        delta = delta - step
+        y = y0 + delta
         if abs(y) < 1.0 + CIRCLE_EPS:
             raise UnitCircleCollapse("iterate collapsed to the unit circle "
-                                     f"(|y|={float(abs(y)):.6f})")
-        if abs(step) <= tol * max(1.0, abs(y)):
-            return y
-    raise NoConvergence(f"no root near seed {seed} after {NEWTON_MAX_ITER} "
+                                     f"(|y|={abs(y):.6f})")
+        if abs(step) <= TOL_ROOT * max(1.0, abs(y)):
+            return delta
+    raise NoConvergence(f"no root near y0 = {y0} after {NEWTON_MAX_ITER} "
                         f"iterations")
 
 
 def refine_special_root(p: SystemParams, seed: complex) -> complex:
-    """Newton iteration on f(y)/y^(2n) from an off-circle seed, in
-    floats to TOL_ROOT (_off_circle_newton, which perturb runs in mpmath).
+    """Newton iteration on f(y)/y^(2n) from an off-circle seed, to
+    TOL_ROOT, on the deviation from the nonzero root y0 of a y^2 - d tau
+    y - e nearest the seed (_off_circle_newton, which perturb runs too).
 
     Fails with UnitCircleCollapse if the iterate's modulus falls to 1 (no
     off-circle root in this regime) and NoConvergence if the budget runs
@@ -463,7 +479,11 @@ def refine_special_root(p: SystemParams, seed: complex) -> complex:
     y = complex(seed)
     if abs(y) <= 1.0:
         raise DomainError(f"seed must lie outside the unit circle, got {seed}")
-    return _off_circle_newton(p.a, p.d, p.e, p.tau, p.n, y, TOL_ROOT)
+    q = quadratic_roots(p)
+    y0 = min(q.y_plus, q.y_minus, key=lambda r: (r == 0, abs(y - r)))
+    if y0 == 0:  # d = e = 0: every root of f lies on the circle
+        raise DomainError("a y^2 - d tau y - e has no nonzero root")
+    return y0 + _off_circle_newton(p, p.n, y0, y - y0)
 
 
 def eigenvalue_from_root(p: SystemParams, y: complex) -> complex:
@@ -475,5 +495,5 @@ def _root_of_eigenvalue(p: SystemParams, r) -> complex:
     """The root y of y^2 - (r/sqrt(ac)) y + 1 with |y| >= 1, the one with
     Im y >= 0 where both lie on the unit circle (as conjugates of one
     modulus): eigenvalue_from_root's inverse, by _monic_roots."""
-    x = _monic_roots(-r / _sqrt_product(p.a, p.c), 4.0, cmath.sqrt)
+    x = _monic_roots(-r / _sqrt_product(p.a, p.c), 4.0)
     return max(x, key=lambda z: (abs(z), z.imag)) / 2

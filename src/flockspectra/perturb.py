@@ -6,22 +6,21 @@ geometrically to its asymptotic limit, the signed deviation of the root
 g(phi) = cot(n phi) sin(phi) - B cos(phi) decreases on every branch
 whenever B = (e-a)/(e+a) <= 1.
 
-The deviation |y(n) - y0| shrinks like kappa^{-n}, far below double
-precision for moderate n, so the roots are refined by charpoly's Newton
-loop, the one compute_spectrum runs in floats, here run in mpmath with
-working precision scaled to n.
+The deviation y(n) - y0 shrinks like kappa^{-n}, far below the rounding
+of y0 for moderate n, so it is solved for directly: charpoly's Newton
+loop, the one compute_spectrum runs, iterates on the deviation itself
+and keeps its relative digits down to the float underflow threshold.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .charpoly import (_BLOCK, _monic_roots, _off_circle_newton,
-                       _on_a_plus_e_line, _special_seeds,
-                       eval_cotangent_residual)
+from .charpoly import (_BLOCK, _off_circle_newton, _on_a_plus_e_line,
+                       _special_seeds, eval_cotangent_residual)
 from .errors import (DomainError, NoConvergence, NotApplicable,
                      UnitCircleCollapse)
 from .model import SystemParams
@@ -67,42 +66,27 @@ class MonotonicityReport:
         }
 
 
-def _mp_seed(p: SystemParams, target: complex):
-    """The quadratic root y_pm, in working precision, nearest `target`
-    (the chosen double-precision seed), by charpoly's _monic_roots."""
-    import mpmath as mp
-    a, d, e = mp.mpf(p.a), mp.mpf(p.d), mp.mpf(p.e)
-    tau = mp.sqrt(a / mp.mpf(p.c))
-    y = (x / (2 * a) for x in _monic_roots(-d * tau, -4 * a * e, mp.sqrt))
-    return min(y, key=lambda y: abs(y - mp.mpc(target)))
-
-
-def _mp_deviation(p: SystemParams, n: int, y0):
-    """|y(n) - y0| and sgn(r(n) - r0) (0 for a complex pair), refining
-    from y0 by charpoly's Newton loop in the current mpmath precision, to
-    10^(8 - dps).  r = sqrt(ac) (y + 1/y); the positive factor sqrt(ac)
-    cannot change the sign and is left out."""
-    import mpmath as mp
-    a, d, e = mp.mpf(p.a), mp.mpf(p.d), mp.mpf(p.e)
-    y1 = _off_circle_newton(a, d, e, mp.sqrt(a / mp.mpf(p.c)), n, y0,
-                            mp.mpf(10) ** (8 - mp.mp.dps))
-    diff = (y1 + 1 / y1) - (y0 + 1 / y0)
-    sign = (0 if abs(mp.im(diff)) > abs(mp.re(diff))
-            else int(mp.sign(mp.re(diff))))
-    return float(abs(y1 - y0)), sign
-
-
-def _working_dps(n_max: int, seed_modulus: float) -> int:
-    growth = 2 * n_max * math.log10(max(seed_modulus, 1.0 + 1e-9))
-    return max(50, int(growth) + 40)
+def _deviation(p: SystemParams, n: int, y0: complex):
+    """|y(n) - y0| and sgn(r(n) - r0) (0 for a complex pair), from
+    charpoly's Newton loop on delta = y(n) - y0: r = sqrt(ac) (y + 1/y),
+    so r(n) - r0 is sqrt(ac) > 0 times delta (1 - 1/(y0 y(n))).  Where
+    delta underflows to 0, the sign is that of its first-order term
+    -tail(y0) y0^(-2n) / (2 a y0 - d tau), |y0|^(-2n) left out."""
+    delta = _off_circle_newton(p, n, y0, 0j)
+    if delta:
+        diff = delta * (1 - 1 / (y0 * (y0 + delta)))
+    else:
+        dt = p.d * p.tau
+        diff = ((p.a - p.e * y0 * y0 - dt * y0) / (2 * p.a * y0 - dt)
+                * (y0 / abs(y0)) ** (-2 * n) * (1 - 1 / (y0 * y0)))
+    sign = 0 if abs(diff.imag) > abs(diff.real) else int(np.sign(diff.real))
+    return abs(delta), sign
 
 
 def _off_circle_seed(p: SystemParams):
     """The first off-circle quadratic seed (y_plus where both are); None
     if there is none or a + e = 0."""
-    if _on_a_plus_e_line(p):
-        return None
-    seeds = _special_seeds(p)
+    seeds = [] if _on_a_plus_e_line(p) else _special_seeds(p)
     return seeds[0] if seeds else None
 
 
@@ -113,10 +97,11 @@ def track_root_convergence(p: SystemParams, n_values: Sequence[int],
     rate of |y(n) - y0| by least squares on the log-deviations.
 
     Only converged entries with deviation above `deviation_floor` enter
-    the fit; the default floor matches double precision, callers probing
-    the extended-precision regime can lower it.
+    the fit.  The default floor is the double-precision rounding of y0;
+    the deviations keep their relative digits far below it, down to the
+    float underflow threshold (about 1e-308), so callers probing that
+    regime can lower it.
     """
-    import mpmath as mp
     n_values = sorted(int(n) for n in n_values)
     if not n_values:
         raise DomainError("n_values must not be empty")
@@ -126,18 +111,14 @@ def track_root_convergence(p: SystemParams, n_values: Sequence[int],
         return ConvergenceReport(n_values, [math.nan] * len(n_values),
                                  math.nan, math.nan, math.nan,
                                  [0] * len(n_values))
-    deviations: List[float] = []
-    signs: List[int] = []
-    with mp.workdps(_working_dps(n_values[-1], abs(seed))):
-        y0 = _mp_seed(p, seed)
-        for n in n_values:
-            try:
-                deviation, sign = _mp_deviation(p, n, y0)
-            except (NoConvergence, UnitCircleCollapse):
-                deviation, sign = math.nan, 0
-            deviations.append(deviation)
-            signs.append(sign)
-        r_expected = float(abs(y0))
+    deviations, signs = [], []
+    for n in n_values:
+        try:
+            deviation, sign = _deviation(p, n, seed)
+        except (NoConvergence, UnitCircleCollapse):
+            deviation, sign = math.nan, 0
+        deviations.append(deviation)
+        signs.append(sign)
     usable = [(n, dev) for n, dev in zip(n_values, deviations)
               if math.isfinite(dev) and dev > deviation_floor]
     if len(usable) >= 2:
@@ -153,13 +134,12 @@ def track_root_convergence(p: SystemParams, n_values: Sequence[int],
         fitted_rate = math.nan
         r_squared = math.nan
     return ConvergenceReport(n_values, deviations, fitted_rate, r_squared,
-                             r_expected, signs)
+                             abs(seed), signs)
 
 
 def perturbation_sign(p: SystemParams, n: int) -> int:
     """sgn(r(n) - r0) for the tracked real off-circle root; the theory
     predicts -sgn(a+e) for n above the regime threshold."""
-    import mpmath as mp
     replace(p, n=n)  # DimensionTooSmall below 2, as make_params
     if _on_a_plus_e_line(p):
         raise NotApplicable("a+e=0: the deviation sign is undefined")
@@ -168,8 +148,7 @@ def perturbation_sign(p: SystemParams, n: int) -> int:
         raise NotApplicable("regime has no off-circle root")
     if abs(seed.imag) > REAL_SEED_TOL * abs(seed):
         raise NotApplicable("off-circle pair is complex; no real ordering")
-    with mp.workdps(_working_dps(n, abs(seed))):
-        return _mp_deviation(p, n, _mp_seed(p, seed))[1]
+    return _deviation(p, n, seed)[1]
 
 
 def branch_function(p: SystemParams, n: int, phi: float) -> float:

@@ -23,7 +23,6 @@ from the scan to the Spectrum.
 """
 from __future__ import annotations
 
-import cmath
 import logging
 import math
 from dataclasses import dataclass, fields, replace
@@ -418,7 +417,7 @@ def leader_eigenvector(p: SystemParams) -> EigenPair:
     disc = b * b - 4 * a * c
     if abs(disc) < DISCRIMINANT_REL_TOL * max(b * b, 4 * a * c):
         raise DiscriminantCollapse("b^2 - 4ac vanishes; no simple eigenvector")
-    x = np.array(_monic_roots(-b, 4 * a * c, cmath.sqrt)) / (2 * c)
+    x = np.array(_monic_roots(-b, 4 * a * c)) / (2 * c)
     big, s = abs(x) >= 1, max(abs(a + e), abs(d - b))
     with np.errstate(divide="ignore"):  # q = 0: that term vanishes
         top = (np.log((a + e) / s + (d - b) / s * x[::-1]) + n * big

@@ -715,6 +715,27 @@ class TestRefineSpecialRoot:
         with pytest.raises(DomainError):
             refine_special_root(make_params(1, 1, 2, 1, 1, 10), 0.5)
 
+    @pytest.mark.parametrize("ulps", [0, 1])
+    def test_root_next_to_a_finite_n_threshold_converges(self, ulps):
+        # the root of f 4.2e-6 above y = 1, seeded by y_minus = 1.0026:
+        # with f formed about the seed rather than on y itself, the seed
+        # one ulp above converges too (it used to end in NoConvergence)
+        p = make_params(1.728286955147171, 3.0279828569667298, None,
+                        8.037441855678733, -4.350696361929139, 389)
+        seed = 1.0025817259781125
+        for _ in range(ulps):
+            seed = np.nextafter(seed, 2.0)
+        y = refine_special_root(p, seed)
+        assert abs(y - 1.0000042448274622) <= 1e-10
+        assert abs(eigenvalue_from_root(p, y) - eigenvalue_from_root(
+            p, 1.0000042448274622)) <= 1e-15 * 2 * math.sqrt(p.a * p.c)
+
+    def test_no_nonzero_quadratic_root_is_a_domain_error(self):
+        # d = e = 0: both roots of a y^2 - d tau y - e are 0, and every
+        # root of f lies on the unit circle
+        with pytest.raises(DomainError, match="no nonzero root"):
+            refine_special_root(make_params(1, 1, 2, 0, 0, 20), 1.2)
+
 
 @pytest.mark.parametrize("r", [3.0, -3.0, 2.0, -2.0, 1.2, -1.2, 0.0,
                                2 + 1j, -0.5 - 3j])

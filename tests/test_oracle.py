@@ -518,3 +518,21 @@ def test_import_does_not_load_mpmath():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr or "mpmath was imported"
+    # with mpmath made unimportable, perturb and the convergence
+    # subcommand still run: mpmath is a test dependency only
+    code = ("import runpy, sys\n"
+            "sys.modules['mpmath'] = None\n"
+            "from flockspectra import (make_params, perturbation_sign,\n"
+            "                          track_root_convergence)\n"
+            "p = make_params(1, 2, 3, 1, 1, 20)\n"
+            "rep = track_root_convergence(p, [20, 40, 80])\n"
+            "assert rep.sign_pattern == [-1, -1, -1], rep\n"
+            "assert perturbation_sign(p, 100) == -1\n"
+            "sys.argv = ['flockspectra', 'convergence', '--a', '1', '--c',\n"
+            "            '2', '--b', '3', '--d', '1', '--e', '1']\n"
+            "runpy.run_module('flockspectra.cli', run_name='__main__',\n"
+            "                 alter_sys=True)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert '"sign_pattern": [' in proc.stdout

@@ -1,12 +1,16 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from flockspectra import (DimensionTooSmall, NotApplicable,
-                          UnitCircleCollapse, make_params, perturbation_sign,
+from flockspectra import (DimensionTooSmall, FlockSpectraError,
+                          NoConvergence, NotApplicable, UnitCircleCollapse,
+                          make_params, perturbation_sign,
                           track_root_convergence,
                           verify_branch_monotonicity)
+from flockspectra.charpoly import CIRCLE_EPS, NEWTON_MAX_ITER
+from flockspectra.perturb import _deviation, _off_circle_seed
 
 
 class TestTrackRootConvergence:
@@ -80,6 +84,165 @@ class TestPerturbationSign:
         p = make_params(1, 2, 3, 1, 1, 20)
         rep = track_root_convergence(p, [30, 60], deviation_floor=1e-250)
         assert all(s == -1 for s in rep.sign_pattern)
+
+
+def test_deviation_below_the_float_range_keeps_its_sign():
+    # |y+|^(-2n) = 2^(-1100) underflows, and so does the deviation: the
+    # sign comes from the first-order term, -sgn(a+e) as the theory says
+    p = make_params(1, 2, 3, 1, 1, 20)
+    assert perturbation_sign(p, 1100) == -1
+    rep = track_root_convergence(p, [1100])
+    assert rep.deviations == [0.0] and rep.sign_pattern == [-1]
+
+
+def _mp_monic_roots(b, c):
+    """charpoly._monic_roots in mpmath."""
+    import mpmath as mp
+    m = 2.0 ** math.frexp(max(abs(float(b)), abs(float(c)) ** 0.5))[1]
+    s = m * mp.sqrt((b / m) ** 2 - c / m / m)
+    x_plus, x_minus = -b + s, -b - s
+    dot = mp.re(mp.conj(b) * s)
+    if dot > 0:
+        x_plus = c / x_minus
+    elif dot < 0:
+        x_minus = c / x_plus
+    return x_plus, x_minus
+
+
+def _mp_newton(a, d, e, tau, n, y, tol):
+    """Newton's method on f(y)/y^(2n) in y, in mpmath, to a step of tol
+    max(1, |y|), with charpoly's collapse rule and budget."""
+    for _ in range(NEWTON_MAX_ITER):
+        head = a * y * y - d * tau * y - e
+        tail = e * y * y + d * tau * y - a
+        w = y ** (-2 * n)
+        df = (2 * a * y - d * tau) + ((2 * e * y + d * tau)
+                                      - 2 * n * tail / y) * w
+        if df == 0:
+            raise NoConvergence("Newton derivative vanished")
+        step = (head + tail * w) / df
+        y = y - step
+        if abs(y) < 1.0 + CIRCLE_EPS:
+            raise UnitCircleCollapse("iterate collapsed to the unit circle")
+        if abs(step) <= tol * max(1.0, abs(y)):
+            return y
+    raise NoConvergence("budget exhausted")
+
+
+def _mp_reference(p, n, seed):
+    """(|y(n) - y0|, sgn(r(n) - r0)) in mpmath at 2 n log10|y0| + 40
+    digits, at least 50, with y0 the exact root nearest the seed;
+    (NaN, 0) where Newton fails.  The deviation is formed after the
+    root, so the digits must cover |y0|^(2n)."""
+    import mpmath as mp
+    dps = max(50, int(2 * n * math.log10(max(abs(seed), 1.0 + 1e-9))) + 40)
+    with mp.workdps(dps):
+        a, d, e = mp.mpf(p.a), mp.mpf(p.d), mp.mpf(p.e)
+        tau = mp.sqrt(a / mp.mpf(p.c))
+        y0 = min((x / (2 * a) for x in _mp_monic_roots(-d * tau, -4 * a * e)),
+                 key=lambda y: abs(y - mp.mpc(seed)))
+        try:
+            y1 = _mp_newton(a, d, e, tau, n, y0, mp.mpf(10) ** (8 - dps))
+        except (NoConvergence, UnitCircleCollapse):
+            return math.nan, 0
+        diff = (y1 + 1 / y1) - (y0 + 1 / y0)
+        sign = (0 if abs(mp.im(diff)) > abs(mp.re(diff))
+                else int(mp.sign(mp.re(diff))))
+        return float(abs(y1 - y0)), sign
+
+
+def _draw_sets(rng, kind, count):
+    """(params, off-circle seed) pairs: "general" boundaries, "complex"
+    off-circle pairs, "near-circle" seeds 1e-6..1e-1 above the case
+    threshold |d tau| = |a - e|, and "double" roots of the quadratic at
+    d = +-2 sqrt(c|e|) (1 + 1e-12 .. 1e-3)."""
+    out = []
+    while len(out) < count:
+        a, c = rng.uniform(0.2, 5, 2)
+        tau = math.sqrt(a / c)
+        if kind == "general":
+            d, e = rng.uniform(-6, 6), rng.uniform(-5, 5)
+        elif kind == "complex":
+            e = -a * rng.uniform(1.05, 3)
+            d = rng.uniform(-1, 1) * 2 * math.sqrt(a * abs(e)) / tau
+        elif kind == "near-circle":
+            e = a * rng.uniform(-0.9, 3)
+            d = (rng.choice([-1, 1]) * (a - e) / tau
+                 * (1 + 10 ** rng.uniform(-6, -1)))
+        else:
+            e = -a * rng.uniform(1.05, 3)
+            d = (rng.choice([-1, 1]) * 2 * math.sqrt(a * abs(e)) / tau
+                 * (1 + rng.choice([1e-12, 1e-9, -1e-9, 1e-6, 1e-3])))
+        try:
+            p = make_params(a, c, None, d, e, 10)
+        except FlockSpectraError:
+            continue
+        seed = _off_circle_seed(p)
+        if seed is not None:
+            out.append((p, seed))
+    return out
+
+
+def _float_deviation(p, n, seed):
+    try:
+        return _deviation(p, n, seed)
+    except (NoConvergence, UnitCircleCollapse):
+        return math.nan, 0
+
+
+@pytest.mark.parametrize("kind", ["general", "complex", "near-circle"])
+def test_float_deviation_matches_the_mpmath_reference(kind):
+    """The float loop on delta = y(n) - y0 against Newton in y at the
+    digits |y0|^(2n) needs: the same failures and signs, and |delta|
+    within 1e-8 wherever it is a normal float (1.4e-12 at worst on
+    these draws)."""
+    rng = np.random.default_rng(["general", "complex",
+                                 "near-circle"].index(kind))
+    for p, seed in _draw_sets(rng, kind, 80):
+        for n in (10, 20, 40, 80, 160):
+            got, sign = _float_deviation(p, n, seed)
+            want, want_sign = _mp_reference(p, n, seed)
+            assert math.isnan(got) == math.isnan(want), (p, n)
+            assert sign == want_sign, (p, n)
+            if want >= sys.float_info.min:
+                assert abs(got - want) <= 1e-8 * want, (p, n)
+
+
+def test_float_deviation_near_a_double_root_follows_its_conditioning():
+    """Next to a double root of the quadratic, delta ~ tail(y0) y0^(-2n)
+    / h1 with h1 = 2 a y0 - d tau near 0.  Rounding the parameters and
+    y0 moves the quadratic's constant by eps (a|y0|^2 + |d tau y0| +
+    |e|), so h1, and delta with it, by 2a/h1^2 times that, relative:
+    the float loop, exact for the rounded problem, differs from the
+    mpmath one by up to that much (8.5e-5 at worst on these draws, 0.38
+    of the bound), and keeps its failures and signs."""
+    eps = np.finfo(float).eps
+    for p, seed in _draw_sets(np.random.default_rng(3), "double", 40):
+        a, dt = p.a, p.d * p.tau
+        h1 = abs(2 * a * seed - dt)
+        cond = (2 * a * eps * (a * abs(seed) ** 2 + abs(dt * seed) + abs(p.e))
+                / h1 ** 2)
+        for n in (10, 20, 40, 80, 160):
+            got, sign = _float_deviation(p, n, seed)
+            want, want_sign = _mp_reference(p, n, seed)
+            assert math.isnan(got) == math.isnan(want), (p, n)
+            assert sign == want_sign, (p, n)
+            if want >= sys.float_info.min:
+                assert abs(got - want) <= (1e-8 + 8 * cond) * want, (p, n)
+
+
+def test_underflowed_deviation_takes_the_reference_sign():
+    # n where |y0|^(-2n) is 1e-330..1e-400, below the float range: the
+    # deviation is 0.0 and the first-order term gives the sign
+    rng = np.random.default_rng(4)
+    for p, seed in _draw_sets(rng, "general", 20) + _draw_sets(
+            rng, "complex", 20):
+        if abs(seed) < 1.05:
+            continue
+        n = math.ceil(rng.uniform(330, 400) / (2 * math.log10(abs(seed))))
+        got, sign = _float_deviation(p, n, seed)
+        assert got == 0.0
+        assert sign == _mp_reference(p, n, seed)[1], (p, n)
 
 
 def test_collapse_onto_the_circle_is_nan_or_typed():

@@ -124,9 +124,11 @@ class TestComputeSpectrum:
         assert pairing_distance(s.eigenvalues(), want) < 1e-9 * 2
 
     def test_laplacian_falls_back_to_oracle_when_assembly_fails(self):
-        # decentralized with c+e=0: the off-circle quadratic has a double
-        # root and the closed-form assembly miscounts
-        p = make_params(1, 3, 4, 6, -3, 30)
+        # decentralized with c+e=0: the off-circle quadratic has the double
+        # root y0 = sqrt(c/a) = 4, exact in floats, and y0^(-2n) underflows
+        # at n=280, so Newton's derivative vanishes at the seed and the
+        # closed-form assembly miscounts
+        p = make_params(1, 16, 17, 32, -16, 280)
         with pytest.raises(RootCountAnomaly):
             compute_spectrum(p, "full")
         s = compute_spectrum(p, "laplacian")
@@ -498,7 +500,7 @@ def test_eigenvalues_is_a_fresh_complex_array(args, kind):
 
 def test_unlabeled_eigenvalues_are_a_fresh_copy():
     # the oracle fallback: its values are those of QR on the balanced -L
-    p = make_params(1, 3, 4, 6, -3, 30)
+    p = make_params(1, 16, 17, 32, -16, 280)
     s = compute_spectrum(p, "laplacian")
     assert isinstance(s.unlabeled, np.ndarray)
     want = qr_eigenvalues(_tau_balance(p, -build_laplacian(p))).tobytes()
@@ -573,6 +575,44 @@ def test_t3_double_root_at_n_100_passes_the_power_sums(kind):
     assert len(s.eigenvalues()) == p.n + (kind == "full")
     res = _power_sum_residuals(p, s.bulk_eigenvalue, s.special)
     assert max(res) <= _power_sum_tol(p.n)
+
+
+def test_split_pair_next_to_a_double_root_assembles():
+    # y+- = 1.48009538541 and 1.48009534395, 4e-8 apart: the roots of f
+    # they seed are 1.2e-6 apart, and formed about the float y+- Newton
+    # reaches them (both seeds used to end in NoConvergence, two roots
+    # short).  1.04e-10 of scale is the limit the split sets.
+    import mpmath as mp
+    a, c, d, e, n = (1.4377672033329019, 2.62971729476756, 5.755969869106085,
+                     -3.1496911474076894, 37)
+    p = make_params(a, c, None, d, e, n)
+    s = compute_spectrum(p, "reduced")
+    assert len(s.special) == 2 and len(s.eigenvalues()) == n
+    q = quadratic_roots(p)
+    with mp.workdps(60):
+        A, C, D, E = (mp.mpf(x) for x in (a, c, d, e))
+        T = mp.sqrt(A / C)
+        g = lambda y: ((A * y * y - D * T * y - E)
+                       + (E * y * y + D * T * y - A) * y ** (-2 * n))
+        want = sorted(float(mp.sqrt(A * C) * (y + 1 / y)) for y in (
+            mp.findroot(g, mp.mpf(y0.real)) for y0 in (q.y_plus, q.y_minus)))
+    got = sorted(r.eigenvalue.real for r in s.special)
+    assert want[0] != want[1]
+    assert np.max(np.abs(np.subtract(got, want))) <= 4e-10 * 2 * math.sqrt(
+        a * c)
+
+
+def test_decentralized_c_plus_e_zero_assembles():
+    # the twin's quadratic has the double root sqrt(3), with y^(-2n) in
+    # range: the full matrix and -L assemble, labeled (both used to raise
+    # RootCountAnomaly, -L by way of the QR fallback)
+    p = make_params(1, 3, 4, 6, -3, 30)
+    s = compute_spectrum(p, "full")
+    assert len(s.eigenvalues()) == p.n + 1
+    lap = compute_spectrum(p, "laplacian")
+    assert lap.unlabeled is None
+    assert pairing_distance(lap.eigenvalues(), np.linalg.eigvals(
+        _tau_balance(p, -build_laplacian(p)))) < 1e-8
 
 
 @st.composite
@@ -680,7 +720,7 @@ def test_line_special_eigenvalue_is_exactly_d(args, kind):
 def test_trace_corrections_and_fallbacks_are_logged(caplog):
     with caplog.at_level(logging.INFO, logger="flockspectra"):
         compute_spectrum(make_params(1, 1, None, 3, -2.25, 10), "reduced")
-        compute_spectrum(make_params(1, 3, 4, 6, -3, 30), "laplacian")
+        compute_spectrum(make_params(1, 16, 17, 32, -16, 280), "laplacian")
     same, recovered, *dropped, fallback = [
         r.getMessage() for r in caplog.records if r.name == "flockspectra"]
     # d = 2 sqrt(c|e|): both seeds reach the one double root
@@ -688,10 +728,11 @@ def test_trace_corrections_and_fallbacks_are_logged(caplog):
     assert "found the kept special root (1.51949" in same
     assert recovered.startswith("trace correction: recovered root 2.15304")
     assert "power-sum residuals" in recovered
-    # c+e = 0: the twin's quadratic has a double root, Newton stalls on it
+    # c+e = 0: the twin's quadratic has the exact double root 4, where
+    # y^(-2n) underflows and Newton's derivative vanishes
     assert len(dropped) == 2
-    assert all(m.startswith("special seed (1.73205")
-               and "dropped: NoConvergence: no root near seed" in m
+    assert all(m.startswith("special seed (4+0j)")
+               and "dropped: NoConvergence: Newton derivative vanished" in m
                for m in dropped)
     assert fallback.startswith("laplacian assembly failed")
     assert "QR" in fallback
@@ -701,16 +742,16 @@ def test_trace_corrections_and_fallbacks_are_logged(caplog):
     ((1, 1, 2, 3.0, -2.25, 20),
      ("special root (1.50037", "found the kept special root (1.50037"),
      ("special", "(1.50037")),
-    ((1.3273146042545625, 4.433832387831716, None, -0.39815380295728325,
-      1.5907547244900506, 64),
-     ("special root (1.00000000413", "2 special roots converged",
+    ((1.4653897123758932, 4.57761219254822, None, -2.5939615996226326,
+      3.035322247523256, 44),
+     ("special root (1.00000000621", "2 special roots converged",
       "the brackets leave room for 1", "a bulk root found twice"),
-     ("bulk", "4.85184108608")),
+     ("bulk", "5.17995591262")),
 ], ids=["special-special", "special-bulk"])
 def test_dropped_duplicate_root_is_logged(caplog, args, parts, kept):
     # the double root d = 2 sqrt(c|e|), where both seeds reach one root;
-    # and G(0) = 1.4e-8, where the bulk root at phi = 1.9e-6 and the
-    # special root y = 1.0000000041 are one eigenvalue found twice: the
+    # and G(0) = 1.4e-8, where the bulk root at phi = 2.2e-6 and the
+    # special root y = 1.0000000062 are one eigenvalue found twice: the
     # brackets leave room for one special root, and the one nearer the
     # unit circle goes
     with caplog.at_level(logging.INFO, logger="flockspectra"):

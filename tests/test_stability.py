@@ -237,20 +237,20 @@ VERDICTS = [
      ('unstable', 1, complex(1.656195952805692, 0.0),
       2, 1.656195952805692, 1.50045843794835)),
     ((0.9072265625, 1.4541015625, -2.5458984375, 24),
-     ('unstable', 0, complex(0.7027369222286164, 0.0),
-      1, 0.7027369222286164, 0.7027369222286153),
-     ('unstable', 1, complex(1.0321898470565882, 0.0),
-      2, 1.0321898470565882, 0.7027369222286153)),
+     ('unstable', 0, complex(0.7027369222286155, 0.0),
+      1, 0.7027369222286155, 0.7027369222286153),
+     ('unstable', 1, complex(1.0321898470565873, 0.0),
+      2, 1.0321898470565873, 0.7027369222286153)),
     ((0.9072265625, 1.4541015625, -2.5458984375, 96),
-     ('unstable', 0, complex(0.702736922228616, 0.0),
-      2, 0.702736922228616, 0.7027369222286153),
-     ('unstable', 1, complex(1.0321898470565878, 0.0),
-      4, 1.0321898470565878, 0.7027369222286153)),
+     ('unstable', 0, complex(0.7027369222286155, 0.0),
+      2, 0.7027369222286155, 0.7027369222286153),
+     ('unstable', 1, complex(1.0321898470565873, 0.0),
+      4, 1.0321898470565873, 0.7027369222286153)),
     ((0.9072265625, 1.4541015625, -2.5458984375, 480),
-     ('unstable', 0, complex(0.702736922228616, 0.0),
-      2, 0.702736922228616, 0.7027369222286153),
-     ('unstable', 1, complex(1.0321898470565878, 0.0),
-      4, 1.0321898470565878, 0.7027369222286153)),
+     ('unstable', 0, complex(0.7027369222286155, 0.0),
+      2, 0.7027369222286155, 0.7027369222286153),
+     ('unstable', 1, complex(1.0321898470565873, 0.0),
+      4, 1.0321898470565873, 0.7027369222286153)),
     ((0.953125, 0.68359375, -0.2314453125, 24),
      ('stable', 2, complex(-0.03101871668507905, 0.0),
       1, -0.03101871668507905, 1.4098636933016877),
@@ -282,10 +282,10 @@ VERDICTS = [
      ('stable', 3, complex(-4.427634881176701e-06, 0.0042083868549310155),
       2, -4.427634881176701e-06, 1.3721892705382437)),
     ((1.091796875, 2.1953125, 0.744140625, 24),
-     ('stable', 2, complex(-3.651733271325952e-08, 0.0),
-      1, -3.651733271325952e-08, -7.25219406167979),
-     ('stable', 3, complex(-9.12933317831488e-09, 0.00019109508792722747),
-      2, -9.12933317831488e-09, -7.25219406167979)),
+     ('stable', 2, complex(-3.651733315734873e-08, 0.0),
+      1, -3.651733315734873e-08, -7.25219406167979),
+     ('stable', 3, complex(-9.129333289337183e-09, 0.00019109508908918618),
+      2, -9.129333289337183e-09, -7.25219406167979)),
     ((1.091796875, 2.1953125, 0.744140625, 96),
      ('inconclusive', 4, complex(-0.19252161578884452, 0.0),
       2, -0.19252161578884452, -7.25219406167979),
@@ -342,10 +342,10 @@ VERDICTS = [
      ('inconclusive', 5, complex(-0.04094646110274969, 0.4026279072967493),
       4, -0.04094646110274969, -8.513854907138565)),
     ((1.0, 3.0, -2.0, 24),
-     ('unstable', 0, complex(-0.5002556465038626, 0.0),
-      2, -0.5002556465038626, -0.5),
-     ('unstable', 1, complex(3.7633654792764483e-06, 0.0),
-      2, 3.7633654792764483e-06, -0.5)),
+     ('unstable', 0, complex(-0.5002556465038634, 0.0),
+      2, -0.5002556465038634, -0.5),
+     ('unstable', 1, complex(3.763483480970296e-06, 0.0),
+      2, 3.763483480970296e-06, -0.5)),
     ((1.0, 3.0, -2.0, 96),
      ('unstable', 0, complex(-0.500000000000254, 0.0),
       2, -0.500000000000254, -0.5),
