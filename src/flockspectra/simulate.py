@@ -4,17 +4,18 @@ First order: x' = -L (x - h).  Second order: x'' = -alpha L (x - h)
 - beta L x'.  Both are linear with constant coefficients in z = x - h
 (and v = x'), so one RK4 step is the fixed matrix S = P(dt G), with G
 the generator and P(w) = 1 + w + w^2/2 + w^3/6 + w^4/24.  L is
-tridiagonal, so S is banded; the band of S - I is built once, from
-four applications of G to a small block of probe columns.  L is
-Toeplitz away from the leader row and the boundary row, so the band
-rows away from the two ends repeat one pattern (period 1 in first
-order, 2 for the interleaved second-order state).  Each step is then
-one BLAS product of the overlapping tiles of the state with a fixed
-Toeplitz tile matrix, plus a small dense product for each end, added
-to y: O(n) work and memory.  The full (n+1)-dimensional Laplacian
-includes the leader's zero row, so the leader coordinate is constant
-automatically.  A trajectory that leaves the float range raises
-DomainError.
+tridiagonal, so S is banded.  L is Toeplitz away from the leader row
+and the boundary row, so the band rows away from the two ends repeat
+one pattern (period 1 in first order, 2 for the interleaved
+second-order state).  The band of S - I is built once, from four
+applications of G to a block of probe columns on a chain of fixed
+length, which holds both ends and the pattern; it costs the same at
+every n.  Each step is then one BLAS product of the overlapping tiles
+of the state with a fixed Toeplitz tile matrix, plus a small dense
+product for each end, added to y: O(n) work and memory.  The full
+(n+1)-dimensional Laplacian includes the leader's zero row, so the
+leader coordinate is constant automatically.  A trajectory that leaves
+the float range raises DomainError.
 """
 from __future__ import annotations
 
@@ -95,7 +96,11 @@ def _resolve_steps(t_end: float, dt: Optional[float], rho: float):
     if step > dt_max:
         raise StepSizeTooLarge(
             f"dt={step:g} exceeds the RK4 stability bound {dt_max:g}")
-    steps = max(1, int(np.ceil(t_end / step)))
+    ratio = t_end / step
+    # the saved steps are indexed by int64
+    if not ratio < 2.0 ** 63:
+        raise DomainError(f"t_end / dt = {ratio:g} steps: too many to count")
+    steps = max(1, int(np.ceil(ratio)))
     return t_end / steps, steps
 
 
@@ -108,11 +113,18 @@ def _check_vec(name: str, v, m: int) -> np.ndarray:
     return arr
 
 
+def _ends(L, m: int):
+    """L's three diagonals cut to a chain of m states: its first m // 2
+    rows and its last ones, around the constant interior."""
+    k, cut = m // 2, len(L[1]) - m + m // 2
+    return [np.r_[t[:k], t[cut:]] for t in L]
+
+
 def _step_band(f, size: int, dt: float, half: int) -> np.ndarray:
-    """The band of S - I, S = P(dt G): row i holds S[i, i - half .. i +
-    half] - I, zero where a column falls outside the matrix.  f applies
-    G to a block of columns; it runs four times, on one block of probe
-    columns."""
+    """The band of S - I, S = P(dt G) on a state of `size` entries: row
+    i holds S[i, i - half .. i + half] - I, zero where a column falls
+    outside the matrix.  f applies G to a block of columns; it runs
+    four times, on one block of probe columns."""
     width = 2 * half + 1
     # probe column c sums the unit vectors e_j with j = c (mod width); at
     # most one such j lies within `half` of any row, so S @ probe holds
@@ -142,66 +154,60 @@ def _dense(rows: np.ndarray) -> np.ndarray:
     return dense
 
 
-def _runs(mask: np.ndarray):
-    """Starts and ends of the runs of True in mask."""
-    edges = np.flatnonzero(np.diff(np.r_[0, mask, 0]))
-    return edges[0::2], edges[1::2]
+def _tiling(f, size: int, dt: float, half: int, period: int):
+    """(lo, count, matrix, ends) for a step over the padded state of
+    `size` entries: rows lo .. lo + count T - 1 are the product of the
+    count overlapping tiles padded[lo + qT : lo + (q+1)T + 2 half] with
+    one (T + 2 half) x T Toeplitz matrix, T the power of two above the
+    band width; the rows above and below them are exact, taken from
+    their own band rows by the pieces (a, D) of `ends`, D the _dense
+    rows a .. a + len(D) - 1.
 
-
-def _tiling(band: np.ndarray, period: int):
-    """(lo, count, matrix, ends) for a step over the padded state: rows
-    lo .. lo + count T - 1 are the product of the count overlapping
-    tiles padded[lo + qT : lo + (q+1)T + 2 half] with one (T + 2 half) x
-    T Toeplitz matrix, T the power of two above the band width; every
-    other row is exact, taken from its own band row by the pieces (a,
-    D) of `ends`, D the _dense rows a .. a + len(D) - 1, at most 2T:
-    one for each end of the state where the band is periodic.
-
-    Away from the leader and the boundary rows of L the band repeats
-    with the given period.  The pattern is the first `period` rows of
-    the longest run of rows that equal, bit for bit, the row `period`
-    below them.  The tiles run from the first to the last run of at
-    least T rows that equal the pattern bit for bit.  A row that does
-    not, wherever it sits, is exact, and so is every row outside the
-    tiles: all of them where n is small."""
-    size, width = band.shape
-    tile = 1 << width.bit_length()
+    f applies G on a chain of len(block) states.  A band row depends
+    only on the rows of G within `half` of it, and away from the leader
+    and the boundary rows of L the band repeats with the given period.
+    So the band is built on a chain of 2 half + 2T entries, or the whole
+    state if that is shorter: its top rows are the state's top rows, its
+    bottom rows the state's bottom rows, and its middle rows the
+    pattern.  The tiles start at its first row that equals the pattern
+    bit for bit and stop before its last rows that do not; where no
+    tile fits, all rows are one exact piece."""
+    tile = 1 << (2 * half + 1).bit_length()
+    short = min(size, 2 * half + 2 * tile)
+    band = _step_band(f, short, dt, half)
+    mid = short // 2
+    phase = mid + (np.arange(short + tile) - mid) % period
     bits = (band + 0.0).view(np.int64)  # + 0.0 clears the sign of zeros
-    first, last = _runs((bits[period:] == bits[:-period]).all(axis=1))
-    start = first[np.argmax(last - first)] if len(first) else 0
-    phase = start + (np.arange(size + tile) - start) % period
-    match = (bits == bits[phase[:size]]).all(axis=1)
-    first, last = _runs(match)
-    full = last - first >= tile
-    lo, hi = (first[full][0], last[full][-1]) if full.any() else (0, 0)
-    count = (hi - lo) // tile
+    off = np.flatnonzero((bits != bits[phase[:short]]).any(axis=1))
+    lo = off[off < mid].max(initial=-1) + 1
+    bottom = short - off[off > mid].min(initial=short)
+    count = (size - bottom - lo) // tile
+    if count == 0:
+        lo = 0  # no tile fits: every row is in one exact piece
     matrix = _dense(band[phase[lo:lo + tile]]).T
-    match[:lo] = match[lo + count * tile:] = False
-    pieces = []
-    for i in np.flatnonzero(~match).tolist():
-        if pieces and pieces[-1][1] == i and i - pieces[-1][0] < 2 * tile:
-            pieces[-1][1] += 1
-        else:
-            pieces.append([i, i + 1])
-    return lo, count, matrix, [(a, _dense(band[a:b])) for a, b in pieces]
+    rest = size - lo - count * tile
+    ends = [(0, band[:lo]), (size - rest, band[short - rest:])]
+    return lo, count, matrix, [(a, _dense(rows)) for a, rows in ends
+                               if len(rows)]
 
 
 def _rk4(f, y0: np.ndarray, dt: float, steps: int, stride: int,
          half: int, period: int = 1):
-    """RK4 for y' = G y, where f applies G to a block of columns and
-    P(dt G) has at most `half` diagonals on either side of the main one,
-    repeating with `period` away from the two ends.  Each step is one
-    matrix product over the Toeplitz tiles of _tiling and a small one
-    per piece of exact rows, added to y at once.  Times and states at
-    step 0, every stride-th step and the last one; the states fill one
-    array allocated up front.  DomainError if the states leave the float
-    range."""
-    if stride < 1:
-        raise DomainError(f"save_stride must be at least 1, got {stride}")
+    """RK4 for y' = G y, where f applies G to a block of columns on a
+    chain of len(block) states and P(dt G) has at most `half` diagonals
+    on either side of the main one, repeating with `period` away from
+    the two ends.  Each step is one matrix product over the Toeplitz
+    tiles of _tiling and a small one per end, added to y at once.  Times
+    and states at step 0, every stride-th step and the last one; the
+    states fill one array allocated up front.  DomainError if the states
+    leave the float range."""
+    if not (stride >= 1 and stride % 1 == 0):
+        raise DomainError(
+            f"save_stride must be an integer of at least 1, got {stride}")
+    stride = int(stride)
     saved = np.r_[0:steps:stride, steps]
     size = len(y0)
-    lo, count, matrix, pieces = _tiling(_step_band(f, size, dt, half),
-                                        period)
+    lo, count, matrix, pieces = _tiling(f, size, dt, half, period)
     tile = matrix.shape[1]
     hi = lo + count * tile
     # at least one tile long, so that the tile view exists with none
@@ -234,24 +240,18 @@ def _rk4(f, y0: np.ndarray, dt: float, steps: int, stride: int,
     return saved * dt, states
 
 
-def _offset_blocks(positions: np.ndarray, h: np.ndarray):
-    """(rows, positions[rows] - h) for consecutive slices of rows of
-    about _COHERENCE_BLOCK entries, all in one reused buffer."""
+def _coherence_first(positions: np.ndarray, h) -> np.ndarray:
+    """Distance of each row of positions - h to the span of the constant
+    vector, a block of about _COHERENCE_BLOCK entries at a time in one
+    reused buffer."""
     m = positions.shape[1]
     size = max(1, _COHERENCE_BLOCK // m)
     buf = np.empty((min(size, len(positions)), m))
+    out = np.empty(len(positions))
     for i in range(0, len(positions), size):
         rows = slice(i, i + size)
         off = buf[:len(positions[rows])]
         np.subtract(positions[rows], h, out=off)
-        yield rows, off
-
-
-def _coherence_first(positions: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Distance of each row of positions - h to the span of the constant
-    vector, a block of rows at a time."""
-    out = np.empty(len(positions))
-    for rows, off in _offset_blocks(positions, h):
         off -= off.mean(axis=1, keepdims=True)
         np.multiply(off, off, out=off)
         off.sum(axis=1, out=out[rows])
@@ -259,35 +259,20 @@ def _coherence_first(positions: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def _coherence_second(positions: np.ndarray, h: np.ndarray,
-                      vels: np.ndarray, times: np.ndarray) -> np.ndarray:
+                      vels: np.ndarray) -> np.ndarray:
     """Distance of (x - h, v) to the family (vbar*t + xbar, vbar) at each
-    snapshot: least squares over (xbar, vbar), a block of rows at a
-    time."""
-    # minimize |off - xbar - vbar*t|^2 + |vel - vbar|^2; the normal
-    # equations in (xbar, vbar) have matrix [[1, t], [t, t^2 + 1]]
-    mv = vels.mean(axis=1)
-    out = np.empty(len(positions))
-    for rows, off in _offset_blocks(positions, h):
-        t = times[rows]
-        mo = off.mean(axis=1)
-        a22 = t * t + 1.0
-        b2 = t * mo + mv[rows]
-        det = a22 - t * t
-        xbar = (mo * a22 - b2 * t) / det
-        vbar = (b2 - mo * t) / det
-        off -= xbar[:, None]
-        off -= (vbar * t)[:, None]
-        res = np.einsum("ij,ij->i", off, off)
-        np.subtract(vels[rows], vbar[:, None], out=off)
-        out[rows] = res + np.einsum("ij,ij->i", off, off)
-    return np.sqrt(out, out=out)
+    snapshot.  Its least squares fit has vbar = mean(v) and xbar =
+    mean(x - h) - t vbar at every t, so the distance is the spread of x
+    - h and the spread of v together."""
+    return np.hypot(_coherence_first(positions, h),
+                    _coherence_first(vels, 0.0))
 
 
 def coherence_error(traj: Trajectory, h: Sequence[float]) -> np.ndarray:
     h = _check_vec("h", h, traj.positions.shape[1])
     if traj.velocities is None:
         return _coherence_first(traj.positions, h)
-    return _coherence_second(traj.positions, h, traj.velocities, traj.times)
+    return _coherence_second(traj.positions, h, traj.velocities)
 
 
 def simulate_first_order(cfg: SimConfig) -> Trajectory:
@@ -298,8 +283,8 @@ def simulate_first_order(cfg: SimConfig) -> Trajectory:
     dt, steps = _resolve_steps(cfg.t_end, cfg.dt,
                                spectral_radius_estimate(cfg.params))
     # integrate z = x - h: z' = -L z, a band of half-width 4
-    times, states = _rk4(lambda z: -_matvec(L, z), x0 - h, dt, steps,
-                         cfg.save_stride, 4)
+    times, states = _rk4(lambda z: -_matvec(_ends(L, len(z)), z), x0 - h,
+                         dt, steps, cfg.save_stride, 4)
     states += h
     return Trajectory(times, states, None, _coherence_first(states, h))
 
@@ -328,7 +313,7 @@ def simulate_second_order(cfg: SimConfig) -> Trajectory:
         out = np.empty_like(y)
         z, v = y[0::2], y[1::2]
         out[0::2] = v
-        out[1::2] = -_matvec(L, alpha * z + beta * v)
+        out[1::2] = -_matvec(_ends(L, len(z)), alpha * z + beta * v)
         return out
 
     dt, steps = _resolve_steps(cfg.t_end, cfg.dt, rho)
@@ -338,5 +323,4 @@ def simulate_second_order(cfg: SimConfig) -> Trajectory:
     times, states = _rk4(generator, y0, dt, steps, cfg.save_stride, 9, 2)
     pos, vel = states[:, 0::2], states[:, 1::2]
     pos += h
-    return Trajectory(times, pos, vel,
-                      _coherence_second(pos, h, vel, times))
+    return Trajectory(times, pos, vel, _coherence_second(pos, h, vel))

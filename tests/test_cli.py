@@ -203,6 +203,16 @@ class TestSimulate:
         assert doc["error"] == "DomainError"
         assert "float range" in doc["message"]
 
+    def test_step_count_beyond_the_float_range_exit_one(self, capsys):
+        # t_end / dt overflows to inf: a step count no integer holds
+        code, out, err = run_cli(capsys, "simulate", "--a", "1", "--c", "1",
+                                 "--d", "0.5", "--e", "0.5", "--n", "20",
+                                 "--t-end", "1e308")
+        assert code == 1 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "DomainError"
+        assert "steps" in doc["message"]
+
 
 class TestConvergence:
     def test_csv(self, capsys):
