@@ -442,8 +442,11 @@ def _off_circle_newton(p: SystemParams, n: int, y0: complex,
     (t1 + e delta); y^(-2n) = exp(-n log y0^2 - 2n log1p(delta/y0)).  So
     delta keeps its relative digits at any size, and next to a double
     root the rounding of y no longer holds the steps above the stop
-    (Higham, secs. 1.8 and 5.1).  Raises UnitCircleCollapse once |y| < 1
-    + CIRCLE_EPS."""
+    (Higham, secs. 1.8 and 5.1).  Where f and f' both vanish the step is
+    0 and delta is returned: at an exact double root y0 whose y0^(-2n)
+    underflows, f = 0 at delta = 0 in floats, and the pair +-sqrt(
+    -tail(y0)/a) y0^(-n) it stands for is below the rounding of y0.
+    Raises UnitCircleCollapse once |y| < 1 + CIRCLE_EPS."""
     a, e, dt = p.a, p.e, p.d * p.tau
     h1, t1 = 2 * a * y0 - dt, 2 * e * y0 + dt
     tail0, log_w0 = e * y0 * y0 + dt * y0 - a, -n * cmath.log(y0 * y0)
@@ -453,9 +456,9 @@ def _off_circle_newton(p: SystemParams, n: int, y0: complex,
         f = delta * (h1 + a * delta) + tail * w
         df = (h1 + 2 * a * delta
               + (t1 + 2 * e * delta - 2 * n * tail / (y0 + delta)) * w)
-        if df == 0:
+        if df == 0 and f != 0:
             raise NoConvergence("Newton derivative vanished")
-        step = f / df
+        step = f / df if df else 0j
         delta = delta - step
         y = y0 + delta
         if abs(y) < 1.0 + CIRCLE_EPS:

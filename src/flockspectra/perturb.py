@@ -71,12 +71,19 @@ def _deviation(p: SystemParams, n: int, y0: complex):
     charpoly's Newton loop on delta = y(n) - y0: r = sqrt(ac) (y + 1/y),
     so r(n) - r0 is sqrt(ac) > 0 times delta (1 - 1/(y0 y(n))).  Where
     delta underflows to 0, the sign is that of its first-order term
-    -tail(y0) y0^(-2n) / (2 a y0 - d tau), |y0|^(-2n) left out."""
+    -tail(y0) y0^(-2n) / (2 a y0 - d tau), |y0|^(-2n) left out.  At an
+    exact double root y0 of the quadratic that term is 0/0: the pair
+    delta = +-sqrt(-tail(y0)/a) y0^(-n) straddles y0, so its size is
+    formed in logs and the sign is 0."""
     delta = _off_circle_newton(p, n, y0, 0j)
+    dt = p.d * p.tau
     if delta:
         diff = delta * (1 - 1 / (y0 * (y0 + delta)))
+    elif 2 * p.a * y0 == dt:
+        tail = abs(p.e * y0 * y0 + dt * y0 - p.a) / p.a
+        return (math.exp(math.log(tail) / 2 - n * math.log(abs(y0)))
+                if tail else 0.0), 0
     else:
-        dt = p.d * p.tau
         diff = ((p.a - p.e * y0 * y0 - dt * y0) / (2 * p.a * y0 - dt)
                 * (y0 / abs(y0)) ** (-2 * n) * (1 - 1 / (y0 * y0)))
     sign = 0 if abs(diff.imag) > abs(diff.real) else int(np.sign(diff.real))
@@ -139,7 +146,8 @@ def track_root_convergence(p: SystemParams, n_values: Sequence[int],
 
 def perturbation_sign(p: SystemParams, n: int) -> int:
     """sgn(r(n) - r0) for the tracked real off-circle root; the theory
-    predicts -sgn(a+e) for n above the regime threshold."""
+    predicts -sgn(a+e) for n above the regime threshold.  0 where the
+    quadratic's double root seeds a pair that straddles it (_deviation)."""
     replace(p, n=n)  # DimensionTooSmall below 2, as make_params
     if _on_a_plus_e_line(p):
         raise NotApplicable("a+e=0: the deviation sign is undefined")

@@ -199,13 +199,12 @@ def _rk4(f, y0: np.ndarray, dt: float, steps: int, stride: int,
     the two ends.  Each step is one matrix product over the Toeplitz
     tiles of _tiling and a small one per end, added to y at once.  Times
     and states at step 0, every stride-th step and the last one; the
-    states fill one array allocated up front.  DomainError if the states
-    leave the float range."""
+    states fill one array allocated up front.  DomainError if numpy
+    refuses that array or the states leave the float range."""
     if not (stride >= 1 and stride % 1 == 0):
         raise DomainError(
             f"save_stride must be an integer of at least 1, got {stride}")
     stride = int(stride)
-    saved = np.r_[0:steps:stride, steps]
     size = len(y0)
     lo, count, matrix, pieces = _tiling(f, size, dt, half, period)
     tile = matrix.shape[1]
@@ -219,7 +218,12 @@ def _rk4(f, y0: np.ndarray, dt: float, steps: int, stride: int,
     body = step[lo:hi].reshape(count, tile)
     ends = [(dense, padded[a:a + dense.shape[1]], step[a:a + len(dense)])
             for a, dense in pieces]
-    states = np.empty((len(saved), size))
+    try:
+        saved = np.r_[0:steps:stride, steps]
+        states = np.empty((len(saved), size))
+    except (ValueError, MemoryError) as ex:
+        raise DomainError(f"{steps} RK4 steps at save_stride {stride}: "
+                          f"the saved states do not fit ({ex})") from None
     states[0] = y0
     row = 0
     # overflow leaves inf, and 0 inf in a tile NaN: both reported below

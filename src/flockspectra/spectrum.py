@@ -38,7 +38,7 @@ from .charpoly import (EPS, BranchRoot, _as_branch_roots,
 from .errors import (DegenerateRoot, DimensionMismatch, DiscriminantCollapse,
                      DomainError, NoConvergence, RootCountAnomaly,
                      UnitCircleCollapse)
-from .model import SystemParams, build_laplacian, is_decentralized
+from .model import SystemParams, is_decentralized
 
 DEDUPE_TOL = 1e-9
 DISCRIMINANT_REL_TOL = 1e-12
@@ -94,9 +94,8 @@ class Spectrum:
     bulk property wraps them as BranchRoot objects.  For
     matrix_kind="laplacian" the reported values are the eigenvalues of
     -L (the system matrix of the consensus ODE): shift = -(a+c) is added
-    to every labeled value, params and regime describe the decentralized
-    twin, and only a failed assembly leaves the oracle's values, stored
-    unlabeled as a complex array.
+    to every labeled value, and params and regime describe the
+    decentralized twin.
     """
 
     leader: Optional[float]
@@ -108,7 +107,6 @@ class Spectrum:
     matrix_kind: str
     params: SystemParams
     shift: float = 0.0
-    unlabeled: Optional[np.ndarray] = None
 
     def __eq__(self, other):
         if not isinstance(other, Spectrum):
@@ -126,10 +124,7 @@ class Spectrum:
 
     def eigenvalues(self) -> np.ndarray:
         """Every eigenvalue as a new 1-D complex array: the leader, the
-        bulk by angle, then the special roots, each plus the shift (or a
-        copy of the unlabeled oracle values)."""
-        if self.unlabeled is not None:
-            return self.unlabeled.copy()
+        bulk by angle, then the special roots, each plus the shift."""
         lead = [] if self.leader is None else [self.leader + self.shift]
         return np.concatenate((
             np.array(lead, dtype=complex), self.bulk_eigenvalue + self.shift,
@@ -153,18 +148,13 @@ class Spectrum:
                          "r": [(s.eigenvalue + self.shift).real,
                                (s.eigenvalue + self.shift).imag]}
                         for s in self.special],
-            "unlabeled": None if self.unlabeled is None else
-                [[z.real, z.imag] for z in self.unlabeled.tolist()],
         }
 
     def csv_rows(self):
         """(re, im, label) rows in the order of eigenvalues()."""
-        if self.unlabeled is not None:
-            labels = ["oracle"] * len(self.unlabeled)
-        else:
-            labels = (["leader"] * (self.leader is not None)
-                      + [f"bulk:{ell}" for ell in self.bulk_ell.tolist()]
-                      + ["special"] * len(self.special))
+        labels = (["leader"] * (self.leader is not None)
+                  + [f"bulk:{ell}" for ell in self.bulk_ell.tolist()]
+                  + ["special"] * len(self.special))
         return [(z.real, z.imag, label)
                 for z, label in zip(self.eigenvalues().tolist(), labels)]
 
@@ -353,29 +343,18 @@ def compute_spectrum(p: SystemParams, kind: str = "full") -> Spectrum:
 
     -L depends on a, c, e alone (b and d cancel on the diagonal of
     L = D - A): it is the full matrix of the decentralized twin (b, d) =
-    (a+c, c-e) minus (a+c) I.  When the closed-form assembly fails (e.g.
-    c+e=0) the Laplacian falls back to the QR oracle on the tau-balanced
-    -L, since -L itself is far from normal when tau^n is far from 1: QR
-    on the symmetric tridiagonal of the same chain when a+e >= 0, dense
-    Francis QR when a+e < 0 (oracle.qr_eigenvalues).
+    (a+c, c-e) minus (a+c) I, and it assembles by the same route as the
+    other two kinds, so a failed assembly raises the same typed error.
+    At c + e = 0 the twin's quadratic has the double root y0 = sqrt(c/a):
+    once y0^(-2n) underflows, both seeds stop at y0, one is kept and the
+    trace recovers the other, so the double zero mode of -L is held to
+    rounding, where QR on the non-normal -L splits it by about sqrt(eps).
     """
     if kind not in ("full", "reduced", "laplacian"):
         raise DomainError(f"unknown matrix kind {kind!r}")
     q = replace(p, b=p.a + p.c, d=p.c - p.e) if kind == "laplacian" else p
     regime = classify_regime(q)
-    try:
-        (ell, phi, eig), special = _assemble_reduced(q)
-    except (RootCountAnomaly, NoConvergence) as ex:
-        if kind != "laplacian":
-            raise
-        _log.info("laplacian assembly failed (%s); QR on balanced -L", ex)
-        from .oracle import _tau_balance, qr_eigenvalues
-        eigs = qr_eigenvalues(_tau_balance(p, -build_laplacian(p)))
-        empty = np.empty(0)
-        return Spectrum(leader=None, bulk_ell=np.empty(0, dtype=int),
-                        bulk_phi=empty, bulk_eigenvalue=empty, special=[],
-                        regime=regime, matrix_kind=kind, params=q,
-                        unlabeled=eigs)
+    (ell, phi, eig), special = _assemble_reduced(q)
     return Spectrum(leader=None if kind == "reduced" else q.b,
                     bulk_ell=ell, bulk_phi=phi, bulk_eigenvalue=eig,
                     special=special, regime=regime, matrix_kind=kind,

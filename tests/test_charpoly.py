@@ -17,7 +17,8 @@ from flockspectra import (BranchPole, BranchRoot, DomainError,
                           pairing_distance, quadratic_roots,
                           refine_special_root, special_eigen_estimates)
 from flockspectra.charpoly import (POLE_TOL, _brackets, _branch_root_arrays,
-                                   _h_and_slope, _on_a_plus_e_line,
+                                   _h_and_slope, _off_circle_newton,
+                                   _on_a_plus_e_line,
                                    _root_of_eigenvalue, _safeguarded_newton,
                                    _sqrt_product, _stationary_angles)
 from flockspectra.model import EPS, tridiagonal
@@ -729,6 +730,15 @@ class TestRefineSpecialRoot:
         assert abs(y - 1.0000042448274622) <= 1e-10
         assert abs(eigenvalue_from_root(p, y) - eigenvalue_from_root(
             p, 1.0000042448274622)) <= 1e-15 * 2 * math.sqrt(p.a * p.c)
+
+    def test_underflowed_double_root_is_a_zero_step(self):
+        # the twin of c + e = 0: a y^2 - d tau y - e = (y - 4)^2 exactly,
+        # and 4^(-2n) underflows, so f = f' = 0 at delta = 0 in floats
+        p = make_params(1, 16, 17, 32, -16, 280)
+        assert 4.0 ** (-2 * p.n) == 0
+        delta = _off_circle_newton(p, p.n, 4 + 0j, 0j)
+        assert delta == 0
+        assert refine_special_root(p, 4 + 0j) == 4
 
     def test_no_nonzero_quadratic_root_is_a_domain_error(self):
         # d = e = 0: both roots of a y^2 - d tau y - e are 0, and every

@@ -213,6 +213,17 @@ class TestSimulate:
         assert doc["error"] == "DomainError"
         assert "steps" in doc["message"]
 
+    def test_step_count_beyond_memory_exit_one(self, capsys):
+        # 8e18 steps are countable, but numpy refuses their saved states
+        # before anything is allocated
+        code, out, err = run_cli(capsys, "simulate", "--a", "1", "--c", "1",
+                                 "--d", "0.5", "--e", "0.5", "--n", "20",
+                                 "--t-end", "1e18")
+        assert code == 1 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "DomainError"
+        assert "do not fit" in doc["message"]
+
 
 class TestConvergence:
     def test_csv(self, capsys):
@@ -274,9 +285,9 @@ def test_classify_csv_bytes(capsys):
 
 
 # Literal outputs, recorded when spectra were still Python lists, pin the
-# bytes of the labeled and the oracle-fallback spectrum, both verdicts
-# and both oracle routes of verify.  The 17-digit values come from numpy
-# and LAPACK on x86-64; another CPU or BLAS may change their last bits.
+# bytes of the labeled spectrum, both verdicts and both oracle routes of
+# verify.  The 17-digit values come from numpy and LAPACK on x86-64;
+# another CPU or BLAS may change their last bits.
 CLI_BYTES = [
     (('spectrum', '--a', '1', '--c', '1', '--d', '2.95', '--e', '-2.25',
       '--n', '5', '--format', 'csv'),
@@ -287,16 +298,17 @@ CLI_BYTES = [
      '-1.585205115226036,0,bulk:4\n'
      '2.091634035705253,0.12601707575027246,special\n'
      '2.091634035705253,-0.12601707575027246,special\n'),
-    # the QR fallback: at c+e = 0 the twin's quadratic has the exact double
-    # root y0 = sqrt(c/a) = 256, y0^(-2n) underflows at n = 68, and the
-    # assembly fails.  Its 69 unlabeled eigenvalues make a long output, so
-    # (line count, sha256) pins its bytes.
+    # at c+e = 0 the twin's quadratic has the exact double root y0 =
+    # sqrt(c/a) = 256, and y0^(-2n) underflows at n = 68: both seeds stop
+    # at y0, and the trace recovers the second special root, so both
+    # specials read exactly 0.  Its 69 labeled eigenvalues make a long
+    # output, so (line count, sha256) pins its bytes.
     (('spectrum', '--a', '0.25', '--c', '16384', '--d', '32768', '--e',
       '-16384', '--n', '68', '--kind', 'laplacian', '--format', 'csv'),
-     (70, 'fda8bd315b24a685db176cbd97e55d44355c2d0c7116d89cfbc88cbea6efe878')),
+     (70, '67a93f589754ee69e3b2c4a883464e77879b4456758cec80a3e3ec4d9c22bc24')),
     (('spectrum', '--a', '0.25', '--c', '16384', '--d', '32768', '--e',
       '-16384', '--n', '68', '--kind', 'laplacian'),
-     (316, '59943935e5e192c11ea6213228e78b3a2ad308d4faacdd6647c8b5e10e7ac804')),
+     (398, 'fc3a461706802a40ef9431ac5ed1089a1e84e0ee6f30552b21e3637648800017')),
     (('stability', '--a', '1', '--c', '3', '--d', '5', '--e', '-2', '--n',
       '8'),
      '{\n'
@@ -403,7 +415,7 @@ CLI_BYTES = [
 
 
 @pytest.mark.parametrize("argv, want", CLI_BYTES, ids=[
-    "spectrum-csv", "spectrum-csv-unlabeled", "spectrum-json-unlabeled",
+    "spectrum-csv", "spectrum-csv-laplacian", "spectrum-json-laplacian",
     "stability-first", "stability-second", "verify-full",
     "verify-laplacian"])
 def test_output_bytes(capsys, argv, want):

@@ -95,6 +95,21 @@ def test_deviation_below_the_float_range_keeps_its_sign():
     assert rep.deviations == [0.0] and rep.sign_pattern == [-1]
 
 
+def test_underflowed_double_root_reports_the_straddling_pair():
+    # the twin of c + e = 0: a y^2 - d tau y - e = (y - 4)^2 exactly.  At
+    # n = 20 Newton reaches one root of the pair about y0 = 4 (to 2.4%:
+    # its stop is absolute, TOL_ROOT |y|); once 4^(-2n) underflows it
+    # stops at delta = 0, where the pair delta = +-sqrt(-tail(4)/a) 4^(-n)
+    # = +-15 4^(-n) straddles y0: its size, and sign 0
+    p = make_params(1, 16, 17, 32, -16, 280)
+    rep = track_root_convergence(p, [20, 280, 400])
+    assert rep.deviations[0] == pytest.approx(15 * 4.0 ** -20, rel=0.03)
+    assert rep.deviations[1:] == pytest.approx(
+        [15 * 4.0 ** -280, 15 * 4.0 ** -400], rel=1e-12, abs=0)
+    assert rep.sign_pattern == [1, 0, 0]
+    assert perturbation_sign(p, 280) == 0
+
+
 def _mp_monic_roots(b, c):
     """charpoly._monic_roots in mpmath."""
     import mpmath as mp

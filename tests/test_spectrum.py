@@ -19,7 +19,7 @@ from flockspectra import (DegenerateRoot, DiscriminantCollapse,
                           eigenvalue_from_root, eigenvector_for,
                           find_branch_roots, is_decentralized,
                           leader_eigenvector, make_params, pairing_distance,
-                          qr_eigenvalues, quadratic_roots, residual)
+                          quadratic_roots, residual)
 from flockspectra.charpoly import (CIRCLE_EPS, EPLUSA_THRESHOLD,
                                    _special_seeds)
 from flockspectra.oracle import _tau_balance
@@ -116,25 +116,11 @@ class TestComputeSpectrum:
         # (a+c, c-e) shifted by -(a+c), so the closed form applies
         p = make_params(1, 1, 2, 0, 0, 10)
         s = compute_spectrum(p, "laplacian")
-        assert s.unlabeled is None
         assert (s.params.b, s.params.d) == (2, 1)
         assert s.regime.decentralized_cell is not None
         assert len(s.eigenvalues()) == 11
         want = np.linalg.eigvals(-build_laplacian(p))
         assert pairing_distance(s.eigenvalues(), want) < 1e-9 * 2
-
-    def test_laplacian_falls_back_to_oracle_when_assembly_fails(self):
-        # decentralized with c+e=0: the off-circle quadratic has the double
-        # root y0 = sqrt(c/a) = 4, exact in floats, and y0^(-2n) underflows
-        # at n=280, so Newton's derivative vanishes at the seed and the
-        # closed-form assembly miscounts
-        p = make_params(1, 16, 17, 32, -16, 280)
-        with pytest.raises(RootCountAnomaly):
-            compute_spectrum(p, "full")
-        s = compute_spectrum(p, "laplacian")
-        assert s.unlabeled is not None
-        want = np.linalg.eigvals(_tau_balance(p, -build_laplacian(p)))
-        assert pairing_distance(s.eigenvalues(), want) < 1e-9
 
     def test_seeds_converging_to_one_root_counted_once(self):
         # n=2, T3 case 2c: both seeds converge to the same off-circle root;
@@ -146,7 +132,6 @@ class TestComputeSpectrum:
         assert pairing_distance(s.eigenvalues(),
                                 np.linalg.eigvals(build_full_matrix(p))) < 1e-9
         s = compute_spectrum(p, "laplacian")
-        assert s.unlabeled is None
         assert pairing_distance(s.eigenvalues(),
                                 np.linalg.eigvals(-build_laplacian(p))) < 1e-9
 
@@ -429,7 +414,6 @@ def test_laplacian_fallback_is_balanced(a, c, e, n):
     # tau^k, a similarity that rounds nothing.
     p = make_params(a, c, a + c, c - e, e, n)
     s = compute_spectrum(p, "laplacian")
-    assert s.unlabeled is None
     M = -build_laplacian(p)
     step = np.diff(np.round(np.arange(n + 1) * np.log2(p.tau)).astype(int))
     B = (np.diag(np.diag(M)) + np.diag(np.ldexp(np.diag(M, -1), -step), -1)
@@ -496,21 +480,6 @@ def test_eigenvalues_is_a_fresh_complex_array(args, kind):
     assert s.eigenvalues().tobytes() == np.array(_eigenvalue_list(s),
                                                 complex).tobytes()
     assert s == compute_spectrum(p, kind)
-
-
-def test_unlabeled_eigenvalues_are_a_fresh_copy():
-    # the oracle fallback: its values are those of QR on the balanced -L
-    p = make_params(1, 16, 17, 32, -16, 280)
-    s = compute_spectrum(p, "laplacian")
-    assert isinstance(s.unlabeled, np.ndarray)
-    want = qr_eigenvalues(_tau_balance(p, -build_laplacian(p))).tobytes()
-    got = s.eigenvalues()
-    assert got.dtype == np.complex128 and got.ndim == 1
-    assert got.tobytes() == want
-    got[:] = np.nan
-    assert s.eigenvalues().tobytes() == want
-    assert s.unlabeled.tobytes() == want
-    assert s == compute_spectrum(p, "laplacian")
 
 
 @functools.lru_cache(maxsize=None)
@@ -605,12 +574,11 @@ def test_split_pair_next_to_a_double_root_assembles():
 def test_decentralized_c_plus_e_zero_assembles():
     # the twin's quadratic has the double root sqrt(3), with y^(-2n) in
     # range: the full matrix and -L assemble, labeled (both used to raise
-    # RootCountAnomaly, -L by way of the QR fallback)
+    # RootCountAnomaly, -L by way of a QR fallback since removed)
     p = make_params(1, 3, 4, 6, -3, 30)
     s = compute_spectrum(p, "full")
     assert len(s.eigenvalues()) == p.n + 1
     lap = compute_spectrum(p, "laplacian")
-    assert lap.unlabeled is None
     assert pairing_distance(lap.eigenvalues(), np.linalg.eigvals(
         _tau_balance(p, -build_laplacian(p)))) < 1e-8
 
@@ -718,10 +686,11 @@ def test_line_special_eigenvalue_is_exactly_d(args, kind):
 
 
 def test_trace_corrections_and_fallbacks_are_logged(caplog):
+    # the trace correction is the fallback for a root that no seed finds
     with caplog.at_level(logging.INFO, logger="flockspectra"):
         compute_spectrum(make_params(1, 1, None, 3, -2.25, 10), "reduced")
         compute_spectrum(make_params(1, 16, 17, 32, -16, 280), "laplacian")
-    same, recovered, *dropped, fallback = [
+    same, recovered, same4, recovered4 = [
         r.getMessage() for r in caplog.records if r.name == "flockspectra"]
     # d = 2 sqrt(c|e|): both seeds reach the one double root
     assert same.startswith("special root (1.51949")
@@ -729,13 +698,63 @@ def test_trace_corrections_and_fallbacks_are_logged(caplog):
     assert recovered.startswith("trace correction: recovered root 2.15304")
     assert "power-sum residuals" in recovered
     # c+e = 0: the twin's quadratic has the exact double root 4, where
-    # y^(-2n) underflows and Newton's derivative vanishes
-    assert len(dropped) == 2
-    assert all(m.startswith("special seed (4+0j)")
-               and "dropped: NoConvergence: Newton derivative vanished" in m
-               for m in dropped)
-    assert fallback.startswith("laplacian assembly failed")
-    assert "QR" in fallback
+    # y^(-2n) underflows, f = f' = 0 and both seeds stop at 4
+    assert same4 == ("special root (4+0j) dropped: seed (4+0j) found the "
+                     "kept special root (4+0j)")
+    assert recovered4.startswith("trace correction: recovered root 16.99999")
+    assert "power-sum residuals" in recovered4
+
+
+# c + e = 0, where the twin's quadratic has the double root y0 = sqrt(c/a)
+# and 2 a y0 = d tau holds exactly in floats, with y0^(-2n) below the float
+# range: both seeds stop at y0, one is kept and the trace recovers the
+# other.  "full" raised RootCountAnomaly here, and -L took a QR fallback
+# that split its double zero mode by about sqrt(eps).  The last three are
+# seeded draws a, c ~ U(0.2, 5), n in 2..400.
+@pytest.mark.parametrize("a,c,n", [
+    (1, 16, 280), (0.25, 16384, 68),
+    (0.24696742061340232, 2.4708267592594635, 327),
+    (0.23510573377951705, 2.290373357696465, 389),
+    (0.2527080848665282, 3.2681087939162095, 329)])
+def test_underflowed_double_root_assembles(a, c, n):
+    p = make_params(a, c, a + c, 2 * c, -c, n)
+    assert len(compute_spectrum(p, "full").eigenvalues()) == n + 1
+    lam = compute_spectrum(p, "laplacian").eigenvalues()
+    assert len(lam) == n + 1
+    # the exact zero mode and the pair at about +-1e-163 or closer
+    near = np.argsort(np.abs(lam))
+    assert np.abs(lam[near[:3]]).max() <= 1e-12 * (a + c)
+    want = eigvals(_tau_balance(p, -build_laplacian(p)))
+    want = want[np.argsort(np.abs(want))[3:]]
+    assert pairing_distance(lam[near[3:]], want) <= 1e-12 * (a + c)
+
+
+def _laplacian_draws():
+    """200 seeded c + e = 0 sets, every other one with c = a 4^j, whose
+    double root y0 = 2^j is exact and y0^(-2n) underflows once j n > 512,
+    then 200 seeded (a, c, e) with e = U(-3, 3) a."""
+    rng = np.random.default_rng(1)
+    for i in range(200):
+        a = rng.uniform(0.2, 5)
+        c = rng.uniform(0.2, 5) if i % 2 else a * 4.0 ** rng.integers(1, 4)
+        yield make_params(a, c, a + c, 2 * c, -c, int(rng.integers(2, 401)))
+    for _ in range(200):
+        a, c = rng.uniform(0.2, 5, 2)
+        e = rng.uniform(-3, 3) * a
+        yield make_params(a, c, a + c, c - e, e, int(rng.integers(2, 401)))
+
+
+def test_seeded_laplacian_sweep_assembles():
+    # every -L assembles in closed form: its exact zero mode is the
+    # leader a + c shifted by -(a+c), and the power sums certify the rest
+    underflowed = 0
+    for p in _laplacian_draws():
+        s = compute_spectrum(p, "laplacian")
+        lam = s.eigenvalues()
+        assert len(lam) == p.n + 1 and np.isfinite(lam).all(), p
+        assert lam[0] == 0, p
+        underflowed += p.c + p.e == 0 and (p.a / p.c) ** p.n == 0
+    assert underflowed >= 20
 
 
 @pytest.mark.parametrize("args,parts,kept", [
