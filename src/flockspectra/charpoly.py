@@ -119,12 +119,15 @@ def eval_cotangent_residual(p: SystemParams, phi):
     phi is a float or an array of angles; a float gives a float and an
     array an array of the same shape.  A zero in branch ell certifies a
     BranchRoot.  Near phi = 0 or pi the product cot(n phi) sin(phi) is
-    continued by its finite limit +-1/n.
+    continued by its finite limit +-1/n.  A non-finite angle raises
+    DomainError.
     """
     a, d, e, tau, n = p.a, p.d, p.e, p.tau, p.n
     if _on_a_plus_e_line(p):
         raise ZeroDenominator("e + a = 0: use the closed-form branch layout")
     x = np.asarray(phi, dtype=float)
+    if not np.isfinite(x).all():
+        raise DomainError("phi must hold finite angles")
     s = np.sin(n * x)
     sphi = np.sin(x)
     cphi = np.cos(x)
@@ -490,7 +493,9 @@ def refine_special_root(p: SystemParams, seed: complex) -> complex:
 
 
 def eigenvalue_from_root(p: SystemParams, y: complex) -> complex:
-    """r = sqrt(ac) (y + 1/y)."""
+    """r = sqrt(ac) (y + 1/y); DomainError at y = 0, where r has a pole."""
+    if y == 0:
+        raise DomainError("y = 0 is a pole of r = sqrt(ac) (y + 1/y)")
     return _sqrt_product(p.a, p.c) * (y + 1.0 / y)
 
 

@@ -109,7 +109,10 @@ def track_root_convergence(p: SystemParams, n_values: Sequence[int],
     float underflow threshold (about 1e-308), so callers probing that
     regime can lower it.
     """
-    n_values = sorted(int(n) for n in n_values)
+    try:
+        n_values = sorted(int(n) for n in n_values)
+    except (TypeError, ValueError, OverflowError) as ex:
+        raise DomainError(f"n_values must be integers: {ex}") from None
     if not n_values:
         raise DomainError("n_values must not be empty")
     replace(p, n=n_values[0])  # DimensionTooSmall below 2, as make_params

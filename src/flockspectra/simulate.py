@@ -19,12 +19,14 @@ the float range raises DomainError.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .charpoly import _monic_roots
 from .errors import DimensionMismatch, DomainError, StepSizeTooLarge
 from .model import SystemParams, tridiagonal
 
@@ -90,9 +92,10 @@ def spectral_radius_estimate(p: SystemParams) -> float:
 def _resolve_steps(t_end: float, dt: Optional[float], rho: float):
     dt_max = DT_MAX_FACTOR / rho if rho > 0 else np.inf
     step = dt if dt is not None else DT_DEFAULT_FACTOR / max(rho, 1e-30)
-    if not (0 < t_end < np.inf and 0 < step < np.inf):
-        raise DomainError(f"t_end and dt must be finite and positive, got "
-                          f"t_end={t_end}, dt={dt}")
+    if not (isinstance(t_end, numbers.Real) and 0 < t_end < np.inf
+            and isinstance(step, numbers.Real) and 0 < step < np.inf):
+        raise DomainError(f"t_end and dt must be finite positive numbers, "
+                          f"got t_end={t_end!r}, dt={dt!r}")
     if step > dt_max:
         raise StepSizeTooLarge(
             f"dt={step:g} exceeds the RK4 stability bound {dt_max:g}")
@@ -306,10 +309,13 @@ def simulate_second_order(cfg: SimConfig) -> Trajectory:
 
     # Each Laplacian eigenvalue lambda maps to nu solving
     # nu^2 + beta*lambda*nu + alpha*lambda = 0, so the augmented
-    # spectral radius is at most the larger-root bound below.
+    # spectral radius is at most rho, the larger root of nu^2 - B nu - A
+    # with B = |beta| rho_L and A = |alpha| rho_L.  _monic_roots forms it
+    # finite also where B^2 overflows, and bit for bit as 0.5 (B +
+    # sqrt(B^2 + 4A)) wherever that neither overflows nor underflows.
     rho_L = spectral_radius_estimate(cfg.params)
-    rho = 0.5 * (abs(beta) * rho_L
-                 + np.sqrt((beta * rho_L) ** 2 + 4 * abs(alpha) * rho_L))
+    rho = _monic_roots(-0.5 * abs(beta) * rho_L,
+                       -abs(alpha) * rho_L)[0].real
 
     def generator(y):
         # y interleaves (z, v) = (x - h, x'): z' = v, v' = -L(alpha z +

@@ -7,6 +7,7 @@ inconclusive rather than overclaimed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -14,11 +15,9 @@ import numpy as np
 
 from .errors import DomainError, NotDecentralized
 from .model import SystemParams, is_decentralized
-from .oracle import _modulus
 from .spectrum import compute_spectrum
 
 ZERO_MODE_REL_TOL = 1e-8
-_DBL_MIN = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -49,9 +48,10 @@ class SecondOrderParams:
     beta: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise DomainError(f"alpha and beta must be finite, got "
-                              f"alpha={self.alpha}, beta={self.beta}")
+        if not all(isinstance(x, numbers.Real) and math.isfinite(x)
+                   for x in (self.alpha, self.beta)):
+            raise DomainError(f"alpha and beta must be finite real numbers, "
+                              f"got alpha={self.alpha!r}, beta={self.beta!r}")
 
 
 def laplacian_spectrum(p: SystemParams) -> np.ndarray:
@@ -65,7 +65,7 @@ def _modes(values, scale):
     """(zero modes, spectral abscissa, witness): how many values lie
     within ZERO_MODE_REL_TOL scale of 0, the largest real part of the
     others, and the first of them that has it."""
-    zero = _modulus(values) <= ZERO_MODE_REL_TOL * scale
+    zero = np.abs(values) <= ZERO_MODE_REL_TOL * scale
     rest = values[~zero]
     k = int(np.argmax(rest.real))
     return int(zero.sum()), float(rest.real[k]), complex(rest[k])
@@ -73,7 +73,7 @@ def _modes(values, scale):
 
 def _nearest(values, z) -> complex:
     """The first of values nearest z."""
-    return complex(values[np.argmin(_modulus(values - z))])
+    return complex(values[np.argmin(np.abs(values - z))])
 
 
 def first_order_verdict(p: SystemParams) -> StabilityVerdict:
@@ -125,51 +125,31 @@ def _first_order_rule(p: SystemParams, lambdas) -> StabilityVerdict:
                             marginal)
 
 
-def _cmath_sqrt(z):
-    """cmath.sqrt elementwise, to the last bit on finite z (np.sqrt rounds
-    some values differently): s = 2 sqrt(|x|/8 + hypot(x/8, y/8)), or with
-    |x| and |y| scaled by 2^53 and s by 2^-27 when both are subnormal."""
-    ax, ay = np.abs(z.real), np.abs(z.imag)
-    s = 2 * np.sqrt(ax / 8 + np.hypot(ax / 8, ay / 8))
-    tiny = (ax < _DBL_MIN) & (ay < _DBL_MIN)
-    if tiny.any():
-        up = np.ldexp(ax[tiny], 53)
-        s[tiny] = np.ldexp(np.sqrt(up + np.hypot(
-            up, np.ldexp(ay[tiny], 53))), -27)
-    with np.errstate(invalid="ignore"):  # 0/0 at z = 0, set below
-        d = ay / (2 * s)
-    pos = z.real >= 0
-    out = np.empty_like(z)
-    out.real = np.where(pos, s, d)
-    out.imag = np.copysign(np.where(pos, d, s), z.imag)
-    zero = (z.real == 0) & (z.imag == 0)
-    out.real[zero], out.imag[zero] = 0.0, z.imag[zero]
-    return out
-
-
-def _cmul(a, b):
-    """a b as Python's complex product forms it, (ar br - ai bi) + (ar bi +
-    ai br) i, a real a taken as a + 0i; numpy's complex product may fuse
-    these into FMAs and differ in the last bit or the sign of a zero."""
-    ar, ai, br, bi = np.real(a), np.imag(a), b.real, b.imag
-    out = np.empty(b.shape, dtype=complex)
-    out.real = ar * br - ai * bi
-    out.imag = ar * bi + ai * br
-    return out
-
-
 def second_order_eigenvalues(lambdas, so: SecondOrderParams) -> np.ndarray:
-    """nu+- = (beta lambda +- sqrt(beta^2 lambda^2 + 4 alpha lambda)) / 2
-    for each lambda; both roots of nu^2 - beta lambda nu - alpha lambda,
-    as a complex array ordered nu+, nu- per lambda, equal to the last bit
-    to the same expression in Python complex arithmetic with cmath.sqrt."""
-    lam = np.asarray(lambdas, dtype=complex)
-    x = _cmul(_cmul(so.beta ** 2, lam), lam) + _cmul(4 * so.alpha, lam)
-    root, bl = _cmath_sqrt(x), _cmul(so.beta, lam)
-    out = np.empty(2 * len(lam), dtype=complex)
-    out[0::2] = _cmul(0.5, bl + root)
-    out[1::2] = _cmul(0.5, bl - root)
-    return out
+    """Both roots nu+- = -b +- s of nu^2 - beta lambda nu - alpha lambda
+    per lambda, in that order, as a complex array: b = -beta lambda / 2,
+    c = -alpha lambda, s the principal sqrt(b^2 - c), formed as in
+    charpoly._monic_roots on b and c over a power of two, and the root
+    that -b +- s forms by cancellation (the slow mode ~ -alpha/beta of a
+    small lambda) taken as c over the other.  DomainError for a lambda
+    that is not a finite number, or a nu that leaves the float range."""
+    lam = np.ravel(lambdas)
+    if lam.dtype.kind not in "biufc" or not np.isfinite(lam).all():
+        raise DomainError("lambdas must be finite numbers")
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        b, c = -0.5 * so.beta * lam.astype(complex), -so.alpha * lam
+        m = np.ldexp(1.0, np.frexp(np.maximum(abs(b), abs(c) ** 0.5))[1])
+        bm = b / m
+        sm = np.sqrt(bm * bm - c / m / m + 0.0)  # + 0.0: a real d has +0j
+        x_plus, x_minus = -b + m * sm, -b - m * sm
+        dot = (bm.conj() * sm).real  # > 0 where -b + s cancels
+        up, down = dot > 0, dot < 0
+        x_plus[up] = c[up] / x_minus[up]
+        x_minus[down] = c[down] / x_plus[down]
+    nus = np.stack((x_plus, x_minus), axis=-1).ravel() + 0.0  # no -0.0
+    if not np.isfinite(nus).all():
+        raise DomainError("nu+- ~ beta lambda leaves the float range")
+    return nus
 
 
 def second_order_verdict(p: SystemParams,

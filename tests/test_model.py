@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flockspectra import (DegenerateCoupling, DimensionTooSmall, DomainError,
-                          SystemParams, build_full_matrix, build_laplacian,
-                          build_reduced_matrix, is_decentralized, make_params)
+                          SimConfig, SystemParams, build_full_matrix,
+                          build_laplacian, build_reduced_matrix,
+                          eigenvalue_from_root, eval_cotangent_residual,
+                          is_decentralized, make_params,
+                          simulate_first_order, track_root_convergence)
 from flockspectra.model import tridiagonal
 
 
@@ -175,3 +179,19 @@ def test_dense_builders_match_entrywise_reference(a, c, b, d, e, n):
 def test_tridiagonal_unknown_kind():
     with pytest.raises(DomainError):
         tridiagonal(make_params(1, 1, 2, 0, 0, 3), "dense")
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: eigenvalue_from_root(p, 0),
+    lambda p: eval_cotangent_residual(p, np.inf),
+    lambda p: track_root_convergence(p, ["a"]),
+    lambda p: simulate_first_order(SimConfig(p, np.zeros(p.n + 1),
+                                             np.zeros(p.n + 1), t_end="1.0")),
+], ids=["eigenvalue_from_root-y=0", "eval_cotangent_residual-inf",
+        "track_root_convergence-str", "simulate_first_order-str"])
+def test_invalid_arguments_raise_domain_error(call):
+    # not a bare ZeroDivisionError, RuntimeWarning, ValueError or TypeError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            call(make_params(1, 2, 3, 0.5, 1.5, 20))

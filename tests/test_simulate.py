@@ -390,6 +390,17 @@ class TestSimulateSecondOrder:
         v_final = traj.velocities[-1]
         assert np.ptp(v_final) < 1e-2 * max(np.ptp(traj.velocities[0]), 1e-9)
 
+    def test_step_bound_at_1e200(self):
+        # (beta rho_L)^2 ~ 2.5e401 leaves the float range; rho ~ 5e200
+        # and the default step 0.5 / rho ~ 1e-201 do not
+        p = make_params(1e200, 1.5e200, None, 1e200, 0.5e200, 10)
+        h = np.zeros(11)
+        traj = simulate_second_order(
+            SimConfig(p, h, np.linspace(0.0, 1.0, 11), t_end=1e-199, v0=h,
+                      alpha=1.0, beta=1.0))
+        assert len(traj.times) == 101 and traj.times[-1] == 1e-199
+        assert np.isfinite(traj.positions).all()
+
     def test_negative_alpha_diverges(self):
         p = _stable_params()
         h = -np.arange(21.0)

@@ -1,6 +1,8 @@
 import cmath
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,30 +101,105 @@ class TestSecondOrderEigenvalues:
                 assert abs(res) < 1e-12 * max(1.0, abs(lam) ** 2)
 
 
-def _second_order_loop(lambdas, so):
-    """second_order_eigenvalues one lambda at a time in Python complex
-    arithmetic, with cmath.sqrt."""
-    out = []
-    for lam in map(complex, lambdas):
-        root = cmath.sqrt(so.beta ** 2 * lam * lam + 4 * so.alpha * lam)
-        out += [0.5 * (so.beta * lam + root), 0.5 * (so.beta * lam - root)]
-    return out
+U = 2.0 ** -53  # unit roundoff
 
 
-_coord = st.one_of(st.floats(-1e100, 1e100),
-                   st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 2.0 ** -1022]))
+def _mp_second_order(lam, so):
+    """(nu+, nu-, b, c) for one lambda in 50-digit mpmath: nu+- = -b +-
+    sqrt(b^2 - c), b = -beta lambda / 2 and c = -alpha lambda, on the
+    floats given."""
+    with mp.workdps(50):
+        b = -mp.mpf(so.beta) / 2 * mp.mpc(lam)
+        c = -mp.mpf(so.alpha) * mp.mpc(lam)
+        s = mp.sqrt(b * b - c)
+        return -b + s, -b - s, b, c
 
 
-@settings(max_examples=200, deadline=None)
-@given(lambdas=st.lists(st.builds(complex, _coord, _coord), max_size=12),
-       alpha=st.floats(-10, 10), beta=st.floats(-10, 10))
-def test_second_order_eigenvalues_match_the_loop_bit_for_bit(lambdas, alpha,
-                                                             beta):
-    so = SecondOrderParams(alpha, beta)
-    got = second_order_eigenvalues(lambdas, so)
-    assert got.dtype == complex and got.shape == (2 * len(lambdas),)
-    want = np.array(_second_order_loop(lambdas, so), dtype=complex)
-    assert got.tobytes() == want.tobytes()
+def _second_order_tol(nu, big, sep):
+    """Bound on |nu~ - nu| for either root nu of nu^2 + 2b nu + c, big the
+    larger modulus of the two and sep = |nu+ - nu-| = 2|s|, to first
+    order in u; complex products and quotients are taken to round within
+    4u and the complex sqrt within 2u (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed. 2002, sec. 3.6).
+
+    The float b and c are off by at most u|b| and u|c|, and their scaling
+    by a power of two is exact.  Forming d = b^2 - c adds 2u|b|^2 from b,
+    4u|b|^2 from the square, u|c| from c and u|d| from the difference:
+    |delta d| <= 6u (|b|^2 + |c|).  Away from the branch cut, where the
+    two principal square roots lie within a right angle of each other,
+    |delta s| <= |delta d| / |s| + 2u |s|.  The root formed as -b +- s
+    without cancellation is the larger, x with |x|^2 >= |b|^2 + |s|^2,
+    and |c| = |nu+ nu-| <= |x|^2; so x is off by at most u|b| + |delta s|
+    + u|x| <= 4u|x| + 24u|x|^2 / sep.  The other root c / x adds u from c
+    and 4u from the quotient to that relative error.  Both roots thus lie
+    within u (9 + 24 big / sep) |nu|: the bound widens only where nu+
+    and nu- nearly coincide, sep << big, next to a double root."""
+    return U * (9 + 24 * big / sep) * abs(nu) if sep else mp.inf
+
+
+@st.composite
+def _lambda_and_gains(draw):
+    """(lambda, SecondOrderParams) with |lambda| in 1e-300..1e300 and
+    alpha / beta^2 from 1e-9 |lambda| (an overdamped mode, whose slow root
+    ~ -alpha/beta is the one -b +- s forms by cancellation) to 1e9 |lambda|, or
+    within a factor 1 +- 1e-16..0.3 of |lambda| / 4 (a near-double root
+    at negative real lambda); b, c, alpha and beta stay normal floats."""
+    unit = draw(st.sampled_from([-1.0, 1.0, 1j, -1j])
+                | st.floats(-math.pi, math.pi).map(lambda t: cmath.rect(1, t)))
+    if draw(st.booleans()):
+        k = draw(st.floats(-9, 9))  # log10 of alpha / (beta^2 |lambda|)
+    else:
+        k = math.log10(0.25 + 0.25 * draw(st.sampled_from([-1, 1]))
+                       * 10 ** -draw(st.floats(0.5, 16)))
+    lg = draw(st.floats(-300, 300))  # log10 |lambda|
+    # log10 |beta lambda|: beta, alpha and c = alpha lambda normal
+    lo = max(-140, lg - 290, (lg - 290 - k) / 2)
+    hi = min(140, lg + 290, (lg + 290 - k) / 2)
+    lq = draw(st.floats(lo, hi))
+    signs = draw(st.tuples(st.sampled_from([-1, 1]), st.sampled_from([-1, 1])))
+    return (10 ** lg * unit, SecondOrderParams(
+        signs[0] * 10 ** (k + 2 * lq - lg), signs[1] * 10 ** (lq - lg)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lambda_and_gains())
+def test_second_order_eigenvalues_match_mpmath(args):
+    lam, so = args
+    got = second_order_eigenvalues([lam], so)
+    assert got.dtype == complex and got.shape == (2,)
+    nu_plus, nu_minus, b, c = _mp_second_order(lam, so)
+    big, sep = max(abs(nu_plus), abs(nu_minus)), abs(nu_plus - nu_minus)
+    with mp.workdps(50):
+        d = b * b - c
+        # within |delta d| of the cut of sqrt, for complex lambda only, the
+        # rounded d may lie across it and swap nu+ and nu-
+        orders = ([(nu_plus, nu_minus), (nu_minus, nu_plus)]
+                  if lam.imag and mp.re(d) < 0
+                  and abs(mp.im(d)) <= 6 * U * (abs(b) ** 2 + abs(c))
+                  else [(nu_plus, nu_minus)])
+        assert any(all(abs(mp.mpc(g) - w) <= _second_order_tol(w, big, sep)
+                       for g, w in zip(got, want)) for want in orders)
+
+
+def test_slow_mode_keeps_its_digits():
+    # nu^2 + 4 nu + 4e-8: nu+ = -2 + 2 sqrt(1 - 1e-8) ~ -1.0000000025e-8,
+    # which -b + s forms by cancellation (1.4e-8 relative off)
+    so = SecondOrderParams(1e-8, 1)
+    got = second_order_eigenvalues([-4.0], so)
+    want = [float(mp.re(w)) for w in _mp_second_order(-4.0, so)[:2]]
+    assert want[0] == pytest.approx(-1.0000000025e-8, rel=1e-15)
+    assert got.imag.tolist() == [0.0, 0.0]
+    for g, w in zip(got.real, want):
+        assert abs(g - w) <= 4 * math.ulp(w)
+
+
+@pytest.mark.parametrize("lambdas", [[math.inf], [complex(0, math.nan)],
+                                     ["a"], [None], [-1e308]],
+                         ids=["inf", "nan", "str", "None", "overflow"])
+def test_second_order_eigenvalues_reject(lambdas):
+    # the last: nu+ ~ beta lambda = -1e310 leaves the float range
+    with pytest.raises(DomainError):
+        second_order_eigenvalues(lambdas, SecondOrderParams(1, 10))
 
 
 class TestSecondOrderVerdict:
@@ -146,6 +223,16 @@ class TestSecondOrderVerdict:
         v = second_order_verdict(make_params(1, 3, 4, 5, -2, 40),
                                  SecondOrderParams(1, 1))
         assert v.stable == "unstable"
+
+    def test_quiet_and_finite_at_1e160(self):
+        # b^2 = (beta lambda / 2)^2 ~ 4e320 leaves the float range; the
+        # modes do not
+        s = 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = second_order_verdict(make_params(s, s, None, 0.5 * s, 0.5 * s,
+                                                 20), SecondOrderParams(1, 1))
+        assert math.isfinite(v.spectral_abscissa)
 
     def test_rejects_non_decentralized(self):
         with pytest.raises(NotDecentralized):
@@ -185,6 +272,12 @@ def test_perturbed_zero_mode_sign_at_large_n():
 @pytest.mark.parametrize("alpha,beta", [(math.nan, 1), (1, math.nan),
                                         (math.inf, 1), (1, -math.inf)])
 def test_non_finite_gains_rejected(alpha, beta):
+    with pytest.raises(DomainError):
+        SecondOrderParams(alpha, beta)
+
+
+@pytest.mark.parametrize("alpha,beta", [("1", 1), (None, 1), (1, [1])])
+def test_non_numeric_gains_rejected(alpha, beta):
     with pytest.raises(DomainError):
         SecondOrderParams(alpha, beta)
 
