@@ -125,7 +125,10 @@ def eval_cotangent_residual(p: SystemParams, phi):
     a, d, e, tau, n = p.a, p.d, p.e, p.tau, p.n
     if _on_a_plus_e_line(p):
         raise ZeroDenominator("e + a = 0: use the closed-form branch layout")
-    x = np.asarray(phi, dtype=float)
+    try:
+        x = np.asarray(phi, dtype=float)
+    except (TypeError, ValueError) as ex:
+        raise DomainError(f"phi must hold real angles: {ex}") from None
     if not np.isfinite(x).all():
         raise DomainError("phi must hold finite angles")
     s = np.sin(n * x)
@@ -177,6 +180,16 @@ def quadratic_roots(p: SystemParams) -> QuadraticRoots:
         raise DomainError("y+ ~ d tau / a leaves the float range") from None
     return QuadraticRoots(*(x / (2 * a) for x in _monic_roots(
         -dt, -4 * a * e)))
+
+
+def _seed_quadratic(p: SystemParams) -> QuadraticRoots:
+    """quadratic_roots(p), formed once per instance and kept on its memo
+    (QuadraticRoots is frozen), so that _special_seeds and every
+    refine_special_root of one assembly read the same roots."""
+    q = p._memo.get("quadratic")
+    if q is None:
+        q = p._memo["quadratic"] = quadratic_roots(p)
+    return q
 
 
 def special_eigen_estimates(p: SystemParams) -> SpecialEigenEstimate:
@@ -424,7 +437,7 @@ def _special_seeds(p: SystemParams) -> List[complex]:
     """The roots of a y^2 - d tau y - e outside the unit circle, y_plus
     first: the Newton seeds of the special roots.  These are the roots
     the theorem cases list."""
-    q = quadratic_roots(p)
+    q = _seed_quadratic(p)
     return [y for y in (q.y_plus, q.y_minus) if abs(y) > 1.0 + CIRCLE_EPS]
 
 
@@ -485,7 +498,7 @@ def refine_special_root(p: SystemParams, seed: complex) -> complex:
     y = complex(seed)
     if abs(y) <= 1.0:
         raise DomainError(f"seed must lie outside the unit circle, got {seed}")
-    q = quadratic_roots(p)
+    q = _seed_quadratic(p)
     y0 = min(q.y_plus, q.y_minus, key=lambda r: (r == 0, abs(y - r)))
     if y0 == 0:  # d = e = 0: every root of f lies on the circle
         raise DomainError("a y^2 - d tau y - e has no nonzero root")
@@ -493,10 +506,15 @@ def refine_special_root(p: SystemParams, seed: complex) -> complex:
 
 
 def eigenvalue_from_root(p: SystemParams, y: complex) -> complex:
-    """r = sqrt(ac) (y + 1/y); DomainError at y = 0, where r has a pole."""
+    """r = sqrt(ac) (y + 1/y); DomainError at y = 0, where r has a pole,
+    and where r (or 1/y) leaves the float range."""
     if y == 0:
         raise DomainError("y = 0 is a pole of r = sqrt(ac) (y + 1/y)")
-    return _sqrt_product(p.a, p.c) * (y + 1.0 / y)
+    r = _sqrt_product(p.a, p.c) * (y + 1.0 / y)
+    if not cmath.isfinite(r):
+        raise DomainError(f"r = sqrt(ac) (y + 1/y) leaves the float range "
+                          f"at y = {y}")
+    return r
 
 
 def _root_of_eigenvalue(p: SystemParams, r) -> complex:

@@ -27,7 +27,10 @@ class SystemParams:
 
     a, c are the sub/super diagonal couplings (both positive), b the
     leader's self-term, d and e the trailing-row boundary overrides, and
-    n the reduced dimension (the full matrix is (n+1) x (n+1)).
+    n the reduced dimension (the full matrix is (n+1) x (n+1)).  Each
+    instance keeps a private memo of results derived from it (see
+    spectrum.compute_spectrum); it is not a field, so eq, hash, repr and
+    dataclasses.replace never see it.
     """
 
     a: float
@@ -51,6 +54,7 @@ class SystemParams:
             raise DimensionTooSmall(f"need n >= 2, got n={self.n}")
         # two roots, not sqrt(a/c): the ratio a/c can leave the float range
         object.__setattr__(self, "tau", math.sqrt(self.a) / math.sqrt(self.c))
+        object.__setattr__(self, "_memo", {})
 
 
 def make_params(a, c, b, d, e, n):

@@ -103,7 +103,10 @@ def _chain_qr(chain, dense, banded=True):
 
 def _diagonals(M):
     """M as a square float array, and its (sub, diag, sup)."""
-    A = np.asarray(M, dtype=float)
+    try:
+        A = np.asarray(M, dtype=float)
+    except (TypeError, ValueError) as ex:
+        raise DomainError(f"matrix must hold real numbers: {ex}") from None
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"matrix must be square, got {A.shape}")
     return A, (np.diag(A, -1), np.diag(A), np.diag(A, 1))
@@ -304,6 +307,8 @@ def pairing_distance(u, v) -> float:
     if not len(u):
         return 0.0
     u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise DomainError("eigenvalues must be finite")
     r = float(max(_modulus(u).max(), _modulus(v).max())) or 1.0
     u, v = u[_pairing_order(u, r)], v[_pairing_order(v, r)]
     d_sorted = float(_modulus(u - v).max())

@@ -204,7 +204,8 @@ def _rk4(f, y0: np.ndarray, dt: float, steps: int, stride: int,
     and states at step 0, every stride-th step and the last one; the
     states fill one array allocated up front.  DomainError if numpy
     refuses that array or the states leave the float range."""
-    if not (stride >= 1 and stride % 1 == 0):
+    if not (isinstance(stride, numbers.Real) and stride >= 1
+            and stride % 1 == 0):
         raise DomainError(
             f"save_stride must be an integer of at least 1, got {stride}")
     stride = int(stride)
@@ -305,7 +306,10 @@ def simulate_second_order(cfg: SimConfig) -> Trajectory:
     x0 = _check_vec("x0", cfg.x0, m)
     v0 = _check_vec("v0", cfg.v0, m)
     L = tridiagonal(cfg.params, "laplacian")
-    alpha, beta = float(cfg.alpha), float(cfg.beta)
+    try:
+        alpha, beta = float(cfg.alpha), float(cfg.beta)
+    except (TypeError, ValueError) as ex:
+        raise DomainError(f"alpha and beta must be numbers: {ex}") from None
 
     # Each Laplacian eigenvalue lambda maps to nu solving
     # nu^2 + beta*lambda*nu + alpha*lambda = 0, so the augmented

@@ -337,6 +337,22 @@ def _assemble_reduced(p: SystemParams):
     return _certify_count(p, bulk, special)
 
 
+def _kept_assembly(p: SystemParams, q: SystemParams):
+    """_assemble_reduced(q), kept on p's memo under the bits of q.d: q is
+    p or its decentralized twin, which differ at most in b and d, and b
+    does not enter the reduced matrix.  The bulk arrays are kept
+    read-only and the special roots as a tuple; each call gets a fresh
+    list of them.  An assembly that raises is not kept."""
+    key = float(q.d).hex()  # tells -0.0 from +0.0
+    kept = p._memo.get(key)
+    if kept is None:
+        bulk, special = _assemble_reduced(q)
+        for x in bulk:
+            x.flags.writeable = False
+        kept = p._memo[key] = bulk, tuple(special)
+    return kept[0], list(kept[1])
+
+
 def compute_spectrum(p: SystemParams, kind: str = "full") -> Spectrum:
     """Assemble the labeled spectrum of A (kind="full"), Q ("reduced"),
     or the negated Laplacian -L ("laplacian").
@@ -349,12 +365,20 @@ def compute_spectrum(p: SystemParams, kind: str = "full") -> Spectrum:
     once y0^(-2n) underflows, both seeds stop at y0, one is kept and the
     trace recovers the other, so the double zero mode of -L is held to
     rounding, where QR on the non-normal -L splits it by about sqrt(eps).
+
+    The certified assembly of the reduced matrix is kept on p, keyed by
+    the bits of its d (p.d, or c - e for -L), so every kind of p and
+    every later call on p share one branch scan; for exactly
+    decentralized p, -L shares it with "full" and "reduced".  The bulk
+    arrays of the Spectrum are therefore read-only, p keeps them alive,
+    and the INFO records of an assembly are logged on its first call
+    only.  A failed assembly is not kept: it raises on every call.
     """
     if kind not in ("full", "reduced", "laplacian"):
         raise DomainError(f"unknown matrix kind {kind!r}")
     q = replace(p, b=p.a + p.c, d=p.c - p.e) if kind == "laplacian" else p
     regime = classify_regime(q)
-    (ell, phi, eig), special = _assemble_reduced(q)
+    (ell, phi, eig), special = _kept_assembly(p, q)
     return Spectrum(leader=None if kind == "reduced" else q.b,
                     bulk_ell=ell, bulk_phi=phi, bulk_eigenvalue=eig,
                     special=special, regime=regime, matrix_kind=kind,

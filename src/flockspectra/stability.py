@@ -56,8 +56,10 @@ class SecondOrderParams:
 
 def laplacian_spectrum(p: SystemParams) -> np.ndarray:
     """Eigenvalues of -L, the system matrix of the consensus ODE, as a
-    complex array: the full spectrum of the decentralized twin shifted by
-    -(a+c)."""
+    new complex array: the full spectrum of the decentralized twin
+    shifted by -(a+c).  Its assembly is kept on p (see compute_spectrum),
+    so both verdicts on one p, and its "full" and "reduced" spectra when
+    b = a+c and d = c-e exactly, share one branch scan."""
     return compute_spectrum(p, "laplacian").eigenvalues()
 
 

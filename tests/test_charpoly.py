@@ -70,6 +70,11 @@ class TestCotangentResidual:
         with pytest.raises(ZeroDenominator):
             eval_cotangent_residual(p, 0.3)
 
+    def test_non_numeric_angle_is_a_domain_error(self):
+        p = make_params(1, 1, 2, 1, 0.5, 10)
+        with pytest.raises(DomainError, match="real angles"):
+            eval_cotangent_residual(p, "a")
+
     def test_array_matches_float_calls(self):
         p = make_params(1.3, 0.7, 2, 0.9, 0.4, 37)
         phi = np.random.default_rng(7).uniform(0, math.pi, 2000)
@@ -775,3 +780,10 @@ def test_root_symmetry(a, c, d, e, n):
         y = cmath.exp(1j * r.phi)
         assert abs(eval_polynomial(p, 1 / y)) < 1e-8 * scale
         assert abs(eval_polynomial(p, y.conjugate())) < 1e-8 * scale
+
+
+@pytest.mark.parametrize("y", [1e-320, -1e-320j, 1e308])
+def test_eigenvalue_past_the_float_range_is_a_domain_error(y):
+    # 1/y overflows at a subnormal y, and sqrt(ac) y past 1e308
+    with pytest.raises(DomainError, match="leaves the float range"):
+        eigenvalue_from_root(make_params(2, 2, 4, 1, 1, 10), y)

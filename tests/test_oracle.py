@@ -103,6 +103,11 @@ class TestQrEigenvalues:
         with pytest.raises(DomainError):
             qr_eigenvalues(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("M", ["a", [["a", 1.0], [0.0, 1.0]]])
+    def test_non_numeric_rejected(self, M):
+        with pytest.raises(DomainError, match="real numbers"):
+            qr_eigenvalues(M)
+
     def test_lapack_failure_is_no_convergence(self, monkeypatch):
         # a negative off-diagonal product: the dense route
         def fail(*args, **kwargs):
@@ -365,6 +370,12 @@ class TestMultisetInvariants:
 
     def test_pairing_distance_of_empty_multisets(self):
         assert pairing_distance([], []) == 0.0
+
+    @pytest.mark.parametrize("u, v", [([np.nan], [1]), ([1], [np.inf]),
+                                      ([1, 2], [2, complex(1, np.nan)])])
+    def test_pairing_distance_of_non_finite_values_raises(self, u, v):
+        with pytest.raises(DomainError, match="finite"):
+            pairing_distance(u, v)
 
     def test_pairing_distance_zero_on_permutation(self):
         vals = [1 + 1j, 1 - 1j, -2.0, 0.5]

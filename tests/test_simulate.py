@@ -99,6 +99,26 @@ class TestSimulateFirstOrder:
         with pytest.raises(DomainError, match="save_stride"):
             run(cfg)
 
+    @pytest.mark.parametrize("stride", ["a", None])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_non_numeric_save_stride_rejected(self, stride, order):
+        p = _stable_params()
+        h = np.zeros(21)
+        cfg = SimConfig(p, h, h, t_end=1.0, v0=h, alpha=1.0, beta=1.0,
+                        save_stride=stride)
+        run = simulate_first_order if order == 1 else simulate_second_order
+        with pytest.raises(DomainError, match="save_stride"):
+            run(cfg)
+
+    @pytest.mark.parametrize("gains", [("a", 1.0), (1.0, [1, 2])])
+    def test_non_numeric_gain_rejected(self, gains):
+        p = _stable_params()
+        h = np.zeros(21)
+        cfg = SimConfig(p, h, h, t_end=1.0, v0=h, alpha=gains[0],
+                        beta=gains[1])
+        with pytest.raises(DomainError, match="alpha and beta"):
+            simulate_second_order(cfg)
+
     def test_rk4_refinement_ratio(self):
         p = _stable_params()
         h = -np.arange(21.0)

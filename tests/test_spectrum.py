@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from flockspectra import (DegenerateRoot, DiscriminantCollapse,
                           find_branch_roots, is_decentralized,
                           leader_eigenvector, make_params, pairing_distance,
                           quadratic_roots, residual)
+from flockspectra import (SecondOrderParams, first_order_verdict,
+                          second_order_verdict)
 from flockspectra.charpoly import (CIRCLE_EPS, EPLUSA_THRESHOLD,
                                    _special_seeds)
 from flockspectra.oracle import _tau_balance
@@ -861,3 +864,122 @@ def test_quadratic_root_beyond_the_float_range_is_a_domain_error(kind):
     with pytest.raises(DomainError, match="leaves the float range"):
         compute_spectrum(make_params(0.25, 0.25, None, 1e308, 0.25, 10),
                          kind)
+
+
+# --- the assembly kept on the params object -----------------------------
+
+def _spy(monkeypatch, name):
+    """Replace spectrum.<name> or charpoly.<name> by a wrapper that logs
+    each call's first argument."""
+    module, attr = name.split(".")
+    target = f"flockspectra.{module}"
+    orig = getattr(sys.modules[target], attr)
+    calls = []
+
+    def spy(p, *args):
+        calls.append(p)
+        return orig(p, *args)
+    monkeypatch.setattr(f"{target}.{attr}", spy)
+    return calls
+
+
+def test_decentralized_kinds_and_verdicts_share_one_assembly(monkeypatch):
+    # b = a + c and d = c - e exactly, so the Laplacian twin's reduced
+    # matrix is p's own, bit for bit
+    def fresh():
+        return make_params(1, 2, None, 1.5, 0.5, 40)
+    want = {kind: compute_spectrum(fresh(), kind).eigenvalues()
+            for kind in ("full", "reduced", "laplacian")}
+    so = SecondOrderParams(1.0, 1.5)
+    verdicts = (first_order_verdict(fresh()),
+                second_order_verdict(fresh(), so))
+    calls = _spy(monkeypatch, "spectrum._assemble_reduced")
+    p = fresh()
+    for kind, eig in want.items():
+        assert compute_spectrum(p, kind).eigenvalues().tobytes() \
+            == eig.tobytes()
+    assert (first_order_verdict(p), second_order_verdict(p, so)) == verdicts
+    assert len(calls) == 1
+
+
+def test_signed_zero_d_keeps_two_assemblies(monkeypatch):
+    # c = e, so the twin's d = c - e is +0.0 against p.d = -0.0
+    calls = _spy(monkeypatch, "spectrum._assemble_reduced")
+    p = make_params(1, 2, 3, -0.0, 2, 12)
+    for kind in ("full", "laplacian", "full", "laplacian"):
+        compute_spectrum(p, kind)
+    assert [math.copysign(1, q.d) for q in calls] == [-1.0, 1.0]
+
+
+def test_twin_off_p_d_is_assembled_apart(monkeypatch):
+    # c - e = 1.5 against d = 1.25: -L is not p's reduced matrix
+    twin = make_params(1, 2, None, 1.5, 0.5, 30)
+    want = compute_spectrum(twin, "laplacian").eigenvalues()
+    calls = _spy(monkeypatch, "spectrum._assemble_reduced")
+    p = make_params(1, 2, 3, 1.25, 0.5, 30)
+    for kind in ("reduced", "laplacian", "full", "laplacian"):
+        got = compute_spectrum(p, kind).eigenvalues()
+    assert got.tobytes() == want.tobytes()
+    assert [q.d for q in calls] == [1.25, 1.5]
+
+
+@pytest.mark.parametrize("change", [{"d": 0.75}, {"n": 31}])
+def test_replaced_params_assemble_afresh(monkeypatch, change):
+    p = make_params(1.3, 0.7, None, 0.9, 0.4, 30)
+    compute_spectrum(p, "reduced")
+    calls = _spy(monkeypatch, "spectrum._assemble_reduced")
+    q = replace(p, **change)
+    got = compute_spectrum(q, "reduced").eigenvalues()
+    want = compute_spectrum(make_params(**{
+        **dict(a=1.3, c=0.7, b=2.0, d=0.9, e=0.4, n=30), **change}),
+        "reduced").eigenvalues()
+    assert got.tobytes() == want.tobytes()
+    assert len(calls) == 2 and calls[0] is q
+
+
+def test_kept_arrays_are_read_only_and_special_lists_fresh():
+    p = make_params(1, 1, None, 3.3, -2.25, 25)
+    first = compute_spectrum(p, "reduced")
+    for x in (first.bulk_ell, first.bulk_phi, first.bulk_eigenvalue):
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 0
+    kept = list(first.special)
+    first.special.append(first.special[0])
+    second = compute_spectrum(p, "reduced")
+    assert second.special == kept and second.special is not first.special
+    assert second.bulk_eigenvalue is first.bulk_eigenvalue
+
+
+def test_failed_assembly_raises_on_every_call(monkeypatch):
+    monkeypatch.setattr("flockspectra.spectrum._power_sum_residuals",
+                        lambda *args: (0.0, math.nan))
+    calls = _spy(monkeypatch, "spectrum._assemble_reduced")
+    p = make_params(1, 1, 2, 1e160, 1, 10)
+    for _ in range(3):
+        with pytest.raises(RootCountAnomaly):
+            compute_spectrum(p, "reduced")
+    assert len(calls) == 3
+
+
+def test_kept_assembly_logs_once(caplog):
+    p = make_params(1, 1, None, 3, -2.25, 10)
+    with caplog.at_level(logging.INFO, logger="flockspectra"):
+        compute_spectrum(p, "reduced")
+        n_first = len(caplog.records)
+        compute_spectrum(p, "full")
+    assert n_first == len(caplog.records) == 2
+
+
+@pytest.mark.parametrize("kind", ["full", "reduced", "laplacian"])
+def test_one_quadratic_per_spectrum(monkeypatch, kind):
+    # T2/2, with the twin's d = c - e = d: both seeds lie off the circle
+    # and are refined, each anchored on the roots _special_seeds took
+    quadratics = _spy(monkeypatch, "charpoly.quadratic_roots")
+    refined = _spy(monkeypatch, "spectrum.refine_special_root")
+    p = make_params(1, 2, None, -0.25, 2.25, 25)
+    spec = compute_spectrum(p, kind)
+    assert len(spec.special) == len(refined) == 2
+    assert len(quadratics) == 1
+    for other in ("full", "reduced", "laplacian"):
+        compute_spectrum(p, other)
+    assert len(quadratics) == 1 and len(refined) == 2
