@@ -57,17 +57,30 @@ class SystemParams:
         object.__setattr__(self, "_memo", {})
 
 
+def _integer(value, name: str = "value") -> int:
+    """value as an int: an integer, a float with an integral value such
+    as 5.0, or integer text such as "5".  Anything else, 2.9 or "a" say,
+    raises DomainError; nothing is truncated."""
+    try:
+        k = int(value)
+        if k == value or isinstance(value, str):
+            return k
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 def make_params(a, c, b, d, e, n):
     """Convert the raw scalars and return a validated SystemParams.
     b=None stands for a + c, the decentralized leader term; a value that
-    is not a finite number raises DomainError."""
+    is not a finite number, or an n that is not an integer, raises
+    DomainError."""
     try:
         a, c, d, e = float(a), float(c), float(d), float(e)
         b = a + c if b is None else float(b)
-        n = int(n)
     except (TypeError, ValueError, OverflowError) as ex:
         raise DomainError(f"parameters must be finite numbers: {ex}") from None
-    return SystemParams(a=a, c=c, b=b, d=d, e=e, n=n)
+    return SystemParams(a=a, c=c, b=b, d=d, e=e, n=_integer(n, "n"))
 
 
 def is_decentralized(p: SystemParams) -> bool:

@@ -23,7 +23,7 @@ from .charpoly import (_BLOCK, _off_circle_newton, _on_a_plus_e_line,
                        _special_seeds, eval_cotangent_residual)
 from .errors import (DomainError, NoConvergence, NotApplicable,
                      UnitCircleCollapse)
-from .model import SystemParams
+from .model import SystemParams, _integer
 
 DEVIATION_FLOOR = 1e-14        # double-precision fit floor
 REAL_SEED_TOL = 1e-12
@@ -110,9 +110,10 @@ def track_root_convergence(p: SystemParams, n_values: Sequence[int],
     regime can lower it.
     """
     try:
-        n_values = sorted(int(n) for n in n_values)
-    except (TypeError, ValueError, OverflowError) as ex:
-        raise DomainError(f"n_values must be integers: {ex}") from None
+        n_values = sorted(_integer(n, "n") for n in n_values)
+    except TypeError as ex:  # not iterable
+        raise DomainError(
+            f"n_values must be a sequence of integers: {ex}") from None
     if not n_values:
         raise DomainError("n_values must not be empty")
     replace(p, n=n_values[0])  # DimensionTooSmall below 2, as make_params
@@ -151,6 +152,7 @@ def perturbation_sign(p: SystemParams, n: int) -> int:
     """sgn(r(n) - r0) for the tracked real off-circle root; the theory
     predicts -sgn(a+e) for n above the regime threshold.  0 where the
     quadratic's double root seeds a pair that straddles it (_deviation)."""
+    n = _integer(n, "n")
     replace(p, n=n)  # DimensionTooSmall below 2, as make_params
     if _on_a_plus_e_line(p):
         raise NotApplicable("a+e=0: the deviation sign is undefined")
@@ -165,7 +167,7 @@ def perturbation_sign(p: SystemParams, n: int) -> int:
 def branch_function(p: SystemParams, n: int, phi: float) -> float:
     """g(phi) = cot(n phi) sin(phi) - B cos(phi), B=(e-a)/(e+a): the
     cotangent residual at dimension n plus its constant d tau/(e+a)."""
-    return (eval_cotangent_residual(replace(p, n=n), phi)
+    return (eval_cotangent_residual(replace(p, n=_integer(n, "n")), phi)
             + p.d * p.tau / (p.e + p.a))
 
 
@@ -179,6 +181,8 @@ def verify_branch_monotonicity(p: SystemParams, n: int,
     array per block of branches."""
     if _on_a_plus_e_line(p):
         raise NotApplicable("B is undefined at e+a=0")
+    n = _integer(n, "n")
+    samples_per_branch = _integer(samples_per_branch, "samples_per_branch")
     if samples_per_branch < 2:
         raise DomainError(f"samples_per_branch={samples_per_branch} < 2")
     q = p if n == p.n else replace(p, n=n)

@@ -433,7 +433,8 @@ def leader_eigenvector(p: SystemParams) -> EigenPair:
 
 
 def residual(M: np.ndarray, r: complex, v: np.ndarray) -> float:
-    """Relative eigenpair residual ||Mv - rv|| / (||M||_F ||v||)."""
+    """Relative eigenpair residual ||Mv - rv|| / (||M||_F ||v||).
+    DomainError if M, r or v holds an inf or a NaN."""
     M = np.asarray(M)
     v = np.asarray(v)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -443,6 +444,9 @@ def residual(M: np.ndarray, r: complex, v: np.ndarray) -> float:
             f"vector length {v.shape} does not match order {M.shape[0]}")
     if not np.any(v):
         raise DimensionMismatch("vector must be nonzero")
+    if not (np.isfinite(M).all() and np.isfinite(v).all()
+            and np.isfinite(r)):
+        raise DomainError("residual needs a finite matrix, value and vector")
     m, w = (2.0 ** np.frexp(np.abs(x).max())[1] for x in (M, v))
     M, r, v = M / m, r / m, v / w  # exact, and no norm overflows
     return float(np.linalg.norm(M @ v - r * v)

@@ -1,16 +1,18 @@
 """End-to-end tests for the command line interface."""
 
+import argparse
 import csv
 import hashlib
 import io
 import json
+import re
 from importlib import resources
 
 import jsonschema
 import pytest
 
 from flockspectra import compute_spectrum, make_params
-from flockspectra.cli import main
+from flockspectra.cli import PARAMS, _build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -554,3 +556,154 @@ class TestConfigAndErrors:
         assert out == ""
         doc = json.loads(path.read_text())
         assert doc["result"]["theorem"] == "T3"
+
+
+# Each subcommand's option strings, as the hand-written parser had them
+# before the parser was generated from PARAMS and COMMANDS.
+OPTIONS = {
+    "spectrum": "--a --c --b --d --e --n --format --output --config --kind",
+    "classify": "--a --c --b --d --e --n --format --output --config",
+    "stability": "--a --c --b --d --e --n --format --output --config "
+                 "--alpha --beta",
+    "simulate": "--a --c --b --d --e --n --format --output --config "
+                "--alpha --beta --t-end --dt --spacing --state-csv",
+    "convergence": "--a --c --b --d --e --format --output --config "
+                   "--n-values",
+    "verify": "--a --c --b --d --e --n --format --output --config --kind",
+    "monotonicity": "--a --c --b --d --e --n --format --output --config "
+                    "--samples",
+}
+
+
+def _param_keys(subcommand):
+    return [o[2:].replace("-", "_") for o in OPTIONS[subcommand].split()
+            if o != "--config"]
+
+
+def _subparsers() -> dict:
+    sub, = (a for a in _build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+class TestParameterTables:
+    def test_subcommands(self):
+        assert sorted(_subparsers()) == sorted(OPTIONS)
+
+    @pytest.mark.parametrize("subcommand", sorted(OPTIONS))
+    def test_option_strings(self, subcommand):
+        got = _subparsers()[subcommand]._option_string_actions
+        assert sorted(got) == sorted(
+            ["-h", "--help"] + OPTIONS[subcommand].split())
+
+    @pytest.mark.parametrize("subcommand", sorted(OPTIONS))
+    def test_help_defaults_come_from_params(self, capsys, subcommand):
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        flag, shown = None, []  # each default, after its own flag
+        for opt, default in re.findall(
+                r"(?<![\w-])--([a-z-]+)|\(default ([^)]*)\)", text):
+            if opt:
+                flag = opt
+            else:
+                shown.append((flag, default))
+        want = [(k.replace("_", "-"), str(PARAMS[k][1]))
+                for k in _param_keys(subcommand) if PARAMS[k][1] is not None]
+        assert sorted(shown) == sorted(want)
+
+
+STATE_ROWS = ["h,x0,v0"] + [f"{-k},{-k + 0.01 * k},{0.1 * k}"
+                            for k in range(7)]
+PARITY_BASE = {"a": 1.0, "c": 1.0, "d": 0.5, "e": 0.5, "n": 6}
+# key -> (subcommand, flag text, config value, further base entries); the
+# config value is what the flag parses to, so "inputs" echo it alike
+PARITY = {
+    "a": ("classify", "1.5", 1.5, {}),
+    "c": ("classify", "2", 2.0, {}),
+    "b": ("classify", "3", 3.0, {}),
+    "d": ("classify", "1.25", 1.25, {}),
+    "e": ("classify", "-0.5", -0.5, {}),
+    "n": ("classify", "9", 9, {}),
+    "alpha": ("stability", "1", 1.0, {"beta": 2.0}),
+    "beta": ("stability", "2", 2.0, {"alpha": 1.0}),
+    "t_end": ("simulate", "1.5", 1.5, {}),
+    "dt": ("simulate", "0.125", 0.125, {"t_end": 1.0}),
+    "kind": ("spectrum", "reduced", "reduced", {}),
+    "n_values": ("convergence", "10,20", "10,20", {"e": -2.25, "d": 2.95}),
+    "samples": ("monotonicity", "20", 20, {}),
+    "spacing": ("simulate", "2", 2.0, {"t_end": 1.0}),
+    "state_csv": ("simulate", "STATE", "STATE", {"t_end": 1.0}),
+    "format": ("classify", "csv", "csv", {}),
+    "output": ("classify", "OUT", "OUT", {}),
+}
+
+
+def test_parity_covers_every_key():
+    assert sorted(PARITY) == sorted(PARAMS)
+
+
+@pytest.mark.parametrize("key", sorted(PARITY))
+def test_flag_and_config_entry_agree(capsys, tmp_path, key):
+    subcommand, text, value, extra = PARITY[key]
+    state = tmp_path / "state.csv"
+    state.write_text("\n".join(STATE_ROWS) + "\n")
+    paths = {"STATE": str(state), "OUT": str(tmp_path / "out.txt")}
+    text, value = paths.get(text, text), paths.get(value, value)
+    base = {k: v for k, v in {**PARITY_BASE, **extra}.items() if k != key}
+    outputs = []
+    for cfg, flags in ((base, ["--" + key.replace("_", "-"), text]),
+                       ({**base, key: value}, [])):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, subcommand, "--config", str(path),
+                                 *flags)
+        assert code == 0, err
+        written = tmp_path / "out.txt"
+        outputs.append((out, written.read_text() if written.exists()
+                        else None))
+        if written.exists():
+            written.unlink()
+    assert outputs[0] == outputs[1]
+    assert any(outputs[0])
+
+
+# Values a flag could not take: argparse rejects them as flags, and the
+# same converters reject them in a config file.  Before the converters
+# were shared, only kind was caught; the others ran with a silent fix-up.
+@pytest.mark.parametrize("subcommand, entry", [
+    ("classify", {"format": "xml"}),
+    ("classify", {"n": 4.7}),
+    ("monotonicity", {"samples": 2.5}),
+    ("convergence", {"n_values": [10.5, 20]}),
+    ("spectrum", {"kind": "bogus"})],
+    ids=["format-xml", "n-4.7", "samples-2.5", "n_values-10.5",
+         "kind-bogus"])
+def test_config_value_no_flag_takes_exit_one(capsys, tmp_path, subcommand,
+                                             entry):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**PARITY_BASE, **entry}))
+    code, out, err = run_cli(capsys, subcommand, "--config", str(path))
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "DomainError"
+    assert next(iter(entry)) in doc["message"]
+
+
+def test_integral_float_config_value_runs(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**PARITY_BASE, "n": 9.0}))
+    doc = run_json(capsys, "classify", "--config", str(path))
+    assert doc["inputs"]["n"] == 9.0
+    assert doc == {**run_json(capsys, "classify", "--config", str(path),
+                              "--n", "9"), "inputs": doc["inputs"]}
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "5"], ids=["list", "number"])
+def test_config_that_is_not_an_object_exit_one(capsys, tmp_path, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, "classify", "--config", str(path))
+    assert code == 1
+    assert json.loads(err)["error"] == "FlockSpectraError"

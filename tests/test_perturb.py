@@ -4,9 +4,9 @@ import sys
 import numpy as np
 import pytest
 
-from flockspectra import (DimensionTooSmall, FlockSpectraError,
+from flockspectra import (DimensionTooSmall, DomainError, FlockSpectraError,
                           NoConvergence, NotApplicable, UnitCircleCollapse,
-                          make_params, perturbation_sign,
+                          branch_function, make_params, perturbation_sign,
                           track_root_convergence,
                           verify_branch_monotonicity)
 from flockspectra.charpoly import CIRCLE_EPS, NEWTON_MAX_ITER
@@ -352,3 +352,35 @@ def test_monotonicity_near_zero_e_plus_a_not_applicable():
     with pytest.raises(NotApplicable):
         verify_branch_monotonicity(make_params(1, 1, 2, 1, -1 + 1e-14, 10),
                                    10)
+
+
+# One integer rule for every count the library takes: integral floats such
+# as 5.0 pass, and nothing is truncated.  These ran with n = 2, ran with
+# n = 10, or raised a bare TypeError.
+@pytest.mark.parametrize("call", [
+    lambda p: make_params(1, 1, 2, 2.95, -2.25, 2.9),
+    lambda p: track_root_convergence(p, [10.5, 20]),
+    lambda p: verify_branch_monotonicity(p, 12, 2.5),
+    lambda p: verify_branch_monotonicity(p, 12, "a"),
+    lambda p: verify_branch_monotonicity(p, 12.5),
+    lambda p: perturbation_sign(p, 20.5),
+    lambda p: branch_function(p, 12.5, 0.1)],
+    ids=["make_params-n-2.9", "n_values-10.5", "samples-2.5", "samples-a",
+         "monotonicity-n-12.5", "perturbation_sign-n-20.5",
+         "branch_function-n-12.5"])
+def test_non_integer_count_raises_domain_error(call):
+    p = make_params(1, 1, 2, 2.95, -2.25, 12)
+    with pytest.raises(DomainError, match="must be an integer"):
+        call(p)
+
+
+def test_integral_float_counts_pass():
+    p = make_params(1, 1, 2, 2.95, -2.25, 12.0)
+    assert p.n == 12 and type(p.n) is int
+    assert make_params(1, 1, 2, 2.95, -2.25, "12") == p
+    assert track_root_convergence(p, [20.0, 10]).n_values == [10, 20]
+    assert (verify_branch_monotonicity(p, 12.0, 20.0)
+            == verify_branch_monotonicity(p, 12, 20))
+    q = make_params(1, 2, 3, 1, 1, 20)
+    assert perturbation_sign(q, 100.0) == perturbation_sign(q, 100) == -1
+    assert branch_function(p, 12.0, 0.1) == branch_function(p, 12, 0.1)

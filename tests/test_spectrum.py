@@ -247,6 +247,16 @@ class TestResidual:
         with pytest.raises(DimensionMismatch):
             residual(np.eye(3), 1.0, np.ones(4))
 
+    @pytest.mark.parametrize("M, r, v", [
+        (np.eye(3), 1.0, np.array([1.0, math.nan, 0.0])),
+        (np.diag([1.0, math.inf, 1.0]), 1.0, np.ones(3)),
+        (np.eye(3), complex(math.nan, 0.0), np.ones(3))],
+        ids=["nan-in-v", "inf-in-M", "nan-r"])
+    def test_non_finite_input_raises(self, M, r, v):
+        # a NaN result with a RuntimeWarning, before this was checked
+        with pytest.raises(DomainError, match="finite"):
+            residual(M, r, v)
+
 
 @settings(max_examples=60, deadline=None)
 @given(a=st.floats(0.2, 5), c=st.floats(0.2, 5), b=st.floats(-5, 5),
