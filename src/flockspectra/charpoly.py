@@ -13,11 +13,11 @@ the cotangent equation
 and are located branch by branch: every branch is a bracket of the
 pole-free H(phi) = a sin((n+1) phi) - d tau sin(n phi) - e sin((n-1)
 phi), whose end signs are known in closed form, polished by Newton's
-method from a Newton step on the branch function (see
-find_branch_roots); most roots cost one evaluation of H.  Roots off the
-circle are tracked by Newton iteration on their deviation from the
-quadratic seeds y+- of a y^2 - d tau y - e, in one float loop that
-perturb runs too.  On the line a + e = 0 the one special eigenvalue is
+method from one or two steps on the branch function (see
+find_branch_roots); almost every root costs one evaluation of H.
+Roots off the circle are tracked by Newton iteration on their deviation
+from the quadratic seeds y+- of a y^2 - d tau y - e, in one float loop
+that perturb runs too.  On the line a + e = 0 the one special eigenvalue is
 exactly d.  sqrt(ac), the quadratic and H are formed on power-of-two
 scalings of the parameters, so scaling a, c, d and e by 2^k scales
 every eigenvalue by exactly 2^k.
@@ -186,10 +186,7 @@ def _seed_quadratic(p: SystemParams) -> QuadraticRoots:
     """quadratic_roots(p), formed once per instance and kept on its memo
     (QuadraticRoots is frozen), so that _special_seeds and every
     refine_special_root of one assembly read the same roots."""
-    q = p._memo.get("quadratic")
-    if q is None:
-        q = p._memo["quadratic"] = quadratic_roots(p)
-    return q
+    return p._kept("quadratic", quadratic_roots)
 
 
 def special_eigen_estimates(p: SystemParams) -> SpecialEigenEstimate:
@@ -250,10 +247,14 @@ def _unit_coefficients(p: SystemParams):
     """(a, e, d tau) over the power of two just above the largest of
     them: H, H', G at the branch ends and their rounding floors formed on
     these stay finite at any scale, and scaling a, c, d and e by 2^k
-    leaves them bit for bit the same."""
-    dt = p.d * p.tau
-    k = -math.frexp(max(p.a, abs(p.e), abs(dt)))[1]
-    return math.ldexp(p.a, k), math.ldexp(p.e, k), math.ldexp(dt, k)
+    leaves them bit for bit the same.  Kept on p's memo, as every H
+    evaluation reads them."""
+    def unit(p):
+        dt = p.d * p.tau
+        k = -math.frexp(max(p.a, abs(p.e), abs(dt)))[1]
+        return math.ldexp(p.a, k), math.ldexp(p.e, k), math.ldexp(dt, k)
+
+    return p._kept("unit", unit)
 
 
 def _h_and_slope(p: SystemParams, phi):
@@ -270,8 +271,11 @@ def _h_and_slope(p: SystemParams, phi):
     far = phi > math.pi / 2
     x = np.where(far, math.pi - phi, phi)
     flip = np.where(far, -1.0, 1.0)
-    sn = np.sin(n * x) * (1.0 if n % 2 else flip)
-    cn = np.cos(n * x) * (flip if n % 2 else 1.0)
+    sn, cn = np.sin(n * x), np.cos(n * x)
+    if n % 2:
+        cn *= flip
+    else:
+        sn *= flip
     s1, c1 = np.sin(x), flip * np.cos(x)
     h = (a - e) * sn * c1 + (a + e) * cn * s1 - dt * sn
     dh = ((a * (n + 1) - e * (n - 1)) * cn * c1
@@ -291,35 +295,63 @@ def _brackets(p: SystemParams):
     m = np.arange(n + 1)
     edges = m * math.pi / n
     edges[-1] = math.pi
-    g = np.where(m % 2 == 1, -(a + e), a + e)
+    neg = m % 2 == (a + e > 0)
     # An outer G within its rounding error of 0 is a finite-n threshold:
     # that end takes its neighbour's sign, and the root merging with y =
     # +-1 is left to the caller's count.
     floor = 4 * EPS * (abs(a) * (n + 1) + abs(dt) * n + abs(e) * (n - 1))
     g0 = a * (n + 1) - dt * n - e * (n - 1)
-    g[0] = g0 if abs(g0) > floor else g[1]
+    neg[0] = g0 < 0 if abs(g0) > floor else neg[1]
     gpi = (-1) ** n * (a * (n + 1) + dt * n - e * (n - 1))
-    g[-1] = gpi if abs(gpi) > floor else g[-2]
-    neg = g < 0
+    neg[-1] = gpi < 0 if abs(gpi) > floor else neg[-2]
     ell = np.arange(1, n + 1)
-    cut = np.array([phi for phi in _stationary_angles(p)
-                    if phi not in edges])
-    if len(cut):
-        k = np.searchsorted(edges, cut)
-        edges = np.insert(edges, k, cut)
-        neg = np.insert(neg, k, _h_and_slope(p, cut)[0] < 0)
-        ell = np.insert(ell, k - 1, ell[k - 1])
+    cut = [phi for phi in _stationary_angles(p) if phi not in edges]
+    if not cut:  # G changes sign at every inner end: drop an end branch
+        i, j = int(neg[0] == neg[1]), n - int(neg[-2] == neg[-1])
+        return ell[i:j], edges[i:j], edges[i + 1:j + 1], neg[i:j]
+    cut = np.array(cut)
+    k = np.searchsorted(edges, cut)
+    edges = np.insert(edges, k, cut)
+    neg = np.insert(neg, k, _h_and_slope(p, cut)[0] < 0)
+    ell = np.insert(ell, k - 1, ell[k - 1])
     change = np.flatnonzero(neg[:-1] != neg[1:])
     return ell[change], edges[change], edges[change + 1], neg[change]
 
 
+def _f_step(target, x, n, B, C):
+    """At x: the point that one Newton step on F = n phi - theta = target
+    reaches, K = F''/(2 F'), r^2 and F'.  Here theta = arccot(R) =
+    atan2(sin(phi), C + B cos(phi)), as sin(phi) > 0, r^2 = sin(phi)^2 +
+    (C + B cos(phi))^2, theta' = (C cos(phi) + B) / r^2, F' = n - theta'
+    and F'' = -theta'' = sin(phi) (C + 2 theta' ((1 - B^2) cos(phi) - B
+    C)) / r^2.  Past |C| ~ 1e154, r^2 overflows and theta' and K read 0,
+    off by less than 1/|C|."""
+    s1, c1 = np.sin(x), np.cos(x)
+    q = C + B * c1
+    r2 = s1 * s1 + q * q
+    slope = (C * c1 + B) / r2
+    fp = n - slope
+    k = s1 * (0.5 * C + slope * ((1 - B * B) * c1 - B * C)) / (r2 * fp)
+    return (target + np.arctan2(s1, q) - slope * x) / fp, k, r2, fp
+
+
 def _safeguarded_newton(p: SystemParams, ell, lo, hi, neg, stats=None):
     """The root in each bracket [lo, hi] of branch ell, by Newton steps
-    on H from one Newton step on F = n phi - theta = (ell-1) pi at the
-    midpoint m (from eps hi inside the end that step reaches or passes,
-    or inside lo where it is NaN); theta =
-    arccot(R) = atan2(sin(phi), C + B cos(phi)), as sin(phi) > 0, and
-    theta' = (C cos(phi) + B) / r^2, r = hypot(sin(phi), C + B cos(phi)).
+    on H from a seed of one or two steps on F = n phi - theta = (ell-1)
+    pi (see _f_step).  A seed at or past an end of the bracket, or NaN,
+    restarts eps hi inside the end it reaches (inside lo where it is
+    NaN).
+
+    Each step on F is Chebyshev's (cubic): Newton's step y from x less
+    its quadratic term K (x - y)^2, the first from the midpoint m.  The
+    second is taken only where the error err = K (m - y)^2 that Newton's
+    step alone would leave, taken as the first H step s, fails the
+    quadratic done test below; as H = +-(a+e) r sin(F - (ell-1) pi),
+    |H'| = |a+e| r |F'| at a root, that is where 1024 M2 err^2 > 4 eps x
+    |a+e| r |F'|.  At sweep sizes (n <= 480) that holds on most
+    brackets, as err is O(1/n^3); from n ~ 5000 on few, mostly at small
+    phi, where the test's floor eps x is smallest.  Where more than half
+    of the brackets take it, all of them do, which spares the gathers.
 
     neg says whether H is negative at lo; its sign at each iterate moves
     one end of the bracket there.  A step that lands inside the bracket,
@@ -329,9 +361,10 @@ def _safeguarded_newton(p: SystemParams, ell, lo, hi, neg, stats=None):
     without evaluating H again, once the step lands inside the bracket
     and 1024 M2 s^2 <= 4 eps x |H'(x)|, M2 = |a|(n+1)^2 + |d tau| n^2 +
     |e|(n-1)^2 >= |H''|: the error left after that step, at most M2 s^2
-    / (2 |H'|), is then below eps x / 512.  Most roots take one H
+    / (2 |H'|), is then below eps x / 512.  So most roots take one H
     evaluation.  stats, if given, is an integer array that gains the
-    H-evaluated points, the Newton sweeps and the bisection steps.
+    steps on F, the H-evaluated points, the Newton sweeps and the
+    bisection steps.
     """
     (a, e, dt), n = _unit_coefficients(p), p.n
     B = (e - a) / (e + a)
@@ -339,22 +372,31 @@ def _safeguarded_newton(p: SystemParams, ell, lo, hi, neg, stats=None):
     m2 = abs(a) * (n + 1) ** 2 + abs(dt) * n * n + abs(e) * (n - 1) ** 2
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         mid = 0.5 * (lo + hi)
-        s1, c1 = np.sin(mid), np.cos(mid)
-        q = C + B * c1
-        r = np.hypot(s1, q)
-        slope = (C * c1 + B) / r / r  # theta'(m), finite for huge |C|
-        x = (((ell - 1) * math.pi + np.arctan2(s1, q) - slope * mid)
-             / (n - slope))
+        target = (ell - 1) * math.pi
+        y, k, r2, fp = _f_step(target, mid, n, B, C)
+        err = k * (mid - y) ** 2
         # a seed at or past an end (or NaN) restarts eps hi inside it:
         # there the root lies within rounding of that end, which
         # bisecting from the midpoint would reach after ~50 halvings
         nudge = EPS * hi
-        x = np.fmin(np.fmax(x, lo + nudge), hi - nudge)
+        first, last = lo + nudge, hi - nudge
+        x = np.fmin(np.fmax(y - err, first), last)
+        # 1024 M2 s^2 > 4 eps x |a+e| r |F'| with s = err: one H step
+        # from x would not finish
+        again = (err * err > 4 * EPS * abs(a + e) / (1024 * m2) * x
+                 * np.sqrt(r2) * np.abs(fp)).nonzero()[0]
+        if len(again) > len(x) // 2:
+            again = slice(None)
+        x1 = x[again]
+        if len(x1):
+            y, k = _f_step(target[again], x1, n, B, C)[:2]
+            x[again] = np.fmin(np.fmax(y - k * (x1 - y) ** 2, first[again]),
+                               last[again])
+        if stats is not None:
+            stats[0] += len(x) + len(x1)
         phi = np.empty_like(x)
         todo = np.arange(len(x))
         for _ in range(NEWTON_MAX_ITER):
-            if not len(todo):
-                break
             h, dh = _h_and_slope(p, x)
             left = (h < 0) != neg  # the root lies in [lo, x]
             lo, hi = np.where(left, lo, x), np.where(left, x, hi)
@@ -365,12 +407,19 @@ def _safeguarded_newton(p: SystemParams, ell, lo, hi, neg, stats=None):
             # rounding noise of H exceeds tol, Newton would hop between
             # the two ends for good, so that step bisects instead.
             inside = (lo < new) & (new < hi)
-            newton = inside | (np.abs(new - x) <= tol)
-            new = np.where(newton, new, 0.5 * (lo + hi))
-            done = ((np.abs(new - x) <= tol)
-                    | (inside & (1024 * m2 * step * step <= tol * np.abs(dh))))
+            close = np.abs(new - x) <= tol
+            newton = inside | close
+            done = close | (inside
+                            & (1024 * m2 * step * step <= tol * np.abs(dh)))
+            if not newton.all():  # the rest bisect
+                out = ~newton
+                new[out] = 0.5 * (lo[out] + hi[out])
+                done[out] = np.abs(new[out] - x[out]) <= tol[out]
             if stats is not None:
-                stats += (len(x), 1, len(x) - np.count_nonzero(newton))
+                stats[1:] += (len(x), 1, len(x) - np.count_nonzero(newton))
+            if done.all():
+                phi[todo] = new
+                break
             phi[todo[done]] = new[done]
             more = ~done
             x, lo, hi, neg, todo = new[more], lo[more], hi[more], \
@@ -384,12 +433,13 @@ def _branch_root_arrays(p: SystemParams):
     """(ell, phi, eigenvalue) arrays of every unit-circle root, sorted by
     phi: the brackets of _brackets, polished _BLOCK at a time, so that
     the Newton temporaries stay small enough for the cache.  With DEBUG
-    logging on, one record gives n, the brackets, the points at which
-    Newton evaluated H, its sweeps and its bisection steps."""
+    logging on, one record gives n, the brackets, the Newton steps on F
+    of the seeds, the points at which Newton evaluated H, its sweeps and
+    its bisection steps."""
     if _on_a_plus_e_line(p):
         return _closed_form_arrays(p)
     ell, lo, hi, neg = _brackets(p)
-    stats = np.zeros(3, dtype=int) if _log.isEnabledFor(logging.DEBUG) \
+    stats = np.zeros(4, dtype=int) if _log.isEnabledFor(logging.DEBUG) \
         else None
     phi = np.empty(len(ell))
     for i in range(0, len(ell), _BLOCK):
@@ -397,9 +447,9 @@ def _branch_root_arrays(p: SystemParams):
         phi[part] = _safeguarded_newton(p, ell[part], lo[part], hi[part],
                                         neg[part], stats)
     if stats is not None:
-        _log.debug("branch scan: n=%d, %d brackets, H evaluated at %d "
-                   "points in %d Newton sweeps, %d bisection steps", p.n,
-                   len(ell), *stats.tolist())
+        _log.debug("branch scan: n=%d, %d brackets, %d seed steps on F, H "
+                   "evaluated at %d points in %d Newton sweeps, %d "
+                   "bisection steps", p.n, len(ell), *stats.tolist())
     return ell, phi, 2 * _sqrt_product(p.a, p.c) * np.cos(phi)
 
 
@@ -418,10 +468,11 @@ def find_branch_roots(p: SystemParams) -> List[BranchRoot]:
     a stationary angle is cut there, H is evaluated at the cut, and each
     piece holds at most one root.  The brackets of all n branches are
     built at once and polished by safeguarded Newton on H, _BLOCK
-    brackets at a time, from one Newton step on F at the midpoint; a
-    step whose quadratic error bound is below the rounding floor is
-    taken without evaluating H again, so most roots cost one H
-    evaluation (see _safeguarded_newton).
+    brackets at a time, from a seed of one Chebyshev step on F at the
+    midpoint, and a second where the first would leave H more than one
+    Newton step; a step whose quadratic error bound is below the
+    rounding floor is taken without evaluating H again, so almost every
+    root costs one H evaluation (see _safeguarded_newton).
 
     Where G(0) or G(pi) is zero to within its rounding error (a finite-n
     threshold), a root of an end branch merges with y = +-1; that end

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import DegenerateCoupling, DimensionTooSmall, DomainError
 
 EPS = float(np.finfo(float).eps)
+_PLAIN = frozenset((float, int))
 
 
 @dataclass(frozen=True)
@@ -29,8 +30,8 @@ class SystemParams:
     leader's self-term, d and e the trailing-row boundary overrides, and
     n the reduced dimension (the full matrix is (n+1) x (n+1)).  Each
     instance keeps a private memo of results derived from it (see
-    spectrum.compute_spectrum); it is not a field, so eq, hash, repr and
-    dataclasses.replace never see it.
+    spectrum.compute_spectrum and spectrum.classify_regime); it is not a
+    field, so eq, hash, repr and dataclasses.replace never see it.
     """
 
     a: float
@@ -42,9 +43,12 @@ class SystemParams:
     tau: float = field(init=False)
 
     def __post_init__(self):
-        if not (all(isinstance(v, numbers.Real) and math.isfinite(v)
-                    for v in (self.a, self.c, self.b, self.d, self.e))
-                and isinstance(self.n, numbers.Integral)):
+        values = (self.a, self.c, self.b, self.d, self.e)
+        # exact floats and ints pass without the slower abc checks
+        if not ((type(self.n) is int and {*map(type, values)} <= _PLAIN
+                 or all(isinstance(v, numbers.Real) for v in values)
+                 and isinstance(self.n, numbers.Integral))
+                and all(map(math.isfinite, values))):
             raise DomainError("parameters must be finite real numbers and "
                               f"n an integer, got {vars(self)}")
         if not (self.a > 0 and self.c > 0):
@@ -55,6 +59,14 @@ class SystemParams:
         # two roots, not sqrt(a/c): the ratio a/c can leave the float range
         object.__setattr__(self, "tau", math.sqrt(self.a) / math.sqrt(self.c))
         object.__setattr__(self, "_memo", {})
+
+    def _kept(self, key, make):
+        """make(self), formed on the first call with this key and kept on
+        the memo for every later one."""
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = make(self)
+        return value
 
 
 def _integer(value, name: str = "value") -> int:

@@ -196,8 +196,13 @@ def classify_regime(p: SystemParams) -> RegimeLabel:
     """Deterministic (theorem, case) selection from the inequalities.
 
     Equalities follow the non-strict inequalities as printed; where two
-    cases touch, the earlier-listed case wins.
+    cases touch, the earlier-listed case wins.  The label (frozen) is
+    kept on p's memo, so every later call on p returns it at once.
     """
+    return p._kept("regime", _classify)
+
+
+def _classify(p: SystemParams) -> RegimeLabel:
     a, c, d, e, tau = p.a, p.c, p.d, p.e, p.tau
     cell = pred = None
     if is_decentralized(p):
@@ -279,19 +284,20 @@ def _certify_count(p: SystemParams, bulk, special):
     Every spectrum, corrected or not, must leave both power-sum
     residuals within _power_sum_tol; a NaN residual fails."""
     eig, nspecial = bulk[2], len(special)
-    msg = f"found {len(eig)} bulk + {nspecial} special roots, expected {p.n}"
     short = p.n - len(eig) - nspecial
     if short == 1:
         total = np.sum(eig) + sum(s.eigenvalue for s in special)
         r = p.d - float(total.real)
         y = _root_of_eigenvalue(p, r)
         special = special + [SpecialRoot(seed=y, y=y, eigenvalue=complex(r))]
+    msg = f"found {len(eig)} bulk + {nspecial} special roots, expected {p.n}"
     if short in (0, 1):
         res = _power_sum_residuals(p, eig, special)
         if short:
             _log.info("trace correction: recovered root %r; power-sum "
                       "residuals %.3g, %.3g", r, *res)
-        if all(x <= _power_sum_tol(p.n) for x in res):  # fails on NaN
+        tol = _power_sum_tol(p.n)
+        if res[0] <= tol and res[1] <= tol:  # fails on NaN
             return bulk, special
         msg += f"; power-sum residuals {res[0]:.3g}, {res[1]:.3g}"
     raise RootCountAnomaly(msg, expected=p.n, bulk_count=len(eig),
@@ -337,20 +343,26 @@ def _assemble_reduced(p: SystemParams):
     return _certify_count(p, bulk, special)
 
 
+def _twin(p: SystemParams) -> SystemParams:
+    """The decentralized twin (b, d) = (a+c, c-e) of p, whose full matrix
+    less (a+c) I is -L, kept on p's memo with the label it keeps."""
+    return p._kept("twin", lambda p: replace(p, b=p.a + p.c, d=p.c - p.e))
+
+
 def _kept_assembly(p: SystemParams, q: SystemParams):
     """_assemble_reduced(q), kept on p's memo under the bits of q.d: q is
     p or its decentralized twin, which differ at most in b and d, and b
     does not enter the reduced matrix.  The bulk arrays are kept
     read-only and the special roots as a tuple; each call gets a fresh
     list of them.  An assembly that raises is not kept."""
-    key = float(q.d).hex()  # tells -0.0 from +0.0
-    kept = p._memo.get(key)
-    if kept is None:
+    def frozen(_):
         bulk, special = _assemble_reduced(q)
         for x in bulk:
             x.flags.writeable = False
-        kept = p._memo[key] = bulk, tuple(special)
-    return kept[0], list(kept[1])
+        return bulk, tuple(special)
+
+    bulk, special = p._kept(float(q.d).hex(), frozen)  # -0.0 apart from 0.0
+    return bulk, list(special)
 
 
 def compute_spectrum(p: SystemParams, kind: str = "full") -> Spectrum:
@@ -372,11 +384,13 @@ def compute_spectrum(p: SystemParams, kind: str = "full") -> Spectrum:
     decentralized p, -L shares it with "full" and "reduced".  The bulk
     arrays of the Spectrum are therefore read-only, p keeps them alive,
     and the INFO records of an assembly are logged on its first call
-    only.  A failed assembly is not kept: it raises on every call.
+    only.  A failed assembly is not kept: it raises on every call.  The
+    twin and the regime labels are kept on p too, so a call that finds
+    its assembly kept only builds the Spectrum.
     """
     if kind not in ("full", "reduced", "laplacian"):
         raise DomainError(f"unknown matrix kind {kind!r}")
-    q = replace(p, b=p.a + p.c, d=p.c - p.e) if kind == "laplacian" else p
+    q = _twin(p) if kind == "laplacian" else p
     regime = classify_regime(q)
     (ell, phi, eig), special = _kept_assembly(p, q)
     return Spectrum(leader=None if kind == "reduced" else q.b,

@@ -63,11 +63,16 @@ def laplacian_spectrum(p: SystemParams) -> np.ndarray:
     return compute_spectrum(p, "laplacian").eigenvalues()
 
 
-def _modes(values, scale):
-    """(zero modes, spectral abscissa, witness): how many values lie
-    within ZERO_MODE_REL_TOL scale of 0, the largest real part of the
-    others, and the first of them that has it."""
-    zero = np.abs(values) <= ZERO_MODE_REL_TOL * scale
+def _zero_lambdas(p: SystemParams, lambdas):
+    """Which eigenvalues of -L are zero modes: those within
+    ZERO_MODE_REL_TOL (a+c) of 0."""
+    return np.abs(lambdas) <= ZERO_MODE_REL_TOL * (p.a + p.c)
+
+
+def _modes(values, zero):
+    """(zero modes, spectral abscissa, witness): how many values the mask
+    zero marks, the largest real part of the others, and the first of
+    them that has it."""
     rest = values[~zero]
     k = int(np.argmax(rest.real))
     return int(zero.sum()), float(rest.real[k]), complex(rest[k])
@@ -94,7 +99,7 @@ def first_order_verdict(p: SystemParams) -> StabilityVerdict:
 def _first_order_rule(p: SystemParams, lambdas) -> StabilityVerdict:
     """The first-order verdict from the eigenvalue array lambdas of -L."""
     a, c, e = p.a, p.c, p.e
-    nzero, abscissa, witness_pos = _modes(lambdas, a + c)
+    nzero, abscissa, witness_pos = _modes(lambdas, _zero_lambdas(p, lambdas))
     # -(a+e)(c+e)/e on its factors' fractions: finite where the mode is
     (x, i), (y, j), (z, k) = map(math.frexp, (a + e, c + e, e))
     with np.errstate(over="ignore"):
@@ -160,13 +165,17 @@ def second_order_verdict(p: SystemParams,
 
     Negative lambda always exist, so any non-positive alpha or beta puts
     a nu in the closed right half plane: unstable.  With alpha, beta > 0
-    the verdict mirrors the first-order one, with a double zero mode.
+    the verdict mirrors the first-order one, with a double zero mode:
+    the two nu of each zero mode of -L, and no others.
     """
     if not is_decentralized(p):
         raise NotDecentralized("the stability sign rule assumes b=a+c and c=e+d")
     lambdas = laplacian_spectrum(p)
     nus = second_order_eigenvalues(lambdas, so)
-    nzero, abscissa, witness = _modes(nus, p.a + p.c)
+    # each zero lambda gives its two nu = 0, and only these are zero
+    # modes: a slow mode nu ~ -alpha/beta keeps its size at any scale
+    nzero, abscissa, witness = _modes(
+        nus, np.repeat(_zero_lambdas(p, lambdas), 2))
 
     if so.alpha <= 0 or so.beta <= 0:
         return StabilityVerdict("unstable", witness, nzero,

@@ -380,8 +380,10 @@ class TestFindBranchRoots:
         with caplog.at_level(logging.DEBUG, logger="flockspectra"):
             ell, _, _ = charpoly._branch_root_arrays(p)
         [record] = [r for r in caplog.records if r.levelno == logging.DEBUG]
-        n, brackets, points, sweeps, bisections = record.args
+        n, brackets, f_steps, points, sweeps, bisections = record.args
         assert (n, brackets) == (500, len(ell))
+        # one seed step on F per bracket, and a second on some of them
+        assert brackets <= f_steps <= 2 * brackets
         # H is also evaluated at the (here two) stationary cuts
         assert points == sum(calls) - len(_stationary_angles(p))
         assert 1 <= sweeps <= len(calls) and 0 <= bisections < points
@@ -409,12 +411,12 @@ class TestFindBranchRoots:
         p = make_params(4.815954529586176, 3.6789917157129617, None,
                         1.6686504799056398e22, -6.446890898809286, 118)
         ell, lo, hi, neg = _brackets(p)
-        stats = np.zeros(3, dtype=int)
+        stats = np.zeros(4, dtype=int)
         phi = _safeguarded_newton(p, ell, lo, hi, neg, stats)
         # a Newton step at the rounding floor may pass an end by an ulp
         assert len(phi) == 117
         assert np.all(np.abs(phi - np.clip(phi, lo, hi)) <= np.spacing(hi))
-        assert stats[0] <= 1.2 * len(phi)
+        assert stats[1] <= 1.2 * len(phi)
 
 
 def test_huge_d_tau_n_assembles_exactly_in_scale():

@@ -559,6 +559,71 @@ def test_t3_double_root_at_n_100_passes_the_power_sums(kind):
     assert max(res) <= _power_sum_tol(p.n)
 
 
+# (a, c, d, e), one set per regime row off the line a + e = 0 and one per
+# cell of the decentralized table (b = a + c, d = c - e), drawn as the
+# benchmark draws them
+REGIME_SETS = [
+    (1.064453125, 1.45703125, 3.0517578125, -0.3525390625),  # T1 1
+    (0.6259765625, 0.70703125, 0.0537109375, 0.4912109375),  # T1 2
+    (0.9990234375, 1.4208984375, -2.8330078125, -0.138671875),  # T1 3
+    (0.607421875, 1.6923828125, 2.3681640625, 1.501953125),  # T2 1
+    (1.029296875, 0.6318359375, 0.0732421875, 1.392578125),  # T2 2
+    (1.5927734375, 0.787109375, -1.5703125, 2.8818359375),  # T2 3
+    (1.111328125, 1.8662109375, -6.2861328125, -2.603515625),  # T3 1
+    (1.2646484375, 0.6875, -3.2685546875, -3.373046875),  # T3 2a
+    (1.6142578125, 0.71484375, -1.2744140625, -3.861328125),  # T3 2b
+    (1.001953125, 1.6591796875, 4.62890625, -2.6904296875),  # T3 2c
+    (1.7216796875, 1.302734375, 6.869140625, -4.3759765625),  # T3 3
+    (0.7666015625, 0.447265625, 2.607421875, -2.16015625),  # e<-a, c<a
+    (1.6669921875, 1.6669921875, 4.974609375, -3.3076171875),  # e<-a, c=a
+    (1.8154296875, 5.05078125, 8.7021484375, -3.6513671875),  # e<-a, c>a
+    (0.78515625, 0.4033203125, 0.095703125, 0.3076171875),  # |e|<=a, c<a
+    (1.95703125, 1.95703125, 2.078125, -0.12109375),  # |e|<=a, c=a
+    (1.412109375, 2.2861328125, 1.7080078125, 0.578125),  # |e|<=a, c>a
+    (1.49609375, 1.0166015625, -1.37890625, 2.3955078125),  # e>a, c<a
+    (1.5576171875, 1.5576171875, -1.8427734375, 3.400390625),  # e>a, c=a
+    (1.4130859375, 2.4130859375, -0.6796875, 3.0927734375),  # e>a, c>a
+]
+
+
+def _h_points(p):
+    """(H points, brackets) of the branch scan of p, and whether every
+    root lies in its bracket (a step at the rounding floor may pass an
+    end by an ulp)."""
+    from flockspectra.charpoly import _BLOCK, _brackets, _safeguarded_newton
+    ell, lo, hi, neg = _brackets(p)
+    stats = np.zeros(4, dtype=int)
+    phi = np.concatenate([_safeguarded_newton(
+        p, ell[i:i + _BLOCK], lo[i:i + _BLOCK], hi[i:i + _BLOCK],
+        neg[i:i + _BLOCK], stats) for i in range(0, len(ell), _BLOCK)])
+    inside = np.all(np.abs(phi - np.clip(phi, lo, hi)) <= np.spacing(hi))
+    return stats[1], len(ell), inside
+
+
+@pytest.mark.parametrize("n", [24, 64, 160, 480])
+def test_one_h_evaluation_per_bracket_at_sweep_sizes(n):
+    # A seed of one Newton step on F takes 2.33, 2.04, 1.96 and 1.87 H
+    # points per bracket over these sets; with a second step where the
+    # first leaves more than one H step of work it takes 1.00
+    for a, c, d, e in REGIME_SETS:
+        p = make_params(a, c, None, d, e, n)
+        points, brackets, inside = _h_points(p)
+        assert points <= 1.2 * brackets and inside
+        _assert_matches_lapack(a, c, None, d, e, n, "reduced")
+
+
+@pytest.mark.parametrize("n, before", [(1920, 54917), (7680, 163343)])
+def test_h_points_at_scaling_sizes_no_more_than_before(n, before):
+    # before: the H points a seed of one Newton step on F takes over
+    # these sets
+    total = 0
+    for a, c, d, e in REGIME_SETS:
+        points, _, inside = _h_points(make_params(a, c, None, d, e, n))
+        assert inside
+        total += points
+    assert total <= before
+
+
 def test_split_pair_next_to_a_double_root_assembles():
     # y+- = 1.48009538541 and 1.48009534395, 4e-8 apart: the roots of f
     # they seed are 1.2e-6 apart, and formed about the float y+- Newton
@@ -910,6 +975,26 @@ def test_decentralized_kinds_and_verdicts_share_one_assembly(monkeypatch):
             == eig.tobytes()
     assert (first_order_verdict(p), second_order_verdict(p, so)) == verdicts
     assert len(calls) == 1
+
+
+def test_kept_call_only_builds_the_spectrum(monkeypatch):
+    # the twin and the regime labels are kept on p next to the assembly:
+    # a later call of any kind forms no params, label or assembly again
+    import flockspectra.spectrum as spectrum
+    p = make_params(1, 2, 3, 1.25, 0.5, 30)
+    first = {kind: compute_spectrum(p, kind)
+             for kind in ("full", "reduced", "laplacian")}
+    labels = _spy(monkeypatch, "spectrum._classify")
+    assemblies = _spy(monkeypatch, "spectrum._assemble_reduced")
+    made = []
+    monkeypatch.setattr(spectrum, "replace",
+                        lambda *a, **kw: made.append(kw) or replace(*a, **kw))
+    for kind, s in first.items():
+        again = compute_spectrum(p, kind)
+        assert again == s
+        assert again.params is s.params and again.regime is s.regime
+    assert classify_regime(p) is first["full"].regime
+    assert labels == assemblies == made == []
 
 
 def test_signed_zero_d_keeps_two_assemblies(monkeypatch):

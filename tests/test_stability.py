@@ -234,6 +234,16 @@ class TestSecondOrderVerdict:
                                                  20), SecondOrderParams(1, 1))
         assert math.isfinite(v.spectral_abscissa)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e150])
+    def test_zero_modes_do_not_grow_with_scale(self, scale):
+        # the slow modes nu ~ -alpha/beta = -1 keep their size while
+        # 1e-8 (a+c) grows with the scale: only the two nu of -L's zero
+        # mode are zero modes
+        p = make_params(scale, scale, None, 0.5 * scale, 0.5 * scale, 20)
+        v = second_order_verdict(p, SecondOrderParams(1, 1))
+        assert (v.stable, v.zero_multiplicity) == ("stable", 2)
+        assert v.spectral_abscissa < 0
+
     def test_rejects_non_decentralized(self):
         with pytest.raises(NotDecentralized):
             second_order_verdict(make_params(1, 1, 2, 0, 0, 20),
@@ -434,11 +444,13 @@ VERDICTS = [
       2, -0.16378584441099875, -8.513854907138565),
      ('inconclusive', 5, complex(-0.04094646110274969, 0.4026279072967493),
       4, -0.04094646110274969, -8.513854907138565)),
+    # -L's mode at 1.4e-11 counts as a zero mode, so its two nu = +-3.8e-6
+    # do too, and the witness is the nu nearest the first-order one
     ((1.0, 3.0, -2.0, 24),
      ('unstable', 0, complex(-0.5002556465038634, 0.0),
       2, -0.5002556465038634, -0.5),
-     ('unstable', 1, complex(3.763483480970296e-06, 0.0),
-      2, 3.763483480970296e-06, -0.5)),
+     ('unstable', 1, complex(-3.763476399079666e-06, 0.0),
+      4, -0.12506391162596586, -0.5)),
     ((1.0, 3.0, -2.0, 96),
      ('unstable', 0, complex(-0.500000000000254, 0.0),
       2, -0.500000000000254, -0.5),
