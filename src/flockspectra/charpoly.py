@@ -98,13 +98,26 @@ class SpecialEigenEstimate:
     r_minus: Optional[complex]
 
 
+def _as_complex(y, name: str = "y") -> complex:
+    """y as a complex number, or DomainError where it is not a finite
+    number."""
+    try:
+        z = complex(y)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a number, got {y!r}") from None
+    if not cmath.isfinite(z):
+        raise DomainError(f"{name} must be finite, got {y!r}")
+    return z
+
+
 def eval_polynomial(p: SystemParams, y: complex) -> complex:
     """Evaluate f(y) = (a y^2 - d tau y - e) y^(2n) + (e y^2 + d tau y - a).
 
     Vanishes exactly at every root of the eigenvalue equation (including
     the trivial roots y = +-1 when d tau = 0 and e = -a patterns allow).
+    DomainError where y is 0 or not a finite number.
     """
-    y = complex(y)
+    y = _as_complex(y)
     if y == 0:
         raise DomainError("y = 0 is outside the domain")
     a, d, e, tau, n = p.a, p.d, p.e, p.tau, p.n
@@ -544,9 +557,10 @@ def refine_special_root(p: SystemParams, seed: complex) -> complex:
 
     Fails with UnitCircleCollapse if the iterate's modulus falls to 1 (no
     off-circle root in this regime) and NoConvergence if the budget runs
-    out.
+    out; DomainError for a seed that is not a finite number outside the
+    unit circle.
     """
-    y = complex(seed)
+    y = _as_complex(seed, "seed")
     if abs(y) <= 1.0:
         raise DomainError(f"seed must lie outside the unit circle, got {seed}")
     q = _seed_quadratic(p)
@@ -557,8 +571,10 @@ def refine_special_root(p: SystemParams, seed: complex) -> complex:
 
 
 def eigenvalue_from_root(p: SystemParams, y: complex) -> complex:
-    """r = sqrt(ac) (y + 1/y); DomainError at y = 0, where r has a pole,
-    and where r (or 1/y) leaves the float range."""
+    """r = sqrt(ac) (y + 1/y) as a complex number; DomainError where y is
+    not a finite number, at y = 0, where r has a pole, and where r (or
+    1/y) leaves the float range."""
+    y = _as_complex(y)
     if y == 0:
         raise DomainError("y = 0 is a pole of r = sqrt(ac) (y + 1/y)")
     r = _sqrt_product(p.a, p.c) * (y + 1.0 / y)

@@ -30,8 +30,9 @@ class SystemParams:
     leader's self-term, d and e the trailing-row boundary overrides, and
     n the reduced dimension (the full matrix is (n+1) x (n+1)).  Each
     instance keeps a private memo of results derived from it (see
-    spectrum.compute_spectrum and spectrum.classify_regime); it is not a
-    field, so eq, hash, repr and dataclasses.replace never see it.
+    spectrum.compute_spectrum, spectrum.classify_regime and
+    stability.first_order_verdict); it is not a field, so eq, hash, repr
+    and dataclasses.replace never see it.
     """
 
     a: float

@@ -300,13 +300,21 @@ def pairing_distance(u, v) -> float:
     them.  Off the real axis the real part is rounded to 1e-9 r for the
     sort, so that the two members of a conjugate pair whose real parts
     differ in the last bits sort the same way in both multisets; real
-    eigenvalues closer than that keep their order.
+    eigenvalues closer than that keep their order.  DimensionMismatch for
+    multisets that are not 1-D or differ in size, DomainError for one
+    that holds anything but finite numbers.
     """
+    try:
+        u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+    except (TypeError, ValueError) as ex:
+        raise DomainError(f"eigenvalues must be numbers: {ex}") from None
+    if u.ndim != 1 or v.ndim != 1:
+        raise DimensionMismatch(f"multisets must be 1-D, got shapes "
+                                f"{u.shape} and {v.shape}")
     if len(u) != len(v):
         raise DimensionMismatch(f"multisets have sizes {len(u)} and {len(v)}")
     if not len(u):
         return 0.0
-    u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise DomainError("eigenvalues must be finite")
     r = float(max(_modulus(u).max(), _modulus(v).max())) or 1.0

@@ -104,10 +104,11 @@ def track_root_convergence(p: SystemParams, n_values: Sequence[int],
     rate of |y(n) - y0| by least squares on the log-deviations.
 
     Only converged entries with deviation above `deviation_floor` enter
-    the fit.  The default floor is the double-precision rounding of y0;
-    the deviations keep their relative digits far below it, down to the
-    float underflow threshold (about 1e-308), so callers probing that
-    regime can lower it.
+    the fit, and only where they hold two distinct n; else the rate and
+    r_squared are NaN.  The default floor is the double-precision
+    rounding of y0; the deviations keep their relative digits far below
+    it, down to the float underflow threshold (about 1e-308), so callers
+    probing that regime can lower it.
     """
     try:
         n_values = sorted(_integer(n, "n") for n in n_values)
@@ -132,7 +133,7 @@ def track_root_convergence(p: SystemParams, n_values: Sequence[int],
         signs.append(sign)
     usable = [(n, dev) for n, dev in zip(n_values, deviations)
               if math.isfinite(dev) and dev > deviation_floor]
-    if len(usable) >= 2:
+    if len({n for n, _ in usable}) >= 2:
         ns = np.array([u[0] for u in usable], dtype=float)
         logs = np.log([u[1] for u in usable])
         slope, intercept = np.polyfit(ns, logs, 1)

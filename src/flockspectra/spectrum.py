@@ -30,7 +30,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .charpoly import (EPS, BranchRoot, _as_branch_roots,
+from .charpoly import (EPS, BranchRoot, _as_branch_roots, _as_complex,
                        _branch_root_arrays, _monic_roots,
                        _on_a_plus_e_line, _product_4k, _root_of_eigenvalue,
                        _special_seeds, _sqrt_product, eigenvalue_from_root,
@@ -345,24 +345,22 @@ def _assemble_reduced(p: SystemParams):
 
 def _twin(p: SystemParams) -> SystemParams:
     """The decentralized twin (b, d) = (a+c, c-e) of p, whose full matrix
-    less (a+c) I is -L, kept on p's memo with the label it keeps."""
-    return p._kept("twin", lambda p: replace(p, b=p.a + p.c, d=p.c - p.e))
+    less (a+c) I is -L: p itself where p.b and p.d already hold those
+    values, type and sign of zero included, and else a copy kept on p's
+    memo."""
+    b, d = p.a + p.c, p.c - p.e
+    if repr((p.b, p.d)) == repr((b, d)):  # -0.0 apart from 0.0
+        return p
+    return p._kept("twin", lambda p: replace(p, b=b, d=d))
 
 
-def _kept_assembly(p: SystemParams, q: SystemParams):
-    """_assemble_reduced(q), kept on p's memo under the bits of q.d: q is
-    p or its decentralized twin, which differ at most in b and d, and b
-    does not enter the reduced matrix.  The bulk arrays are kept
-    read-only and the special roots as a tuple; each call gets a fresh
-    list of them.  An assembly that raises is not kept."""
-    def frozen(_):
-        bulk, special = _assemble_reduced(q)
-        for x in bulk:
-            x.flags.writeable = False
-        return bulk, tuple(special)
-
-    bulk, special = p._kept(float(q.d).hex(), frozen)  # -0.0 apart from 0.0
-    return bulk, list(special)
+def _frozen_assembly(p: SystemParams):
+    """_assemble_reduced(p) with the bulk arrays read-only and the
+    special roots as a tuple, for compute_spectrum to keep on p."""
+    bulk, special = _assemble_reduced(p)
+    for x in bulk:
+        x.flags.writeable = False
+    return bulk, tuple(special)
 
 
 def compute_spectrum(p: SystemParams, kind: str = "full") -> Spectrum:
@@ -378,24 +376,24 @@ def compute_spectrum(p: SystemParams, kind: str = "full") -> Spectrum:
     trace recovers the other, so the double zero mode of -L is held to
     rounding, where QR on the non-normal -L splits it by about sqrt(eps).
 
-    The certified assembly of the reduced matrix is kept on p, keyed by
-    the bits of its d (p.d, or c - e for -L), so every kind of p and
-    every later call on p share one branch scan; for exactly
-    decentralized p, -L shares it with "full" and "reduced".  The bulk
-    arrays of the Spectrum are therefore read-only, p keeps them alive,
-    and the INFO records of an assembly are logged on its first call
-    only.  A failed assembly is not kept: it raises on every call.  The
-    twin and the regime labels are kept on p too, so a call that finds
-    its assembly kept only builds the Spectrum.
+    The certified assembly of the reduced matrix is kept on the params
+    it describes, p or the twin (kept on p, and p itself when b = a+c
+    and d = c-e bit for bit), so every kind of p and every later call on
+    p share one branch scan per reduced matrix.  The bulk arrays of the
+    Spectrum are therefore read-only, p keeps them alive, and the INFO
+    records of an assembly are logged once per params object.  A failed
+    assembly is not kept: it raises on every call.  The regime labels
+    are kept next to the assemblies, so a call that finds its assembly
+    kept only builds the Spectrum.
     """
     if kind not in ("full", "reduced", "laplacian"):
         raise DomainError(f"unknown matrix kind {kind!r}")
     q = _twin(p) if kind == "laplacian" else p
     regime = classify_regime(q)
-    (ell, phi, eig), special = _kept_assembly(p, q)
+    (ell, phi, eig), special = q._kept("assembly", _frozen_assembly)
     return Spectrum(leader=None if kind == "reduced" else q.b,
                     bulk_ell=ell, bulk_phi=phi, bulk_eigenvalue=eig,
-                    special=special, regime=regime, matrix_kind=kind,
+                    special=list(special), regime=regime, matrix_kind=kind,
                     params=q,
                     shift=-(q.a + q.c) if kind == "laplacian" else 0.0)
 
@@ -404,8 +402,9 @@ def eigenvector_for(p: SystemParams, y: complex) -> EigenPair:
     """Eigenpair of the reduced matrix from a polynomial root y: r =
     sqrt(ac)(y + 1/y) and, up to a nonzero scale, v_k = (tau y)^k - (tau
     / y)^k, k = 1..n, formed with |y| >= 1 as (tau y)^(k-K) (1 - y^-2k),
-    K = n if |tau y| >= 1 and 1 otherwise, so no power overflows."""
-    y = complex(y)
+    K = n if |tau y| >= 1 and 1 otherwise, so no power overflows.
+    DomainError where y is 0 or not a finite number."""
+    y = _as_complex(y)
     if y == 0:
         raise DomainError("y = 0 is outside the domain")
     if abs(y - 1) < 1e-12 or abs(y + 1) < 1e-12:

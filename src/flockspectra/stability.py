@@ -57,9 +57,10 @@ class SecondOrderParams:
 def laplacian_spectrum(p: SystemParams) -> np.ndarray:
     """Eigenvalues of -L, the system matrix of the consensus ODE, as a
     new complex array: the full spectrum of the decentralized twin
-    shifted by -(a+c).  Its assembly is kept on p (see compute_spectrum),
-    so both verdicts on one p, and its "full" and "reduced" spectra when
-    b = a+c and d = c-e exactly, share one branch scan."""
+    shifted by -(a+c).  Its assembly is kept on the twin (see
+    compute_spectrum), which is p itself when b = a+c and d = c-e
+    exactly, so both verdicts on p and its "full" and "reduced" spectra
+    then share one branch scan."""
     return compute_spectrum(p, "laplacian").eigenvalues()
 
 
@@ -69,18 +70,24 @@ def _zero_lambdas(p: SystemParams, lambdas):
     return np.abs(lambdas) <= ZERO_MODE_REL_TOL * (p.a + p.c)
 
 
-def _modes(values, zero):
-    """(zero modes, spectral abscissa, witness): how many values the mask
-    zero marks, the largest real part of the others, and the first of
-    them that has it."""
+def _verdict(sign, rule, values, zero, k, hint=None, marginal=None):
+    """The verdict on the modes values, of which the mask zero marks the
+    zero modes, when a sign rule labelled rule reads sign ("stable",
+    "unstable" or "inconclusive").  The witness is the first of the
+    other modes with the largest real part, the spectral abscissa.  The
+    finite-n spectrum must corroborate "stable" with k zero modes and a
+    negative abscissa, or the verdict is inconclusive; an "unstable"
+    verdict with no mode in the open right half plane takes as witness
+    the first mode nearest hint, where one is given."""
     rest = values[~zero]
-    k = int(np.argmax(rest.real))
-    return int(zero.sum()), float(rest.real[k]), complex(rest[k])
-
-
-def _nearest(values, z) -> complex:
-    """The first of values nearest z."""
-    return complex(values[np.argmin(np.abs(values - z))])
+    i = int(np.argmax(rest.real))
+    nzero, abscissa, witness = (int(zero.sum()), float(rest.real[i]),
+                                complex(rest[i]))
+    if sign == "stable" and not (nzero == k and abscissa < 0):
+        sign, rule = "inconclusive", rule + " (finite-n spectrum disagrees)"
+    if sign == "unstable" and abscissa <= 0 and hint is not None:
+        witness = complex(values[np.argmin(np.abs(values - hint))])
+    return StabilityVerdict(sign, witness, nzero, rule, abscissa, marginal)
 
 
 def first_order_verdict(p: SystemParams) -> StabilityVerdict:
@@ -89,47 +96,34 @@ def first_order_verdict(p: SystemParams) -> StabilityVerdict:
     Sign rule: stable when a + e > 0; unstable when a + e < 0 and
     c + e != 0 (the nearly-zero mode then sits at -(a+e)(c+e)/e > 0 or
     the near-(a+c) mode crosses); inconclusive at a + e = 0 or when the
-    sign rule and the finite-n spectrum disagree.
+    sign rule and the finite-n spectrum disagree.  The verdict (frozen)
+    is kept on p's memo, where second_order_verdict reads it.
     """
     if not is_decentralized(p):
         raise NotDecentralized("the stability sign rule assumes b=a+c and c=e+d")
-    return _first_order_rule(p, laplacian_spectrum(p))
+    return p._kept("verdict", _first_order)
 
 
-def _first_order_rule(p: SystemParams, lambdas) -> StabilityVerdict:
-    """The first-order verdict from the eigenvalue array lambdas of -L."""
+def _first_order(p: SystemParams) -> StabilityVerdict:
     a, c, e = p.a, p.c, p.e
-    nzero, abscissa, witness_pos = _modes(lambdas, _zero_lambdas(p, lambdas))
+    lambdas = laplacian_spectrum(p)
     # -(a+e)(c+e)/e on its factors' fractions: finite where the mode is
     (x, i), (y, j), (z, k) = map(math.frexp, (a + e, c + e, e))
     with np.errstate(over="ignore"):
         marginal = None if e == 0 else -float(np.ldexp(x * y / z, i + j - k))
-
     if a + e > 0:
-        rule = "first-order: a+e>0 => stable"
-        # Corroborate: exactly one zero mode, everything else decays.
-        if nzero == 1 and abscissa < 0:
-            return StabilityVerdict("stable", witness_pos, nzero, rule,
-                                    abscissa, marginal)
-        return StabilityVerdict("inconclusive", witness_pos, nzero,
-                                rule + " (finite-n spectrum disagrees)",
-                                abscissa, marginal)
-    if a + e < 0 and c + e != 0:
-        rule = "first-order: a+e<0, c+e!=0 => unstable"
+        sign, rule = "stable", "a+e>0 => stable"
+    elif a + e < 0 and c + e != 0:
         # When c+e>0 the unstable mode sits O(kappa^-n) above zero,
-        # below floating-point resolution for moderate n; report the
-        # eigenvalue nearest the predicted marginal mode as witness.
-        witness = (witness_pos if abscissa > 0
-                   else _nearest(lambdas, marginal))
-        return StabilityVerdict("unstable", witness, nzero, rule,
-                                abscissa, marginal)
-    if a + e < 0:
-        return StabilityVerdict("inconclusive", witness_pos, nzero,
-                                "first-order: a+e<0 with c+e=0 (not covered)",
-                                abscissa, marginal)
-    return StabilityVerdict("inconclusive", witness_pos, nzero,
-                            "first-order: a+e=0 (not covered)", abscissa,
-                            marginal)
+        # below floating-point resolution for moderate n; the witness is
+        # then the eigenvalue nearest the predicted marginal mode.
+        sign, rule = "unstable", "a+e<0, c+e!=0 => unstable"
+    elif a + e < 0:
+        sign, rule = "inconclusive", "a+e<0 with c+e=0 (not covered)"
+    else:
+        sign, rule = "inconclusive", "a+e=0 (not covered)"
+    return _verdict(sign, "first-order: " + rule, lambdas,
+                    _zero_lambdas(p, lambdas), 1, marginal, marginal)
 
 
 def second_order_eigenvalues(lambdas, so: SecondOrderParams) -> np.ndarray:
@@ -138,8 +132,11 @@ def second_order_eigenvalues(lambdas, so: SecondOrderParams) -> np.ndarray:
     c = -alpha lambda, s the principal sqrt(b^2 - c), formed as in
     charpoly._monic_roots on b and c over a power of two, and the root
     that -b +- s forms by cancellation (the slow mode ~ -alpha/beta of a
-    small lambda) taken as c over the other.  DomainError for a lambda
-    that is not a finite number, or a nu that leaves the float range."""
+    small lambda) taken as c over the other.  DomainError for gains so
+    that are not a SecondOrderParams, a lambda that is not a finite
+    number, or a nu that leaves the float range."""
+    if not isinstance(so, SecondOrderParams):
+        raise DomainError(f"gains must be a SecondOrderParams, got {so!r}")
     lam = np.ravel(lambdas)
     if lam.dtype.kind not in "biufc" or not np.isfinite(lam).all():
         raise DomainError("lambdas must be finite numbers")
@@ -165,35 +162,21 @@ def second_order_verdict(p: SystemParams,
 
     Negative lambda always exist, so any non-positive alpha or beta puts
     a nu in the closed right half plane: unstable.  With alpha, beta > 0
-    the verdict mirrors the first-order one, with a double zero mode:
-    the two nu of each zero mode of -L, and no others.
+    the verdict is the first-order one kept on p (first_order_verdict),
+    read on the nu: its sign, rule and marginal mode, the nu nearest its
+    witness as the witness of an unstable verdict with no nu in the open
+    right half plane, and a double zero mode, the two nu of each zero
+    mode of -L and no others.
     """
-    if not is_decentralized(p):
-        raise NotDecentralized("the stability sign rule assumes b=a+c and c=e+d")
+    first = first_order_verdict(p)
     lambdas = laplacian_spectrum(p)
     nus = second_order_eigenvalues(lambdas, so)
     # each zero lambda gives its two nu = 0, and only these are zero
     # modes: a slow mode nu ~ -alpha/beta keeps its size at any scale
-    nzero, abscissa, witness = _modes(
-        nus, np.repeat(_zero_lambdas(p, lambdas), 2))
-
+    zero = np.repeat(_zero_lambdas(p, lambdas), 2)
     if so.alpha <= 0 or so.beta <= 0:
-        return StabilityVerdict("unstable", witness, nzero,
-                                "second-order: alpha or beta not positive",
-                                abscissa)
-    first = _first_order_rule(p, lambdas)
-    rule = "second-order (alpha,beta>0): " + first.rule
-    if first.stable == "stable":
-        if nzero == 2 and abscissa < 0:
-            return StabilityVerdict("stable", witness, nzero, rule,
-                                    abscissa, first.predicted_marginal)
-        return StabilityVerdict("inconclusive", witness, nzero,
-                                rule + " (finite-n spectrum disagrees)",
-                                abscissa, first.predicted_marginal)
-    if first.stable == "unstable":
-        if abscissa <= 0 and first.witness is not None:
-            witness = _nearest(nus, first.witness)
-        return StabilityVerdict("unstable", witness, nzero, rule,
-                                abscissa, first.predicted_marginal)
-    return StabilityVerdict("inconclusive", witness, nzero, rule,
-                            abscissa, first.predicted_marginal)
+        return _verdict("unstable", "second-order: alpha or beta not "
+                        "positive", nus, zero, 2)
+    return _verdict(first.stable, "second-order (alpha,beta>0): "
+                    + first.rule, nus, zero, 2, first.witness,
+                    first.predicted_marginal)

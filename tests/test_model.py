@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flockspectra import (DegenerateCoupling, DimensionTooSmall, DomainError,
-                          SimConfig, SystemParams, build_full_matrix,
-                          build_laplacian, build_reduced_matrix,
-                          eigenvalue_from_root, eval_cotangent_residual,
-                          is_decentralized, make_params,
+from flockspectra import (DegenerateCoupling, DimensionMismatch,
+                          DimensionTooSmall, DomainError, SimConfig,
+                          SystemParams, build_full_matrix, build_laplacian,
+                          build_reduced_matrix, eigenvalue_from_root,
+                          eigenvector_for, eval_cotangent_residual,
+                          eval_polynomial, is_decentralized, make_params,
+                          pairing_distance, refine_special_root,
                           simulate_first_order, track_root_convergence)
 from flockspectra.model import tridiagonal
 
@@ -181,17 +183,30 @@ def test_tridiagonal_unknown_kind():
         tridiagonal(make_params(1, 1, 2, 0, 0, 3), "dense")
 
 
-@pytest.mark.parametrize("call", [
-    lambda p: eigenvalue_from_root(p, 0),
-    lambda p: eval_cotangent_residual(p, np.inf),
-    lambda p: track_root_convergence(p, ["a"]),
-    lambda p: simulate_first_order(SimConfig(p, np.zeros(p.n + 1),
-                                             np.zeros(p.n + 1), t_end="1.0")),
+@pytest.mark.parametrize("call,error", [
+    (lambda p: eigenvalue_from_root(p, 0), DomainError),
+    (lambda p: eval_cotangent_residual(p, np.inf), DomainError),
+    (lambda p: track_root_convergence(p, ["a"]), DomainError),
+    (lambda p: simulate_first_order(SimConfig(
+        p, np.zeros(p.n + 1), np.zeros(p.n + 1), t_end="1.0")), DomainError),
+    (lambda p: eval_polynomial(p, math.nan), DomainError),
+    (lambda p: eval_polynomial(p, math.inf), DomainError),
+    (lambda p: eval_polynomial(p, "x"), DomainError),
+    (lambda p: refine_special_root(p, "a"), DomainError),
+    (lambda p: eigenvector_for(p, "a"), DomainError),
+    (lambda p: eigenvalue_from_root(p, "a"), DomainError),
+    (lambda p: pairing_distance(["a"], [1]), DomainError),
+    (lambda p: pairing_distance([[1, 2]], [[1, 2]]), DimensionMismatch),
 ], ids=["eigenvalue_from_root-y=0", "eval_cotangent_residual-inf",
-        "track_root_convergence-str", "simulate_first_order-str"])
-def test_invalid_arguments_raise_domain_error(call):
-    # not a bare ZeroDivisionError, RuntimeWarning, ValueError or TypeError
+        "track_root_convergence-str", "simulate_first_order-str",
+        "eval_polynomial-nan", "eval_polynomial-inf", "eval_polynomial-str",
+        "refine_special_root-str", "eigenvector_for-str",
+        "eigenvalue_from_root-str", "pairing_distance-str",
+        "pairing_distance-2d"])
+def test_invalid_arguments_raise_domain_error(call, error):
+    # a typed error, not a bare ZeroDivisionError, RuntimeWarning,
+    # ValueError, TypeError or IndexError, nor a NaN
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DomainError):
+        with pytest.raises(error):
             call(make_params(1, 2, 3, 0.5, 1.5, 20))

@@ -44,6 +44,17 @@ class TestTrackRootConvergence:
         # still reflects the geometric rate from the usable prefix
         assert rep.fitted_rate == pytest.approx(2.0, rel=0.1)
 
+    def test_one_distinct_usable_n_fits_nothing(self):
+        # n = 20 lies under the fit floor, so both usable points sit at
+        # n = 10: no rate can be fitted, as for a single point
+        p = make_params(1, 1, None, 2.2, 0.5, 10)
+        rep = track_root_convergence(p, [10, 10, 20])
+        assert rep.deviations[0] == rep.deviations[1] > 1e-14
+        assert math.isnan(rep.fitted_rate) and math.isnan(rep.r_squared)
+        rep = track_root_convergence(p, [10, 12, 20])
+        assert rep.fitted_rate == pytest.approx(abs(rep.r_expected) ** 2,
+                                                rel=1e-3)
+
 
 class TestPerturbationSign:
     def test_positive_a_plus_e(self):

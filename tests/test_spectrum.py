@@ -21,8 +21,8 @@ from flockspectra import (DegenerateRoot, DiscriminantCollapse,
                           find_branch_roots, is_decentralized,
                           leader_eigenvector, make_params, pairing_distance,
                           quadratic_roots, residual)
-from flockspectra import (SecondOrderParams, first_order_verdict,
-                          second_order_verdict)
+from flockspectra import (SecondOrderParams, SystemParams,
+                          first_order_verdict, second_order_verdict)
 from flockspectra.charpoly import (CIRCLE_EPS, EPLUSA_THRESHOLD,
                                    _special_seeds)
 from flockspectra.oracle import _tau_balance
@@ -959,22 +959,41 @@ def _spy(monkeypatch, name):
 
 
 def test_decentralized_kinds_and_verdicts_share_one_assembly(monkeypatch):
-    # b = a + c and d = c - e exactly, so the Laplacian twin's reduced
-    # matrix is p's own, bit for bit
+    # b = a + c and d = c - e exactly, so p is its own Laplacian twin:
+    # every kind and both verdicts, at two gains, read one label, one
+    # assembly and one first-order verdict
     def fresh():
         return make_params(1, 2, None, 1.5, 0.5, 40)
     want = {kind: compute_spectrum(fresh(), kind).eigenvalues()
             for kind in ("full", "reduced", "laplacian")}
-    so = SecondOrderParams(1.0, 1.5)
+    gains = (SecondOrderParams(1.0, 1.5), SecondOrderParams(2.0, 0.5))
     verdicts = (first_order_verdict(fresh()),
-                second_order_verdict(fresh(), so))
-    calls = _spy(monkeypatch, "spectrum._assemble_reduced")
+                *(second_order_verdict(fresh(), so) for so in gains))
+    calls = [_spy(monkeypatch, name) for name in (
+        "spectrum._classify", "spectrum._assemble_reduced",
+        "stability._first_order")]
     p = fresh()
     for kind, eig in want.items():
-        assert compute_spectrum(p, kind).eigenvalues().tobytes() \
-            == eig.tobytes()
-    assert (first_order_verdict(p), second_order_verdict(p, so)) == verdicts
-    assert len(calls) == 1
+        spec = compute_spectrum(p, kind)
+        assert spec.eigenvalues().tobytes() == eig.tobytes()
+        assert spec.params is p
+    assert (first_order_verdict(p),
+            *(second_order_verdict(p, so) for so in gains)) == verdicts
+    assert calls == [[p]] * 3
+
+
+def test_twin_of_b_off_a_plus_c_matches_a_fresh_twin(monkeypatch):
+    # d = c - e but b != a + c: -L is the twin's, assembled on the twin,
+    # bit for bit the -L of the decentralized set with p's a, c, d, e
+    fresh = make_params(1, 2, None, 1.5, 0.5, 30)
+    want = compute_spectrum(fresh, "laplacian")
+    calls = _spy(monkeypatch, "spectrum._assemble_reduced")
+    p = make_params(1, 2, 3.5, 1.5, 0.5, 30)
+    for kind in ("reduced", "laplacian", "full", "laplacian"):
+        got = compute_spectrum(p, kind)
+    assert got.eigenvalues().tobytes() == want.eigenvalues().tobytes()
+    assert got.as_dict() == want.as_dict() and got.params == fresh
+    assert calls == [p, got.params]
 
 
 def test_kept_call_only_builds_the_spectrum(monkeypatch):
@@ -1005,6 +1024,13 @@ def test_signed_zero_d_keeps_two_assemblies(monkeypatch):
         compute_spectrum(p, kind)
     assert [math.copysign(1, q.d) for q in calls] == [-1.0, 1.0]
 
+
+def test_twin_keeps_the_type_of_b():
+    # a + c = 3 is an int and p.b = 3.0 a float: the twin is a params
+    # object of its own, and -L reports its b, 3
+    p = SystemParams(a=1, c=2, b=3.0, d=1, e=1, n=12)
+    q = compute_spectrum(p, "laplacian").params
+    assert q is not p and type(q.b) is int and q == replace(p, b=3)
 
 def test_twin_off_p_d_is_assembled_apart(monkeypatch):
     # c - e = 1.5 against d = 1.25: -L is not p's reduced matrix

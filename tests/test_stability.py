@@ -476,3 +476,89 @@ def test_verdict_fields_pinned(row):
                   v.predicted_marginal)
         # repr pins the bits and the Python type of every field
         assert repr(fields) == repr(want)
+
+
+# The branches VERDICTS leaves out, both verdicts as the repr of their six
+# fields (stable, rule, witness, zero_multiplicity, spectral_abscissa,
+# predicted_marginal): a+e = 0; c+e = 0 with a+e < 0 and with a+e > 0;
+# the gains alpha = 0 (once on an unstable set, where the nu nearest the
+# first-order witness does not replace the witness) and beta < 0; e = 0,
+# where no marginal mode exists; and n = 2.  Each row holds (a, c, e, n),
+# the gains (alpha, beta), then the first-order and second-order repr.
+BRANCHES = [
+    ((1.0, 2.0, -1.0, 24), (1.0, 0.5),
+     "('inconclusive', 'first-order: a+e=0 (not covered)', "
+     "(-0.19577046140008836+0j), 2, -0.19577046140008836, 0.0)",
+     "('inconclusive', 'second-order (alpha,beta>0): first-order: a+e=0 "
+     "(not covered)', (-0.04894261535002209+0.43974433686266856j), 4, "
+     "-0.04894261535002209, 0.0)"),
+    ((1.0, 2.0, -2.0, 24), (1.0, 0.5),
+     "('inconclusive', 'first-order: a+e<0 with c+e=0 (not covered)', "
+     "(0.0001720111731700058+0j), 1, 0.0001720111731700058, -0.0)",
+     "('inconclusive', 'second-order (alpha,beta>0): first-order: a+e<0 "
+     "with c+e=0 (not covered)', (0.01315837630723547+0j), 2, "
+     "0.01315837630723547, -0.0)"),
+    ((2.0, 1.0, -1.0, 24), (1.0, 0.5),
+     "('stable', 'first-order: a+e>0 => stable', (-0.18742616368318865+0j), "
+     "1, -0.18742616368318865, 0.0)",
+     "('stable', 'second-order (alpha,beta>0): first-order: a+e>0 => "
+     "stable', (-0.04685654092079716+0.4303842797502324j), 2, "
+     "-0.04685654092079716, 0.0)"),
+    ((1.0, 1.0, 0.5, 24), (0.0, 0.5),
+     "('stable', 'first-order: a+e>0 => stable', (-0.004223295500321411+0j), "
+     "1, -0.004223295500321411, -4.5)",
+     "('unstable', 'second-order: alpha or beta not positive', 0j, 2, 0.0, "
+     "None)"),
+    ((1.0, 1.0, 0.5, 24), (1.0, -0.5),
+     "('stable', 'first-order: a+e>0 => stable', (-0.004223295500321411+0j), "
+     "1, -0.004223295500321411, -4.5)",
+     "('unstable', 'second-order: alpha or beta not positive', "
+     "(0.9962058237042422+1.7298546909017303j), 2, 0.9962058237042422, "
+     "None)"),
+    ((1.0, 3.0, -2.0, 24), (0.0, 0.5),
+     "('unstable', 'first-order: a+e<0, c+e!=0 => unstable', "
+     "(-0.5002556465038634+0j), 2, -0.5002556465038634, -0.5)",
+     "('unstable', 'second-order: alpha or beta not positive', 0j, 4, 0.0, "
+     "None)"),
+    ((1.0, 2.0, 0.0, 24), (1.0, 0.5),
+     "('inconclusive', 'first-order: a+e>0 => stable (finite-n spectrum "
+     "disagrees)', (-0.20106050847844825+0j), 2, -0.20106050847844825, "
+     "None)",
+     "('inconclusive', 'second-order (alpha,beta>0): first-order: a+e>0 => "
+     "stable (finite-n spectrum disagrees)', "
+     "(-0.05026512711961206+0.4455714594474129j), 4, -0.05026512711961206, "
+     "None)"),
+    ((1.0, 1.0, 0.5, 2), (1.0, 0.5),
+     "('stable', 'first-order: a+e>0 => stable', (-0.5+0j), 1, -0.5, -4.5)",
+     "('stable', 'second-order (alpha,beta>0): first-order: a+e>0 => "
+     "stable', (-0.125+0.6959705453537527j), 2, -0.125, -4.5)"),
+    ((1.0, 3.0, -2.0, 2), (1.0, 0.5),
+     "('unstable', 'first-order: a+e<0, c+e!=0 => unstable', "
+     "(0.3027756377319948+0j), 1, 0.3027756377319948, -0.5)",
+     "('unstable', 'second-order (alpha,beta>0): first-order: a+e<0, "
+     "c+e!=0 => unstable', (0.631126358662647+0j), 2, 0.631126358662647, "
+     "-0.5)"),
+]
+
+
+@pytest.mark.parametrize("row", BRANCHES,
+                         ids=lambda row: f"{row[0]}-{row[1]}")
+def test_branch_fields_pinned(row):
+    (a, c, e, n), gains, first, second = row
+    p = make_params(a, c, None, c - e, e, n)
+    got = [first_order_verdict(p),
+           second_order_verdict(p, SecondOrderParams(*gains))]
+    for v, want in zip(got, (first, second)):
+        assert repr((v.stable, v.rule, v.witness, v.zero_multiplicity,
+                     v.spectral_abscissa, v.predicted_marginal)) == want
+
+
+@pytest.mark.parametrize("call", [
+    lambda so: second_order_verdict(make_params(1, 1, None, 0.5, 0.5, 20),
+                                    so),
+    lambda so: second_order_eigenvalues([-1.0], so),
+], ids=["second_order_verdict", "second_order_eigenvalues"])
+def test_gains_must_be_second_order_params(call):
+    # not AttributeError: 'tuple' object has no attribute 'beta'
+    with pytest.raises(DomainError, match="SecondOrderParams"):
+        call((1.0, 1.0))
